@@ -109,11 +109,19 @@ class Instance:
         self.color_labels = tuple(color_labels)
         self._pos = {p.id: idx for idx, p in enumerate(points)}
         self._coords = np.array([p.coords for p in points], dtype=float)
+        if not np.isfinite(self._coords).all():
+            raise InputError("coordinates must be finite")
         self._colors = np.array([p.color for p in points], dtype=int)
         if dist_matrix is not None:
             dist_matrix = np.asarray(dist_matrix, dtype=float)
             if dist_matrix.shape != (len(points), len(points)):
                 raise InputError("distance matrix shape mismatch")
+            if not np.isfinite(dist_matrix).all():
+                raise InputError("distance matrix must be finite")
+            if not np.array_equal(dist_matrix, dist_matrix.T):
+                raise InputError("distance matrix must be symmetric")
+            if dist_matrix.diagonal().any():
+                raise InputError("distance matrix must have a zero diagonal")
         self._dist = dist_matrix
         self._row_cache: dict[int, np.ndarray] = {}
 

@@ -9,16 +9,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import InputError, Instance, RadiusGrid, ceil_inv_alpha
-from .simplex import SolverStuck, phase_one_feasible
 
 ROW_TOL = 1e-7
 RADIUS_SLACK = 1e-12  # pairs with d <= lambda*(1+slack) get a variable
-# largest dense tableau we hand to the phase-1 simplex before switching to HiGHS
-SIMPLEX_CELL_LIMIT = 2_000_000
 
 
 class SolverError(RuntimeError):
-    """The backend failed in a way that is not an infeasibility verdict."""
+    """HiGHS failed in a way that is not an infeasibility verdict."""
 
 
 @dataclass
@@ -26,7 +23,7 @@ class Block:
     """One constraint family: local sparse rows, a shared relation, and rhs."""
 
     family: str
-    relation: str  # "<=" or ">="
+    relation: str  # "<=", ">=" or "=="
     rows: np.ndarray
     cols: np.ndarray
     data: np.ndarray
@@ -53,13 +50,7 @@ class LinearSystem:
     pair_ids: list[tuple[int, int]]
     blocks: list[Block]
     n_vars: int
-    lo: np.ndarray
-    hi: np.ndarray
     uncovered_clients: list[int] = field(default_factory=list)
-
-    @property
-    def n_rows(self) -> int:
-        return sum(b.n_rows for b in self.blocks)
 
     def y_col(self, idx: int) -> int:
         return idx
@@ -79,15 +70,15 @@ class LinearSystem:
             terms: dict[int, list[str]] = {i: [] for i in range(blk.n_rows)}
             for i, j, v in zip(mat.row, mat.col, mat.data):
                 terms[i].append(f"{'+' if v >= 0 else '-'} {abs(v):.12g} {names[j]}")
+            relation = "=" if blk.relation == "==" else blk.relation
             for i in range(blk.n_rows):
                 out.append(
                     f" {blk.family}_{r + i}: {' '.join(terms[i]) or '0 ' + names[0]} "
-                    f"{blk.relation} {blk.rhs[i]:.12g}"
+                    f"{relation} {blk.rhs[i]:.12g}"
                 )
             r += blk.n_rows
         out.append("Bounds")
-        for j, name in enumerate(names):
-            out.append(f" {self.lo[j]:.12g} <= {name} <= {self.hi[j]:.12g}")
+        out.extend(f" 0 <= {name} <= 1" for name in names)
         out.append("End")
         return "\n".join(out)
 
@@ -105,164 +96,138 @@ def build_polytope(
 ) -> LinearSystem:
     """Assemble the radius-lam system, optionally restricting facilities to a coreset.
 
-    Families: per-client coverage held at exactly one unit (a >= / <= row
-    pair), openings dominating assignments, per-facility color caps, the
-    minimum-load rows ceil(1/alpha) * y_i <= sum_j x_ij, the opening budget,
-    and unit upper bounds on y.
+    Families: per-client coverage held at exactly one unit, openings
+    dominating assignments, per-facility color caps (only for colors with an
+    in-radius client at that facility; the others hold for any x >= 0), the
+    minimum-load rows ceil(1/alpha) * y_i <= sum_j x_ij, and the opening
+    budget.  The unit bounds on every variable are implicit.
     """
     if lam < 0:
         raise InputError("lambda must be non-negative")
     if restricted_facilities is None:
-        fac_pos = list(range(inst.n))
+        fac_pos = np.arange(inst.n)
     else:
-        fac_pos = sorted(inst.pos(i) for i in restricted_facilities)
-        if not fac_pos:
+        fac_pos = np.array(sorted(inst.pos(i) for i in restricted_facilities), dtype=int)
+        if not fac_pos.size:
             raise InputError("restricted facility set must be non-empty")
     n, nf = inst.n, len(fac_pos)
     radius = lam * (1.0 + RADIUS_SLACK)
 
-    pairs: list[tuple[int, int]] = []  # (facility position, client position)
-    covered = np.zeros(n, dtype=bool)
-    for fi in fac_pos:
-        row = inst.dist_row(fi)
-        for j in np.flatnonzero(row <= radius):
-            pairs.append((fi, int(j)))
-            covered[j] = True
-    pairs.sort()
-    n_vars = nf + len(pairs)
+    # pairs sorted by (facility, client) position: pf is the facility's
+    # local index (its y column), pj the client position
+    clients = [np.flatnonzero(inst.dist_row(fi) <= radius) for fi in fac_pos.tolist()]
+    deg = np.array([c.size for c in clients], dtype=int)
+    pj = np.concatenate(clients)
+    pf = np.repeat(np.arange(nf), deg)
+    n_pairs = pj.size
+    xcols = nf + np.arange(n_pairs)
+    ones = np.ones(n_pairs)
 
-    fcol = {fi: c for c, fi in enumerate(fac_pos)}
-    xcol = {p: nf + c for c, p in enumerate(pairs)}
-
-    by_client: dict[int, list[int]] = {j: [] for j in range(n)}
-    by_fac: dict[int, list[tuple[int, int]]] = {fi: [] for fi in fac_pos}
-    for (fi, j) in pairs:
-        by_client[j].append(xcol[(fi, j)])
-        by_fac[fi].append((j, xcol[(fi, j)]))
-
-    blocks: list[Block] = []
-
-    def add_block(family, relation, triplets, n_rows, rhs):
-        rows, cols, data = triplets
-        blocks.append(
-            Block(
-                family,
-                relation,
-                np.asarray(rows, dtype=int),
-                np.asarray(cols, dtype=int),
-                np.asarray(data, dtype=float),
-                n_rows,
-                np.asarray(rhs, dtype=float),
-            )
-        )
-
-    # coverage: each client receives exactly one unit of assignment
-    cov_r, cov_c, cov_d = [], [], []
-    for j in range(n):
-        for col in by_client[j]:
-            cov_r.append(j)
-            cov_c.append(col)
-            cov_d.append(1.0)
-    add_block("cover_lo", ">=", (cov_r, cov_c, cov_d), n, np.ones(n))
-    add_block("cover_hi", "<=", (cov_r, cov_c, cov_d), n, np.ones(n))
-
-    # x_ij <= y_i
-    op_r, op_c, op_d = [], [], []
-    for r, (fi, j) in enumerate(pairs):
-        op_r += [r, r]
-        op_c += [xcol[(fi, j)], fcol[fi]]
-        op_d += [1.0, -1.0]
-    add_block("open", "<=", (op_r, op_c, op_d), len(pairs), np.zeros(len(pairs)))
-
-    # per-facility color caps: sum_{j in color c} x_ij <= alpha * sum_j x_ij
+    # per-facility color caps: sum_{j in color c} x_ij <= alpha * sum_j x_ij,
+    # one row per (facility, color) pair with an in-radius client of color c
     colors = inst.colors()
-    cc_r, cc_c, cc_d = [], [], []
-    row_id = 0
-    for fi in fac_pos:
-        for c in range(inst.n_colors):
-            for (j, col) in by_fac[fi]:
-                coeff = (1.0 - inst.alpha) if colors[j] == c else -inst.alpha
-                cc_r.append(row_id)
-                cc_c.append(col)
-                cc_d.append(coeff)
-            row_id += 1
-    add_block("colorcap", "<=", (cc_r, cc_c, cc_d), row_id, np.zeros(row_id))
+    keys = np.unique(pf * inst.n_colors + colors[pj])
+    cap_fac, cap_color = np.divmod(keys, inst.n_colors)
+    row_len = deg[cap_fac]
+    cap_rows = np.repeat(np.arange(keys.size), row_len)
+    # pair index: the facility's first pair plus the offset within the row
+    first = np.cumsum(deg) - deg
+    row_start = np.cumsum(row_len) - row_len
+    idx = np.arange(cap_rows.size) + np.repeat(first[cap_fac] - row_start, row_len)
+    own = colors[pj[idx]] == cap_color[cap_rows]
+    cap_coeff = np.where(own, 1.0 - inst.alpha, -inst.alpha)
 
-    # open facilities must carry at least ceil(1/alpha) clients of mass
     load = ceil_inv_alpha(inst.alpha)
-    ml_r, ml_c, ml_d = [], [], []
-    for r, fi in enumerate(fac_pos):
-        ml_r.append(r)
-        ml_c.append(fcol[fi])
-        ml_d.append(-float(load))
-        for (j, col) in by_fac[fi]:
-            ml_r.append(r)
-            ml_c.append(col)
-            ml_d.append(1.0)
-    add_block("minload", ">=", (ml_r, ml_c, ml_d), nf, np.zeros(nf))
+    blocks = [
+        # coverage: each client receives exactly one unit of assignment
+        Block("cover", "==", pj, xcols, ones, n, np.ones(n)),
+        # x_ij <= y_i
+        Block(
+            "open",
+            "<=",
+            np.tile(np.arange(n_pairs), 2),
+            np.concatenate([xcols, pf]),
+            np.concatenate([ones, -ones]),
+            n_pairs,
+            np.zeros(n_pairs),
+        ),
+        Block("colorcap", "<=", cap_rows, xcols[idx], cap_coeff, keys.size, np.zeros(keys.size)),
+        # open facilities must carry at least ceil(1/alpha) clients of mass
+        Block(
+            "minload",
+            ">=",
+            np.concatenate([np.arange(nf), pf]),
+            np.concatenate([np.arange(nf), xcols]),
+            np.concatenate([np.full(nf, -float(load)), ones]),
+            nf,
+            np.zeros(nf),
+        ),
+        # opening budget
+        Block(
+            "budget",
+            "<=",
+            np.zeros(nf, int),
+            np.arange(nf),
+            np.ones(nf),
+            1,
+            np.array([float(inst.k)]),
+        ),
+    ]
 
-    # opening budget and unit caps on y
-    add_block("budget", "<=", (np.zeros(nf, int), np.arange(nf), np.ones(nf)), 1, [float(inst.k)])
-    add_block("ybound", "<=", (np.arange(nf), np.arange(nf), np.ones(nf)), nf, np.ones(nf))
-
+    covered = np.zeros(n, dtype=bool)
+    covered[pj] = True
+    ids = np.array(inst.ids())
     return LinearSystem(
         lam=lam,
-        facility_ids=[inst.id_at(p) for p in fac_pos],
-        pair_ids=[(inst.id_at(fi), inst.id_at(j)) for fi, j in pairs],
+        facility_ids=ids[fac_pos].tolist(),
+        pair_ids=list(zip(ids[fac_pos[pf]].tolist(), ids[pj].tolist())),
         blocks=blocks,
-        n_vars=n_vars,
-        lo=np.zeros(n_vars),
-        hi=np.ones(n_vars),
-        uncovered_clients=[inst.id_at(j) for j in np.flatnonzero(~covered)],
+        n_vars=nf + n_pairs,
+        uncovered_clients=ids[~covered].tolist(),
     )
 
 
 def validate_point(sys: LinearSystem, vec: np.ndarray, tol: float = ROW_TOL) -> list[str]:
     """Re-check every row and bound against a raw variable vector, solver-free."""
     bad: list[str] = []
-    if (vec < sys.lo - tol).any() or (vec > sys.hi + tol).any():
+    if (vec < -tol).any() or (vec > 1.0 + tol).any():
         bad.append("variable bound violated")
     for blk in sys.blocks:
-        vals = blk.matrix(sys.n_vars) @ vec
-        if blk.relation == "<=":
-            worst = (vals - blk.rhs).max() if blk.n_rows else 0.0
-        else:
-            worst = (blk.rhs - vals).max() if blk.n_rows else 0.0
+        if not blk.n_rows:
+            continue
+        gap = blk.matrix(sys.n_vars) @ vec - blk.rhs
+        if blk.relation == ">=":
+            gap = -gap
+        elif blk.relation == "==":
+            gap = np.abs(gap)
+        worst = gap.max()
         if worst > tol:
             bad.append(f"{blk.family}: violation {worst:.3e}")
     return bad
 
 
-def _solve_simplex(sys: LinearSystem) -> np.ndarray | None:
-    rows = []
-    rels = []
-    rhs = []
-    for blk in sys.blocks:
-        rows.append(blk.matrix(sys.n_vars).toarray())
-        rels += [blk.relation] * blk.n_rows
-        rhs.append(blk.rhs)
-    A = np.vstack(rows)
-    return phase_one_feasible(A, rels, np.concatenate(rhs))
-
-
 def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
     from scipy.optimize import linprog
 
-    mats = []
-    ubs = []
+    ub_mats, ub_rhs, eq_mats, eq_rhs = [], [], [], []
     for blk in sys.blocks:
         m = blk.matrix(sys.n_vars)
-        if blk.relation == "<=":
-            mats.append(m)
-            ubs.append(blk.rhs)
+        if blk.relation == "==":
+            eq_mats.append(m)
+            eq_rhs.append(blk.rhs)
+        elif blk.relation == "<=":
+            ub_mats.append(m)
+            ub_rhs.append(blk.rhs)
         else:
-            mats.append(-m)
-            ubs.append(-blk.rhs)
+            ub_mats.append(-m)
+            ub_rhs.append(-blk.rhs)
     res = linprog(
         c=np.zeros(sys.n_vars),
-        A_ub=sp.vstack(mats, format="csr"),
-        b_ub=np.concatenate(ubs),
-        bounds=list(zip(sys.lo, sys.hi)),
+        A_ub=sp.vstack(ub_mats, format="csr"),
+        b_ub=np.concatenate(ub_rhs),
+        A_eq=sp.vstack(eq_mats, format="csr"),
+        b_eq=np.concatenate(eq_rhs),
+        bounds=(0, 1),
         method="highs",
     )
     if res.status == 2:
@@ -272,29 +237,22 @@ def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
     return np.asarray(res.x)
 
 
-def check_feasible(sys: LinearSystem, backend: str = "auto") -> FractionalSolution | None:
+def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
     """A point satisfying every row within 1e-7, or None when the polytope is empty.
 
-    Backends: "simplex" is the self-contained phase-1 with Bland's rule
-    (deterministic, default at small sizes); "highs" delegates to SciPy's
-    HiGHS for systems too large for a dense tableau.  Numerical failures
-    raise, they are never reported as infeasible.
+    A client with no facility in radius empties the polytope without a solve;
+    otherwise SciPy's HiGHS decides, and its point is re-checked against every
+    row.  Numerical failures raise SolverError, they are never reported as
+    infeasible.
     """
     if sys.uncovered_clients:
         return None  # some client has no facility in radius: trivially empty
-    if backend == "auto":
-        backend = "simplex" if sys.n_vars * (sys.n_rows + 1) <= SIMPLEX_CELL_LIMIT else "highs"
-    if backend == "simplex":
-        vec = _solve_simplex(sys)
-    elif backend == "highs":
-        vec = _solve_highs(sys)
-    else:
-        raise InputError(f"unknown backend {backend!r}")
+    vec = _solve_highs(sys)
     if vec is None:
         return None
     bad = validate_point(sys, vec)
     if bad:
-        raise SolverError("backend returned an invalid point: " + "; ".join(bad))
+        raise SolverError("HiGHS returned an invalid point: " + "; ".join(bad))
     nf = len(sys.facility_ids)
     y = {i: float(v) for i, v in zip(sys.facility_ids, vec[:nf]) if v > 1e-12}
     x = {p: float(v) for p, v in zip(sys.pair_ids, vec[nf:]) if v > 1e-12}
@@ -305,7 +263,6 @@ def min_feasible_radius(
     inst: Instance,
     grid: RadiusGrid,
     restricted: Sequence[int] | None = None,
-    backend: str = "auto",
     strategy: str = "scan",
 ) -> tuple[float, FractionalSolution] | None:
     """Smallest grid radius whose polytope is non-empty, with a point in it.
@@ -316,20 +273,20 @@ def min_feasible_radius(
     vals = list(grid)
     if strategy == "scan":
         for lam in vals:
-            frac = check_feasible(build_polytope(inst, lam, restricted), backend)
+            frac = check_feasible(build_polytope(inst, lam, restricted))
             if frac is not None:
                 return lam, frac
         return None
     if strategy == "bisect":
         lo, hi = 0, len(vals) - 1
         best: tuple[float, FractionalSolution] | None = None
-        frac = check_feasible(build_polytope(inst, vals[hi], restricted), backend)
+        frac = check_feasible(build_polytope(inst, vals[hi], restricted))
         if frac is None:
             return None
         best = (vals[hi], frac)
         while lo <= hi:
             mid = (lo + hi) // 2
-            frac = check_feasible(build_polytope(inst, vals[mid], restricted), backend)
+            frac = check_feasible(build_polytope(inst, vals[mid], restricted))
             if frac is not None:
                 best = (vals[mid], frac)
                 hi = mid - 1

@@ -106,7 +106,6 @@ def fair_k_center(
     lam: float,
     restricted: Sequence[int] | None = None,
     scan_order: str = "index",
-    backend: str = "auto",
     validate: bool = False,
 ) -> ClusteringSolution | None:
     """LP-guess-and-round at radius lam: None when the polytope is empty.
@@ -117,7 +116,7 @@ def fair_k_center(
     exceeds k is rejected the same way as an empty polytope so grid drivers
     simply advance.
     """
-    frac = check_feasible(build_polytope(inst, lam, restricted), backend)
+    frac = check_feasible(build_polytope(inst, lam, restricted))
     if frac is None:
         return None
 

@@ -121,6 +121,15 @@ def test_main_error_exit_code(tmp_path, capsys):
     assert main(["--input", str(missing), "--k", "2"]) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("algo", ["lp", "half"])
+def test_main_non_finite_coordinate_is_error(tmp_path, capsys, value, algo):
+    text = f"id,color,x0,x1\n0,r,0.0,0.0\n1,r,1.0,{value}\n2,b,0.0,1.0\n3,b,1.0,0.0\n"
+    path = write(tmp_path, "bad.csv", text)
+    assert main(["--input", str(path), "--k", "2", "--alpha", "0.5", "--algo", algo]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_main_jobs_parallel(tmp_path, capsys):
     path = square_csv(tmp_path)
     args = [

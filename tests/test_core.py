@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from cappedkc import (
     ClusteringSolution,
     ContractViolation,
     InputError,
+    Instance,
     Point,
     candidate_radii,
     check_capped,
@@ -159,3 +161,20 @@ def test_instance_validation():
         make_instance([(0.0,)], ["r"], k=1, alpha=1.5)
     with pytest.raises(InputError):
         make_instance([(0.0,), (0.0, 0.0)], ["r", "b"], k=1, alpha=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite"):
+            make_instance([(0.0,), (bad,)], ["r", "b"], k=1, alpha=0.5)
+
+
+def test_instance_rejects_bad_dist_matrix():
+    pts = [Point(0, (), 0), Point(1, (), 1)]
+    good = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert Instance(pts, k=1, alpha=0.5, dist_matrix=good).dist(0, 1) == 1.0
+    bad = {
+        "finite": [[0.0, np.inf], [np.inf, 0.0]],
+        "symmetric": [[0.0, 1.0], [2.0, 0.0]],
+        "zero diagonal": [[1.0, 1.0], [1.0, 0.0]],
+    }
+    for reason, matrix in bad.items():
+        with pytest.raises(InputError, match=reason):
+            Instance(pts, k=1, alpha=0.5, dist_matrix=np.array(matrix))

@@ -1,18 +1,24 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from cappedkc import (
+    InfeasibleInstance,
     RadiusGrid,
+    SolverError,
+    brute_force_capped_opt,
     build_polytope,
     candidate_radii,
     check_feasible,
     make_instance,
     min_feasible_radius,
+    validate_point,
 )
 from cappedkc.core import ceil_inv_alpha
-from cappedkc.simplex import phase_one_feasible
+from cappedkc.lp_feasibility import _solve_highs
 from conftest import random_capped_instance
 
 
@@ -22,20 +28,6 @@ def test_ceil_inv_alpha():
     assert ceil_inv_alpha(1 / 3) == 3
     assert ceil_inv_alpha(0.1) == 10
     assert ceil_inv_alpha(1.0) == 1
-
-
-def test_phase_one_tiny_feasible():
-    # x0 + x1 >= 1, x0 <= 0.25  ->  x1 >= 0.75 works
-    A = np.array([[1.0, 1.0], [1.0, 0.0]])
-    x = phase_one_feasible(A, [">=", "<="], np.array([1.0, 0.25]))
-    assert x is not None
-    assert x[0] + x[1] >= 1 - 1e-9 and x[0] <= 0.25 + 1e-9
-
-
-def test_phase_one_tiny_infeasible():
-    # x0 >= 2 and x0 <= 1 cannot hold
-    A = np.array([[1.0], [1.0]])
-    assert phase_one_feasible(A, [">=", "<="], np.array([2.0, 1.0])) is None
 
 
 def test_radius_prunes_variables():
@@ -94,23 +86,6 @@ def test_min_feasible_radius_empty_when_alpha_too_small():
     assert min_feasible_radius(inst, candidate_radii(inst)) is None
 
 
-def test_backends_agree_on_feasibility():
-    rng = random.Random(23)
-    for _ in range(25):
-        inst = random_capped_instance(
-            rng,
-            n=rng.randint(3, 7),
-            n_colors=rng.choice([2, 3]),
-            k=rng.randint(1, 3),
-            alpha=rng.choice([0.5, 1 / 3]),
-        )
-        lam = rng.choice(candidate_radii(inst).values)
-        sys = build_polytope(inst, lam)
-        a = check_feasible(sys, backend="simplex")
-        b = check_feasible(sys, backend="highs")
-        assert (a is None) == (b is None)
-
-
 def test_feasibility_monotone_in_radius():
     rng = random.Random(29)
     for _ in range(10):
@@ -157,10 +132,8 @@ def test_returned_points_satisfy_every_row():
 
 
 def test_validate_point_flags_corruption(unit_square):
-    from cappedkc.lp_feasibility import _solve_simplex, validate_point
-
     sys = build_polytope(unit_square, 1.0)
-    vec = _solve_simplex(sys)
+    vec = _solve_highs(sys)
     assert vec is not None
     assert validate_point(sys, vec) == []
     vec[0] = 2.0  # push an opening variable past its unit bound
@@ -170,3 +143,92 @@ def test_validate_point_flags_corruption(unit_square):
 def test_dump_lp_smoke(unit_square):
     text = build_polytope(unit_square, 1.0).dump_lp()
     assert "Subject To" in text and "colorcap" in text and "Bounds" in text
+    cover = [line for line in text.splitlines() if line.startswith(" cover_")]
+    assert len(cover) == 4 and all(line.endswith(" = 1") for line in cover)
+
+
+def test_integral_optimum_lies_in_polytope():
+    # every integral capped clustering must survive the row pruning
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(40):
+        inst = random_capped_instance(
+            rng,
+            n=rng.randint(3, 8),
+            n_colors=rng.choice([2, 3]),
+            k=rng.randint(1, 3),
+            alpha=rng.choice([0.5, 1 / 3, 0.6]),
+        )
+        try:
+            cost, sol = brute_force_capped_opt(inst)
+        except InfeasibleInstance:
+            continue
+        sys = build_polytope(inst, cost)
+        clusters = sol.clusters()
+        nf = len(sys.facility_ids)
+        vec = np.zeros(sys.n_vars)
+        for c, fid in enumerate(sys.facility_ids):
+            vec[c] = float(fid in clusters)
+        for c, pair in enumerate(sys.pair_ids):
+            if sol.assign[pair[1]] == pair[0]:
+                vec[nf + c] = 1.0
+        assert validate_point(sys, vec) == []
+        checked += 1
+    assert checked >= 20
+
+
+def test_polytope_row_counts():
+    rng = random.Random(67)
+    for _ in range(20):
+        inst = random_capped_instance(rng, n=rng.randint(3, 9), n_colors=3, k=2, alpha=0.5)
+        lam = rng.choice(candidate_radii(inst).values)
+        sys = build_polytope(inst, lam)
+        by_family = {b.family: b for b in sys.blocks}
+        assert list(by_family) == ["cover", "open", "colorcap", "minload", "budget"]
+        cover = by_family["cover"]
+        assert cover.relation == "==" and cover.n_rows == inst.n
+        assert set(cover.rows.tolist()) == {
+            inst.pos(j) for j in inst.ids() if j not in sys.uncovered_clients
+        }
+        cap = by_family["colorcap"]
+        positive = np.zeros(cap.n_rows, dtype=bool)
+        positive[cap.rows[cap.data > 0]] = True
+        assert positive.all()
+
+
+def test_colorcap_rows_match_loop_reference():
+    rng = random.Random(71)
+    for _ in range(15):
+        inst = random_capped_instance(
+            rng, n=rng.randint(3, 8), n_colors=3, k=2, alpha=rng.choice([0.5, 1 / 3])
+        )
+        lam = rng.choice(candidate_radii(inst).values)
+        restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
+        sys = build_polytope(inst, lam, restricted)
+        nf = len(sys.facility_ids)
+        expected = []
+        for i in sys.facility_ids:
+            members = [
+                (nf + c, inst.color_at(inst.pos(j)))
+                for c, (f, j) in enumerate(sys.pair_ids)
+                if f == i
+            ]
+            for color in range(inst.n_colors):
+                if all(mc != color for _, mc in members):
+                    continue
+                row = np.zeros(sys.n_vars)
+                for col, mc in members:
+                    row[col] = 1.0 - inst.alpha if mc == color else -inst.alpha
+                expected.append(row)
+        cap = next(b for b in sys.blocks if b.family == "colorcap")
+        got = cap.matrix(sys.n_vars).toarray()
+        assert np.array_equal(got, np.array(expected).reshape(-1, sys.n_vars))
+
+
+def test_solver_failure_raises(unit_square, monkeypatch):
+    def failing(*args, **kwargs):
+        return SimpleNamespace(status=4, message="numerical difficulties", x=None)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    with pytest.raises(SolverError):
+        check_feasible(build_polytope(unit_square, 1.0))
