@@ -145,20 +145,19 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --alpha needs at least one value", file=sys.stderr)
         return 1
 
-    tasks = []
-    for path in args.input:
-        for alpha in alphas:
-            cfg = RunConfig(
-                k=args.k,
-                alpha=alpha,
-                epsilon=args.epsilon,
-                m=args.m,
-                algorithm=args.algo,
-                seed=args.seed,
-            )
-            tasks.append((Path(path).stem, path, cfg))
-
     try:
+        tasks = []
+        for path in args.input:
+            for alpha in alphas:
+                cfg = RunConfig(
+                    k=args.k,
+                    alpha=alpha,
+                    epsilon=args.epsilon,
+                    m=args.m,
+                    algorithm=args.algo,
+                    seed=args.seed,
+                )
+                tasks.append((Path(path).stem, path, cfg))
         if args.jobs > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_run_cell, tasks))

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .core import (
     ClusteringSolution,
     InfeasibleInstance,
@@ -37,18 +39,22 @@ class CapletDecomposition:
     caplets: tuple[Caplet, ...]
 
 
+def _colored_pairs(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Position pairs a < b of differently-colored points, with their distances."""
+    a, b = np.triu_indices(inst.n, k=1)
+    colors = inst.colors()
+    keep = colors[a] != colors[b]
+    a, b = a[keep], b[keep]
+    return a, b, inst.pairwise()[a, b]
+
+
 def threshold_graph(inst: Instance, tau: float) -> SimpleGraph:
     """Edges join differently-colored points at distance <= tau (nodes = positions)."""
     if tau < 0:
         raise InputError("tau must be non-negative")
-    dm = inst.pairwise()
-    colors = inst.colors()
-    edges = [
-        (a, b)
-        for a, b in combinations(range(inst.n), 2)
-        if colors[a] != colors[b] and dm[a, b] <= tau
-    ]
-    return SimpleGraph.from_edges(inst.n, edges)
+    a, b, d = _colored_pairs(inst)
+    near = d <= tau
+    return SimpleGraph.from_edges(inst.n, zip(a[near].tolist(), b[near].tolist()))
 
 
 def connected_components(g: SimpleGraph) -> list[list[int]]:
@@ -127,6 +133,46 @@ def caplet_decompose(
     return None
 
 
+def _decompose_components(
+    inst: Instance,
+    comps: list[tuple[int, ...]],
+    label: np.ndarray,
+    pa: np.ndarray,
+    pb: np.ndarray,
+    decomposed: dict[tuple[int, ...], tuple[int, CapletDecomposition | None]],
+) -> list[Caplet] | None:
+    """Caplets of every component in order, or None once one has no decomposition.
+
+    `pa`, `pb` are the differently-colored pairs within 10*lam and `label`
+    maps each position to the smallest member of its component.
+    `decomposed` maps a component's members to its number of such pairs and
+    its decomposition with them; for fixed members the pairs only grow with
+    lam, so an equal count means an equal edge set and the entry is reused.
+    """
+    ids = np.array(inst.ids())
+    colors = inst.colors()
+    wide_label = label[pa]
+    inside = wide_label == label[pb]
+    wide_count = np.bincount(wide_label[inside], minlength=inst.n)
+    caplets: list[Caplet] = []
+    for comp in comps:
+        count = int(wide_count[comp[0]])
+        cached = decomposed.get(comp)
+        if cached is None or cached[0] != count:
+            members = ids[list(comp)].tolist()
+            edge = np.flatnonzero(inside & (wide_label == comp[0]))
+            dec = caplet_decompose(
+                members,
+                dict(zip(members, colors[list(comp)].tolist())),
+                list(zip(ids[pa[edge]].tolist(), ids[pb[edge]].tolist())),
+            )
+            cached = decomposed[comp] = (count, dec)
+        if cached[1] is None:
+            return None
+        caplets.extend(cached[1].caplets)
+    return caplets
+
+
 def non_dominant_k_center(inst: Instance, return_info: bool = False):
     """Half-capped clustering via caplet decomposition of threshold components.
 
@@ -137,37 +183,58 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
     its representative, so no cluster ever has a color majority and the cost
     stays within 12 times the accepted radius.  With return_info the
     accepted radius and the caplets come back alongside the solution.
+
+    The scan is one pass over the differently-colored pairs, sorted once by
+    distance: each radius takes the <= 2*lam and <= 10*lam prefixes of that
+    order.  Radii at which some point has no partner within 2*lam are
+    skipped, since that point is a singleton component no caplet can cover.
+    The 2*lam components grow by merging as the prefix grows.  Caplets are
+    recomputed only when the components or the 10*lam prefix change, a
+    component's decomposition only when its members or its number of 10*lam
+    edges change, and greedy only when the representatives change.  The
+    result is the one a fresh computation at every radius gives.
     """
     if abs(inst.alpha - 0.5) > 1e-12:
         raise InputError("this algorithm handles alpha = 1/2 only")
-    dm = inst.pairwise()
-    colors_arr = inst.colors()
+    pa, pb, pd = _colored_pairs(inst)
+    order = np.argsort(pd, kind="stable")
+    pa, pb, pd = pa[order], pb[order], pd[order]
+    nearest = np.full(inst.n, np.inf)
+    np.minimum.at(nearest, pa, pd)
+    np.minimum.at(nearest, pb, pd)
+    no_singletons = nearest.max()
+
+    label = np.arange(inst.n)  # smallest member of each point's 2*lam component
+    comps: list[tuple[int, ...]] = []
+    n_near = n_wide = 0
+    decomposed: dict[tuple[int, ...], tuple[int, CapletDecomposition | None]] = {}
+    last_reps: tuple[int, ...] | None = None
 
     for lam in candidate_radii(inst):
-        graph = threshold_graph(inst, 2.0 * lam)
-        caplets: list[Caplet] = []
-        feasible = True
-        for comp in connected_components(graph):
-            if len(comp) == 1:
-                feasible = False
-                break
-            ids = [inst.id_at(p) for p in comp]
-            colors = {inst.id_at(p): int(colors_arr[p]) for p in comp}
-            wide_edges = [
-                (inst.id_at(a), inst.id_at(b))
-                for a, b in combinations(comp, 2)
-                if colors_arr[a] != colors_arr[b] and dm[a, b] <= 10.0 * lam
-            ]
-            dec = caplet_decompose(ids, colors, wide_edges)
-            if dec is None:
-                feasible = False
-                break
-            caplets.extend(dec.caplets)
-        if not feasible:
+        if 2.0 * lam < no_singletons:
+            continue
+        near = int(np.searchsorted(pd, 2.0 * lam, side="right"))
+        merged = not comps
+        for a, b in zip(pa[n_near:near].tolist(), pb[n_near:near].tolist()):
+            la, lb = label[a], label[b]
+            if la != lb:
+                label[label == max(la, lb)] = min(la, lb)
+                merged = True
+        n_near = near
+        if merged:
+            comps = [tuple(np.flatnonzero(label == r).tolist()) for r in np.unique(label)]
+        wide = int(np.searchsorted(pd, 10.0 * lam, side="right"))
+        if merged or wide != n_wide:
+            n_wide = wide
+            caplets = _decompose_components(inst, comps, label, pa[:n_wide], pb[:n_wide], decomposed)
+            if caplets is not None:
+                reps = tuple(sorted({min(c.members, key=inst.pos) for c in caplets}, key=inst.pos))
+        if caplets is None:
             continue
 
-        reps = sorted({min(c.members, key=inst.pos) for c in caplets}, key=inst.pos)
-        gsol, gcost = greedy_k_center(inst, subset=reps)
+        if reps != last_reps:
+            last_reps = reps
+            gsol, gcost = greedy_k_center(inst, subset=reps)
         if gcost > 2.0 * lam + ACCEPT_TOL:
             continue
 

@@ -39,8 +39,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InputError("epsilon must be positive and finite")
         if self.m < 1:
             raise InputError("m must be >= 1")
         if self.algorithm not in ("greedy", "random", "lp", "half"):

@@ -130,6 +130,17 @@ def test_main_non_finite_coordinate_is_error(tmp_path, capsys, value, algo):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "flag", [["--epsilon", "-1"], ["--epsilon", "nan"], ["--epsilon", "inf"], ["--m", "0"]]
+)
+def test_main_bad_config_is_error(tmp_path, capsys, flag):
+    path = square_csv(tmp_path)
+    assert main(["--input", str(path), "--k", "2", "--alpha", "0.5"] + flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_main_jobs_parallel(tmp_path, capsys):
     path = square_csv(tmp_path)
     args = [

@@ -1,19 +1,29 @@
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from cappedkc import (
     Caplet,
+    ClusteringSolution,
     InfeasibleInstance,
     InputError,
+    Instance,
+    Point,
+    SimpleGraph,
+    candidate_radii,
     caplet_decompose,
     check_capped,
+    greedy_k_center,
+    make_balanced_instance,
     make_instance,
     non_dominant_k_center,
     solution_cost,
     threshold_graph,
 )
-from cappedkc.halfcap import connected_components
+from cappedkc import halfcap
+from cappedkc.halfcap import ACCEPT_TOL, connected_components
 from conftest import random_capped_instance
 
 
@@ -125,3 +135,138 @@ def test_random_instances_exact_caps_and_structure():
         assert solution_cost(inst, sol) <= 12 * lam + 1e-9
         assert len(sol.centers) <= inst.k
     assert solved >= 10
+
+
+def _reference_threshold_edges(inst, tau):
+    dm = inst.pairwise()
+    colors = inst.colors()
+    return [
+        (a, b)
+        for a, b in combinations(range(inst.n), 2)
+        if colors[a] != colors[b] and dm[a, b] <= tau
+    ]
+
+
+def _reference_non_dominant_k_center(inst):
+    """The scan that recomputes everything at every radius: the specification."""
+    dm = inst.pairwise()
+    colors_arr = inst.colors()
+    for lam in candidate_radii(inst):
+        graph = SimpleGraph.from_edges(inst.n, _reference_threshold_edges(inst, 2.0 * lam))
+        caplets = []
+        feasible = True
+        for comp in connected_components(graph):
+            if len(comp) == 1:
+                feasible = False
+                break
+            ids = [inst.id_at(p) for p in comp]
+            colors = {inst.id_at(p): int(colors_arr[p]) for p in comp}
+            wide_edges = [
+                (inst.id_at(a), inst.id_at(b))
+                for a, b in combinations(comp, 2)
+                if colors_arr[a] != colors_arr[b] and dm[a, b] <= 10.0 * lam
+            ]
+            dec = caplet_decompose(ids, colors, wide_edges)
+            if dec is None:
+                feasible = False
+                break
+            caplets.extend(dec.caplets)
+        if not feasible:
+            continue
+        reps = sorted({min(c.members, key=inst.pos) for c in caplets}, key=inst.pos)
+        gsol, gcost = greedy_k_center(inst, subset=reps)
+        if gcost > 2.0 * lam + ACCEPT_TOL:
+            continue
+        assign = {}
+        for cap in caplets:
+            center = gsol.assign[min(cap.members, key=inst.pos)]
+            for j in cap.members:
+                assign[j] = center
+        return ClusteringSolution(gsol.centers, assign), lam, tuple(caplets), gcost
+    raise InfeasibleInstance("no radius admits a caplet decomposition with a greedy cover")
+
+
+def _scan_outcome(fn, inst):
+    try:
+        sol, lam, caplets, gcost = fn(inst)
+    except InfeasibleInstance:
+        return None
+    caplet_members = [c.members for c in caplets]
+    return sol.centers, list(sol.assign.items()), lam, caplet_members, gcost
+
+
+def _new_scan(inst):
+    sol, info = non_dominant_k_center(inst, return_info=True)
+    return sol, info["lambda"], info["caplets"], info["greedy_cost"]
+
+
+def _equivalence_instance(rng: random.Random) -> Instance:
+    """Small instances that stress ties, coincident points, odd components and non-metrics."""
+    n = rng.randint(4, 21)
+    n_colors = rng.randint(2, 4)
+    if rng.random() < 0.5:
+        colors = [i % n_colors for i in range(n)]
+        rng.shuffle(colors)
+    else:
+        colors = [rng.randrange(n_colors) for _ in range(n)]
+    k = rng.randint(1, 4)
+    ids = rng.sample(range(1000), n)  # ids out of position order
+    kind = rng.choice(["uniform", "rounded", "coincident", "groups", "chain", "matrix"])
+    if kind == "matrix":
+        # heavy-tailed and not a metric: a component's 10*lam edge set keeps growing
+        upper = np.triu([[round(10 ** rng.uniform(0, 4)) for _ in range(n)] for _ in range(n)], 1)
+        points = [Point(i, (), c) for i, c in zip(ids, colors)]
+        return Instance(points, k, 0.5, dist_matrix=(upper + upper.T).astype(float))
+    if kind == "chain":
+        # a line with uneven gaps: long components whose ends lie beyond 10*lam
+        xs = np.cumsum([round(rng.expovariate(1.0), 2) for _ in range(n)])
+        coords = [(float(x),) for x in xs]
+    elif kind == "groups":
+        # far-apart groups, often of odd size, so components stay apart and odd
+        centers = [(10.0 * g, 0.0) for g in range(rng.randint(2, 3))]
+        coords = [tuple(v + rng.random() for v in rng.choice(centers)) for _ in range(n)]
+    else:
+        coords = [(rng.random(), rng.random()) for _ in range(n)]
+    if kind == "rounded":
+        coords = [(round(x, 1), round(y, 1)) for x, y in coords]
+    if kind == "coincident":
+        coords = [rng.choice(coords[: max(2, n // 3)]) for _ in range(n)]
+    return make_instance(coords, colors, k=k, alpha=0.5, ids=ids)
+
+
+def test_scan_matches_reference_on_random_instances():
+    rng = random.Random(2024)
+    solved = 0
+    for _ in range(320):
+        inst = _equivalence_instance(rng)
+        expected = _scan_outcome(_reference_non_dominant_k_center, inst)
+        assert _scan_outcome(_new_scan, inst) == expected
+        solved += expected is not None
+        tau = rng.choice(candidate_radii(inst).values)
+        assert threshold_graph(inst, tau).edges == frozenset(_reference_threshold_edges(inst, tau))
+    assert 100 <= solved <= 300
+
+
+def _criterion_7_instance():
+    return make_balanced_instance(n_colors=4, per_color=12, dim=3, k=4, alpha=0.5, seed=5)
+
+
+def test_scan_matches_reference_on_criterion_7_instance():
+    inst = _criterion_7_instance()
+    expected = _scan_outcome(_reference_non_dominant_k_center, inst)
+    assert expected is not None
+    assert _scan_outcome(_new_scan, inst) == expected
+
+
+def test_scan_never_repeats_a_decomposition(monkeypatch):
+    seen = []
+
+    def recording(nodes, colors, edges):
+        edges = list(edges)
+        seen.append((tuple(sorted(nodes)), frozenset((min(e), max(e)) for e in edges)))
+        return caplet_decompose(nodes, colors, edges)
+
+    monkeypatch.setattr(halfcap, "caplet_decompose", recording)
+    non_dominant_k_center(_criterion_7_instance())
+    assert seen
+    assert len(set(seen)) == len(seen)
