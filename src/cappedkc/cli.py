@@ -17,6 +17,7 @@ from .harness import (
     report_to_dict,
     reports_to_csv,
 )
+from .lp_feasibility import SolverError
 
 
 def load_csv(path: str | Path, k: int = 1, alpha: float = 1.0) -> Instance:
@@ -163,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                 results = list(pool.map(_run_cell, tasks))
         else:
             results = [_run_cell(t) for t in tasks]
-    except InputError as exc:
+    except (InputError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -65,6 +65,15 @@ class ClusteringSolution:
         return {c: sorted(members) for c, members in out.items() if members}
 
 
+def _norm(diff: np.ndarray) -> np.ndarray:
+    """Euclidean length along the last axis.
+
+    Every distance of an Instance goes through this one formula, so a pair's
+    distance has the same bits whichever method computes it.
+    """
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 class Instance:
     """A capped k-center instance: the facility set is exactly the point set.
 
@@ -155,7 +164,7 @@ class Instance:
         """Distance between the points at positions a and b."""
         if self._dist is not None:
             return float(self._dist[a, b])
-        return float(np.linalg.norm(self._coords[a] - self._coords[b]))
+        return float(_norm(self._coords[a] - self._coords[b]))
 
     def dist(self, a_id: int, b_id: int) -> float:
         return self.dist_pos(self._pos[a_id], self._pos[b_id])
@@ -166,15 +175,21 @@ class Instance:
             return self._dist[pos]
         row = self._row_cache.get(pos)
         if row is None:
-            row = np.linalg.norm(self._coords - self._coords[pos], axis=1)
+            row = _norm(self._coords - self._coords[pos])
             self._row_cache[pos] = row
         return row
+
+    def dist_block(self, pos: Sequence[int]) -> np.ndarray:
+        """Distances among the points at positions `pos`, without the full matrix."""
+        if self._dist is not None:
+            return self._dist[np.ix_(pos, pos)]
+        sub = self._coords[pos]
+        return _norm(sub[:, None, :] - sub[None, :, :])
 
     def pairwise(self) -> np.ndarray:
         """Full distance matrix by position (cached)."""
         if self._dist is None:
-            diff = self._coords[:, None, :] - self._coords[None, :, :]
-            self._dist = np.sqrt((diff * diff).sum(axis=2))
+            self._dist = self.dist_block(np.arange(self.n))
         return self._dist
 
     def with_params(self, k: int | None = None, alpha: float | None = None) -> "Instance":
@@ -232,15 +247,15 @@ def distance(p: Point, q: Point) -> float:
 def solution_cost(inst: Instance, sol: ClusteringSolution) -> float:
     """Maximum distance from any point to its assigned center."""
     centers = set(sol.centers)
-    worst = 0.0
-    for p in inst.points:
+    members: dict[int, list[int]] = {}
+    for pos, p in enumerate(inst.points):
         i = sol.assign.get(p.id)
         if i is None:
             raise ContractViolation(f"point {p.id} has no assignment")
         if i not in centers:
             raise ContractViolation(f"point {p.id} assigned to unopened center {i}")
-        worst = max(worst, inst.dist(p.id, i))
-    return worst
+        members.setdefault(i, []).append(pos)
+    return max(float(inst.dist_row(inst.pos(i))[pos].max()) for i, pos in members.items())
 
 
 def check_capped(inst: Instance, sol: ClusteringSolution, alpha: float | None = None) -> bool:

@@ -64,9 +64,9 @@ def greedy_k_center(
         min_dist = np.minimum(min_dist, inst.dist_row(pos_list[nxt])[pos_arr])
 
     center_ids = [inst.id_at(p) for p in centers]
-    sol = _nearest_on_subset(inst, center_ids, pos_list)
-    cost = max(inst.dist(j, sol.assign[j]) for j in sol.assign)
-    return sol, cost
+    # min_dist holds each point's distance to its nearest center, which is
+    # the center _nearest_on_subset assigns it to
+    return _nearest_on_subset(inst, center_ids, pos_list), float(min_dist.max())
 
 
 def _nearest_on_subset(inst: Instance, center_ids: list[int], pos_list: list[int]) -> ClusteringSolution:
@@ -87,7 +87,7 @@ def lloyd_kcenter_round(inst: Instance, sol: ClusteringSolution) -> ClusteringSo
     new_centers = []
     for _, members in sorted(sol.clusters().items(), key=lambda kv: inst.pos(kv[0])):
         pos = [inst.pos(j) for j in members]
-        sub = inst.pairwise()[np.ix_(pos, pos)]
+        sub = inst.dist_block(pos)
         best = int(sub.max(axis=1).argmin())
         new_centers.append(members[best])
     # dedupe (two clusters can elect the same point), keep first occurrence

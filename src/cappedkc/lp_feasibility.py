@@ -38,19 +38,31 @@ class Block:
 
 @dataclass
 class LinearSystem:
-    """The polytope at a fixed radius: y per facility, x per in-radius pair.
+    """The polytope at a fixed radius: y and a load L per facility, x per in-radius pair.
 
-    Column order is all y variables (facility position order) followed by all
-    x variables ordered by (facility, client) position; bounds are [0,1] for
-    every variable.  Pairs farther than the radius simply have no column.
+    Column order is all y variables (facility position order), then all x
+    variables ordered by (facility, client) position, then one load column
+    L_i per facility in the y order.  `lower`/`upper` hold the per-column
+    bounds: [0, 1] for y and x, [0, inf) for L.  Pairs farther than the
+    radius simply have no column.  `pair_facility` (the local facility index)
+    and `pair_color` describe each x column, so a point can be checked
+    against the color caps without the L columns.
     """
 
     lam: float
+    alpha: float
     facility_ids: list[int]
     pair_ids: list[tuple[int, int]]
+    pair_facility: np.ndarray
+    pair_color: np.ndarray
     blocks: list[Block]
-    n_vars: int
+    lower: np.ndarray
+    upper: np.ndarray
     uncovered_clients: list[int] = field(default_factory=list)
+
+    @property
+    def n_vars(self) -> int:
+        return self.lower.size
 
     def y_col(self, idx: int) -> int:
         return idx
@@ -63,6 +75,7 @@ class LinearSystem:
         names = [f"y_{i}" for i in self.facility_ids] + [
             f"x_{i}_{j}" for i, j in self.pair_ids
         ]
+        names += [f"L_{i}" for i in self.facility_ids]
         out = ["\\ feasibility system at radius %.12g" % self.lam, "Minimize", " obj: 0", "Subject To"]
         r = 0
         for blk in self.blocks:
@@ -78,7 +91,10 @@ class LinearSystem:
                 )
             r += blk.n_rows
         out.append("Bounds")
-        out.extend(f" 0 <= {name} <= 1" for name in names)
+        out.extend(
+            f" {lo:.12g} <= {name} <= {hi:.12g}" if np.isfinite(hi) else f" {name} >= {lo:.12g}"
+            for name, lo, hi in zip(names, self.lower.tolist(), self.upper.tolist())
+        )
         out.append("End")
         return "\n".join(out)
 
@@ -96,11 +112,16 @@ def build_polytope(
 ) -> LinearSystem:
     """Assemble the radius-lam system, optionally restricting facilities to a coreset.
 
-    Families: per-client coverage held at exactly one unit, openings
-    dominating assignments, per-facility color caps (only for colors with an
+    Families: per-client coverage held at exactly one unit (`cover`),
+    openings dominating assignments (`open`), the load definition
+    L_i = sum_j x_ij (`load`), per-facility color caps
+    sum_{j in c} x_ij <= alpha * L_i (`colorcap`, only for colors with an
     in-radius client at that facility; the others hold for any x >= 0), the
-    minimum-load rows ceil(1/alpha) * y_i <= sum_j x_ij, and the opening
-    budget.  The unit bounds on every variable are implicit.
+    minimum load L_i >= ceil(1/alpha) * y_i (`minload`), and the opening
+    budget.  Each x column appears in exactly one cap row, so the system has
+    5 * pairs + cap rows + 4 * facilities nonzeros.  Its projection onto
+    (x, y) is the polytope with L_i substituted out.  Column bounds are in
+    `lower`/`upper`.
     """
     if lam < 0:
         raise InputError("lambda must be non-negative")
@@ -120,22 +141,18 @@ def build_polytope(
     pj = np.concatenate(clients)
     pf = np.repeat(np.arange(nf), deg)
     n_pairs = pj.size
+    fac = np.arange(nf)
     xcols = nf + np.arange(n_pairs)
+    lcols = nf + n_pairs + fac
     ones = np.ones(n_pairs)
 
-    # per-facility color caps: sum_{j in color c} x_ij <= alpha * sum_j x_ij,
+    # per-facility color caps: sum_{j in color c} x_ij - alpha * L_i <= 0,
     # one row per (facility, color) pair with an in-radius client of color c
     colors = inst.colors()
-    keys = np.unique(pf * inst.n_colors + colors[pj])
-    cap_fac, cap_color = np.divmod(keys, inst.n_colors)
-    row_len = deg[cap_fac]
-    cap_rows = np.repeat(np.arange(keys.size), row_len)
-    # pair index: the facility's first pair plus the offset within the row
-    first = np.cumsum(deg) - deg
-    row_start = np.cumsum(row_len) - row_len
-    idx = np.arange(cap_rows.size) + np.repeat(first[cap_fac] - row_start, row_len)
-    own = colors[pj[idx]] == cap_color[cap_rows]
-    cap_coeff = np.where(own, 1.0 - inst.alpha, -inst.alpha)
+    pc = colors[pj]
+    keys, cap_rows = np.unique(pf * inst.n_colors + pc, return_inverse=True)
+    n_cap = keys.size
+    cap_fac = keys // inst.n_colors
 
     load = ceil_inv_alpha(inst.alpha)
     blocks = [
@@ -151,27 +168,37 @@ def build_polytope(
             n_pairs,
             np.zeros(n_pairs),
         ),
-        Block("colorcap", "<=", cap_rows, xcols[idx], cap_coeff, keys.size, np.zeros(keys.size)),
+        # L_i - sum_j x_ij = 0
+        Block(
+            "load",
+            "==",
+            np.concatenate([fac, pf]),
+            np.concatenate([lcols, xcols]),
+            np.concatenate([np.ones(nf), -ones]),
+            nf,
+            np.zeros(nf),
+        ),
+        Block(
+            "colorcap",
+            "<=",
+            np.concatenate([cap_rows, np.arange(n_cap)]),
+            np.concatenate([xcols, lcols[cap_fac]]),
+            np.concatenate([ones, np.full(n_cap, -inst.alpha)]),
+            n_cap,
+            np.zeros(n_cap),
+        ),
         # open facilities must carry at least ceil(1/alpha) clients of mass
         Block(
             "minload",
             ">=",
-            np.concatenate([np.arange(nf), pf]),
-            np.concatenate([np.arange(nf), xcols]),
-            np.concatenate([np.full(nf, -float(load)), ones]),
+            np.tile(fac, 2),
+            np.concatenate([lcols, fac]),
+            np.concatenate([np.ones(nf), np.full(nf, -float(load))]),
             nf,
             np.zeros(nf),
         ),
         # opening budget
-        Block(
-            "budget",
-            "<=",
-            np.zeros(nf, int),
-            np.arange(nf),
-            np.ones(nf),
-            1,
-            np.array([float(inst.k)]),
-        ),
+        Block("budget", "<=", np.zeros(nf, int), fac, np.ones(nf), 1, np.array([float(inst.k)])),
     ]
 
     covered = np.zeros(n, dtype=bool)
@@ -179,55 +206,85 @@ def build_polytope(
     ids = np.array(inst.ids())
     return LinearSystem(
         lam=lam,
+        alpha=inst.alpha,
         facility_ids=ids[fac_pos].tolist(),
         pair_ids=list(zip(ids[fac_pos[pf]].tolist(), ids[pj].tolist())),
+        pair_facility=pf,
+        pair_color=pc,
         blocks=blocks,
-        n_vars=nf + n_pairs,
+        lower=np.zeros(nf + n_pairs + nf),
+        upper=np.concatenate([np.ones(nf + n_pairs), np.full(nf, np.inf)]),
         uncovered_clients=ids[~covered].tolist(),
     )
 
 
 def validate_point(sys: LinearSystem, vec: np.ndarray, tol: float = ROW_TOL) -> list[str]:
-    """Re-check every row and bound against a raw variable vector, solver-free."""
+    """Re-check every row and column bound against a raw variable vector, solver-free.
+
+    The color caps are also re-checked on x alone, per facility and color
+    sum_{j in c} x_ij <= alpha * sum_j x_ij, so the cap guarantee never rests
+    on the load columns.
+    """
     bad: list[str] = []
-    if (vec < -tol).any() or (vec > 1.0 + tol).any():
+    if (vec < sys.lower - tol).any() or (vec > sys.upper + tol).any():
         bad.append("variable bound violated")
+    mat, rhs = _stack(sys.blocks, sys.n_vars)
+    gap = mat @ vec - rhs
+    start = 0
     for blk in sys.blocks:
-        if not blk.n_rows:
-            continue
-        gap = blk.matrix(sys.n_vars) @ vec - blk.rhs
-        if blk.relation == ">=":
-            gap = -gap
-        elif blk.relation == "==":
-            gap = np.abs(gap)
-        worst = gap.max()
+        rows = gap[start : start + blk.n_rows]
+        start += blk.n_rows
+        if blk.relation == "==":
+            rows = np.abs(rows)
+        worst = rows.max(initial=0.0)
         if worst > tol:
             bad.append(f"{blk.family}: violation {worst:.3e}")
+    nf, n_pairs = len(sys.facility_ids), len(sys.pair_ids)
+    if n_pairs:
+        x = vec[nf : nf + n_pairs]
+        n_colors = int(sys.pair_color.max()) + 1
+        mass = np.bincount(
+            sys.pair_facility * n_colors + sys.pair_color, weights=x, minlength=nf * n_colors
+        ).reshape(nf, n_colors)
+        worst = (mass - sys.alpha * mass.sum(axis=1, keepdims=True)).max()
+        if worst > tol:
+            bad.append(f"color cap on x: violation {worst:.3e}")
     return bad
+
+
+def _stack(blocks: list[Block], n_vars: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The blocks' rows as one matrix and rhs, in block order, with ">=" rows negated.
+
+    One sparse construction per call: building each block's matrix and
+    stacking them costs more than the solve on small systems.
+    """
+    sign = [-1.0 if blk.relation == ">=" else 1.0 for blk in blocks]
+    offset = np.cumsum([0] + [blk.n_rows for blk in blocks])
+    mat = sp.csr_matrix(
+        (
+            np.concatenate([s * blk.data for s, blk in zip(sign, blocks)]),
+            (
+                np.concatenate([blk.rows + o for blk, o in zip(blocks, offset)]),
+                np.concatenate([blk.cols for blk in blocks]),
+            ),
+        ),
+        shape=(offset[-1], n_vars),
+    )
+    return mat, np.concatenate([s * blk.rhs for s, blk in zip(sign, blocks)])
 
 
 def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
     from scipy.optimize import linprog
 
-    ub_mats, ub_rhs, eq_mats, eq_rhs = [], [], [], []
-    for blk in sys.blocks:
-        m = blk.matrix(sys.n_vars)
-        if blk.relation == "==":
-            eq_mats.append(m)
-            eq_rhs.append(blk.rhs)
-        elif blk.relation == "<=":
-            ub_mats.append(m)
-            ub_rhs.append(blk.rhs)
-        else:
-            ub_mats.append(-m)
-            ub_rhs.append(-blk.rhs)
+    a_eq, b_eq = _stack([blk for blk in sys.blocks if blk.relation == "=="], sys.n_vars)
+    a_ub, b_ub = _stack([blk for blk in sys.blocks if blk.relation != "=="], sys.n_vars)
     res = linprog(
         c=np.zeros(sys.n_vars),
-        A_ub=sp.vstack(ub_mats, format="csr"),
-        b_ub=np.concatenate(ub_rhs),
-        A_eq=sp.vstack(eq_mats, format="csr"),
-        b_eq=np.concatenate(eq_rhs),
-        bounds=(0, 1),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=np.column_stack([sys.lower, sys.upper]),
         method="highs",
     )
     if res.status == 2:
@@ -255,7 +312,7 @@ def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
         raise SolverError("HiGHS returned an invalid point: " + "; ".join(bad))
     nf = len(sys.facility_ids)
     y = {i: float(v) for i, v in zip(sys.facility_ids, vec[:nf]) if v > 1e-12}
-    x = {p: float(v) for p, v in zip(sys.pair_ids, vec[nf:]) if v > 1e-12}
+    x = {p: float(v) for p, v in zip(sys.pair_ids, vec[nf : nf + len(sys.pair_ids)]) if v > 1e-12}
     return FractionalSolution(x=x, y=y)
 
 

@@ -1,6 +1,8 @@
 import json
+from types import SimpleNamespace
 
 import pytest
+import scipy.optimize
 
 from cappedkc import InputError, make_balanced_instance, make_instance
 from cappedkc.cli import cost_alpha_svg, load_csv, main, save_csv
@@ -119,6 +121,18 @@ def test_main_infeasible_exit_code(tmp_path, capsys):
 def test_main_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["--input", str(missing), "--k", "2"]) == 1
+
+
+def test_main_solver_failure_is_error(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        return SimpleNamespace(status=4, message="numerical difficulties", x=None)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    path = square_csv(tmp_path)
+    assert main(["--input", str(path), "--k", "2", "--alpha", "0.5", "--algo", "lp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "linprog status 4" in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

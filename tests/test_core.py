@@ -56,6 +56,37 @@ def test_triangle_inequality(a, b, c):
     assert lhs <= rhs * (1 + 1e-9) + 1e-9
 
 
+@pytest.mark.parametrize("dim", [1, 3, 10])
+def test_distance_methods_agree_bit_for_bit(dim):
+    # one formula everywhere: a distance must not depend on which method
+    # computed it, nor on whether the full matrix was built first
+    rng = np.random.default_rng(dim)
+    n = 40
+    coords = rng.standard_normal((n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    inst = make_instance(coords, [0] * n, k=1, alpha=1.0)
+    pos = rng.permutation(n)[:15].tolist()
+    before = np.array([[inst.dist_pos(a, b) for b in range(n)] for a in range(n)])
+    rows = np.array([inst.dist_row(a) for a in range(n)])
+    block = inst.dist_block(pos)
+    assert np.array_equal(before, rows)
+    matrix = inst.pairwise()
+    after = np.array([[inst.dist_pos(a, b) for b in range(n)] for a in range(n)])
+    assert np.array_equal(matrix, rows) and np.array_equal(after, before)
+    assert np.array_equal(block, matrix[np.ix_(pos, pos)])
+    assert np.array_equal(inst.dist_block(pos), block)
+
+
+def test_solution_cost_matches_per_point_maximum():
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.randint(2, 15)
+        coords = [(rng.random(), rng.random()) for _ in range(n)]
+        inst = make_instance(coords, [0] * n, k=3, alpha=1.0)
+        sol = nearest_assignment(inst, rng.sample(inst.ids(), min(3, n)))
+        expected = max(inst.dist(j, i) for j, i in sol.assign.items())
+        assert solution_cost(inst, sol) == expected
+
+
 def test_solution_cost_coincident_zero():
     inst = line_instance([0, 0, 0], k=1)
     sol = nearest_assignment(inst, [0])

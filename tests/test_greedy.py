@@ -5,6 +5,7 @@ import pytest
 from cappedkc import (
     GreedyConfig,
     InputError,
+    Instance,
     greedy_k_center,
     lloyd_kcenter_round,
     make_instance,
@@ -101,6 +102,30 @@ def test_lloyd_never_increases_cost():
         before = solution_cost(inst, sol)
         after = solution_cost(inst, lloyd_kcenter_round(inst, sol))
         assert after <= before + 1e-12
+
+
+def test_lloyd_round_works_without_the_distance_matrix(monkeypatch):
+    rng = random.Random(19)
+    cases = []
+    for _ in range(10):
+        n = rng.randint(4, 20)
+        inst = make_instance(
+            [(rng.random(), rng.random(), rng.random()) for _ in range(n)], [0] * n, k=3, alpha=1.0
+        )
+        sol = nearest_assignment(inst, rng.sample(range(n), 3))
+        full = make_instance([p.coords for p in inst.points], [0] * n, k=3, alpha=1.0)
+        full.pairwise()
+        cases.append((inst, sol, lloyd_kcenter_round(full, sol)))
+
+    def no_matrix(self):
+        raise AssertionError("the Lloyd round must not build the full distance matrix")
+
+    monkeypatch.setattr(Instance, "pairwise", no_matrix)
+    for inst, sol, expected in cases:
+        out = lloyd_kcenter_round(inst, sol)
+        assert out == expected
+        greedy_sol, greedy_cost = greedy_k_center(inst)
+        assert greedy_cost == solution_cost(inst, greedy_sol)
 
 
 def test_random_baseline_deterministic():

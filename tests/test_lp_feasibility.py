@@ -18,7 +18,7 @@ from cappedkc import (
     validate_point,
 )
 from cappedkc.core import ceil_inv_alpha
-from cappedkc.lp_feasibility import _solve_highs
+from cappedkc.lp_feasibility import RADIUS_SLACK, Block, LinearSystem, _solve_highs
 from conftest import random_capped_instance
 
 
@@ -137,7 +137,7 @@ def test_validate_point_flags_corruption(unit_square):
     assert vec is not None
     assert validate_point(sys, vec) == []
     vec[0] = 2.0  # push an opening variable past its unit bound
-    assert validate_point(sys, vec) != []
+    assert "variable bound violated" in validate_point(sys, vec)
 
 
 def test_dump_lp_smoke(unit_square):
@@ -172,6 +172,8 @@ def test_integral_optimum_lies_in_polytope():
         for c, pair in enumerate(sys.pair_ids):
             if sol.assign[pair[1]] == pair[0]:
                 vec[nf + c] = 1.0
+        for c, fid in enumerate(sys.facility_ids):
+            vec[nf + len(sys.pair_ids) + c] = len(clusters.get(fid, ()))
         assert validate_point(sys, vec) == []
         checked += 1
     assert checked >= 20
@@ -184,16 +186,21 @@ def test_polytope_row_counts():
         lam = rng.choice(candidate_radii(inst).values)
         sys = build_polytope(inst, lam)
         by_family = {b.family: b for b in sys.blocks}
-        assert list(by_family) == ["cover", "open", "colorcap", "minload", "budget"]
+        assert list(by_family) == ["cover", "open", "load", "colorcap", "minload", "budget"]
         cover = by_family["cover"]
         assert cover.relation == "==" and cover.n_rows == inst.n
         assert set(cover.rows.tolist()) == {
             inst.pos(j) for j in inst.ids() if j not in sys.uncovered_clients
         }
+        load = by_family["load"]
+        assert load.relation == "==" and load.n_rows == len(sys.facility_ids)
         cap = by_family["colorcap"]
         positive = np.zeros(cap.n_rows, dtype=bool)
         positive[cap.rows[cap.data > 0]] = True
         assert positive.all()
+        # every x column sits in exactly one cap row
+        nf = len(sys.facility_ids)
+        assert sorted(cap.cols[cap.data > 0].tolist()) == list(range(nf, sys.n_vars - nf))
 
 
 def test_colorcap_rows_match_loop_reference():
@@ -205,24 +212,178 @@ def test_colorcap_rows_match_loop_reference():
         lam = rng.choice(candidate_radii(inst).values)
         restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
-        nf = len(sys.facility_ids)
+        nf, n_pairs = len(sys.facility_ids), len(sys.pair_ids)
         expected = []
-        for i in sys.facility_ids:
+        for f, i in enumerate(sys.facility_ids):
             members = [
                 (nf + c, inst.color_at(inst.pos(j)))
-                for c, (f, j) in enumerate(sys.pair_ids)
-                if f == i
+                for c, (fac, j) in enumerate(sys.pair_ids)
+                if fac == i
             ]
             for color in range(inst.n_colors):
                 if all(mc != color for _, mc in members):
                     continue
                 row = np.zeros(sys.n_vars)
                 for col, mc in members:
-                    row[col] = 1.0 - inst.alpha if mc == color else -inst.alpha
+                    if mc == color:
+                        row[col] = 1.0
+                row[nf + n_pairs + f] = -inst.alpha
                 expected.append(row)
         cap = next(b for b in sys.blocks if b.family == "colorcap")
         got = cap.matrix(sys.n_vars).toarray()
         assert np.array_equal(got, np.array(expected).reshape(-1, sys.n_vars))
+
+
+def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSystem:
+    """The dense-colorcap system without load columns, built pair by pair.
+
+    Each cap row reads sum_{j in c} (1 - alpha) x_ij - sum_{j not in c}
+    alpha x_ij <= 0 and spans the facility's whole support; minload reads
+    sum_j x_ij - ceil(1/alpha) y_i >= 0.  Columns are y then x, all in [0, 1].
+    """
+    if restricted_facilities is None:
+        fac_pos = list(range(inst.n))
+    else:
+        fac_pos = sorted(inst.pos(i) for i in restricted_facilities)
+    nf = len(fac_pos)
+    radius = lam * (1.0 + RADIUS_SLACK)
+    pairs = [
+        (f, j) for f, fp in enumerate(fac_pos) for j in range(inst.n)
+        if inst.dist_pos(fp, j) <= radius
+    ]
+    n_vars = nf + len(pairs)
+    rows: dict[str, list[tuple[dict[int, float], float]]] = {
+        "cover": [], "open": [], "colorcap": [], "minload": [], "budget": []
+    }
+    for j in range(inst.n):
+        rows["cover"].append(({nf + c: 1.0 for c, p in enumerate(pairs) if p[1] == j}, 1.0))
+    for c, (f, _) in enumerate(pairs):
+        rows["open"].append(({nf + c: 1.0, f: -1.0}, 0.0))
+    for f in range(nf):
+        own = [(nf + c, inst.color_at(j)) for c, (g, j) in enumerate(pairs) if g == f]
+        for color in sorted({mc for _, mc in own}):
+            coeffs = {col: (1.0 - inst.alpha if mc == color else -inst.alpha) for col, mc in own}
+            rows["colorcap"].append((coeffs, 0.0))
+    for f in range(nf):
+        coeffs = {nf + c: 1.0 for c, (g, _) in enumerate(pairs) if g == f}
+        coeffs[f] = -float(ceil_inv_alpha(inst.alpha))
+        rows["minload"].append((coeffs, 0.0))
+    rows["budget"].append(({f: 1.0 for f in range(nf)}, float(inst.k)))
+
+    relation = {"cover": "==", "open": "<=", "colorcap": "<=", "minload": ">=", "budget": "<="}
+    blocks = []
+    for family, family_rows in rows.items():
+        r, c, v = [], [], []
+        for idx, (coeffs, _) in enumerate(family_rows):
+            for col, val in coeffs.items():
+                r.append(idx)
+                c.append(col)
+                v.append(val)
+        rhs = np.array([b for _, b in family_rows])
+        blocks.append(
+            Block(family, relation[family], np.array(r, int), np.array(c, int), np.array(v),
+                  len(family_rows), rhs)
+        )
+    covered = {j for _, j in pairs}
+    return LinearSystem(
+        lam=lam,
+        alpha=inst.alpha,
+        facility_ids=[inst.id_at(p) for p in fac_pos],
+        pair_ids=[(inst.id_at(fac_pos[f]), inst.id_at(j)) for f, j in pairs],
+        pair_facility=np.array([f for f, _ in pairs], dtype=int),
+        pair_color=np.array([inst.color_at(j) for _, j in pairs], dtype=int),
+        blocks=blocks,
+        lower=np.zeros(n_vars),
+        upper=np.ones(n_vars),
+        uncovered_clients=[inst.id_at(j) for j in range(inst.n) if j not in covered],
+    )
+
+
+def _equivalence_instance(rng: random.Random):
+    n = rng.randint(3, 12)
+    n_colors = rng.randint(2, 4)
+    kind = rng.choice(["uniform", "ties", "coincident"])
+    if kind == "uniform":
+        coords = [(rng.random(), rng.random()) for _ in range(n)]
+    elif kind == "ties":
+        coords = [(float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(n)]
+    else:
+        sites = [(rng.random(), rng.random()) for _ in range(rng.randint(1, 3))]
+        coords = [rng.choice(sites) for _ in range(n)]
+    if rng.random() < 0.5:
+        colors = [j % n_colors for j in range(n)]
+        rng.shuffle(colors)
+    else:
+        colors = [rng.randrange(n_colors) for _ in range(n)]
+    alpha = rng.choice([1 / 2, 1 / 3, 0.3, 0.1])
+    return make_instance(coords, colors, k=rng.randint(1, 4), alpha=alpha)
+
+
+def test_compact_system_matches_dense_reference():
+    rng = random.Random(73)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        inst = _equivalence_instance(rng)
+        radii = candidate_radii(inst).values
+        # the upper half of the radii, where most feasible systems lie, half the time
+        lam = rng.choice(radii[len(radii) // 2 :] if rng.random() < 0.5 else radii)
+        restricted = None
+        if rng.random() < 0.6:
+            restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
+        sys = build_polytope(inst, lam, restricted)
+        ref = _reference_build_polytope(inst, lam, restricted)
+        assert sys.facility_ids == ref.facility_ids and sys.pair_ids == ref.pair_ids
+        assert sys.uncovered_clients == ref.uncovered_clients
+        if sys.uncovered_clients:
+            continue
+        vec = _solve_highs(sys)
+        ref_vec = _solve_highs(ref)
+        assert (vec is None) == (ref_vec is None)
+        verdicts[vec is not None] += 1
+        if vec is not None:
+            assert validate_point(sys, vec) == []
+            assert validate_point(ref, vec[: ref.n_vars]) == []
+    assert min(verdicts.values()) >= 40
+
+
+def test_nonzeros_stay_linear_in_pairs():
+    rng = random.Random(79)
+    for _ in range(20):
+        inst = random_capped_instance(
+            rng, n=rng.randint(3, 12), n_colors=rng.randint(2, 4), k=2, alpha=0.3
+        )
+        lam = rng.choice(candidate_radii(inst).values)
+        restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
+        sys = build_polytope(inst, lam, restricted)
+        nf, n_pairs = len(sys.facility_ids), len(sys.pair_ids)
+        n_cap = next(b.n_rows for b in sys.blocks if b.family == "colorcap")
+        nnz = sum(b.matrix(sys.n_vars).nnz for b in sys.blocks)
+        assert nnz == 5 * n_pairs + n_cap + 4 * nf
+
+
+def test_validate_point_flags_corrupted_load(unit_square):
+    sys = build_polytope(unit_square, 1.0)
+    vec = _solve_highs(sys)
+    assert vec is not None and validate_point(sys, vec) == []
+    nf = len(sys.facility_ids)
+    opened = int(np.argmax(vec[:nf]))
+    vec[nf + len(sys.pair_ids) + opened] += 0.5  # L_i no longer equals its x mass
+    assert any(msg.startswith("load") for msg in validate_point(sys, vec))
+    vec[nf + len(sys.pair_ids) + opened] = -1.0  # below the load column's lower bound
+    assert "variable bound violated" in validate_point(sys, vec)
+
+
+def test_validate_point_rechecks_caps_on_x(unit_square):
+    # a point that meets the cap rows only through inflated loads still fails
+    sys = build_polytope(unit_square, 1.0)
+    nf, n_pairs = len(sys.facility_ids), len(sys.pair_ids)
+    vec = np.zeros(sys.n_vars)
+    vec[0] = 1.0
+    same_color = [c for c, (i, j) in enumerate(sys.pair_ids) if i == 0 and j in (0, 1)]
+    vec[[nf + c for c in same_color]] = 1.0
+    vec[nf + n_pairs] = 4.0
+    problems = validate_point(sys, vec)
+    assert any(msg.startswith("color cap on x") for msg in problems)
 
 
 def test_solver_failure_raises(unit_square, monkeypatch):
