@@ -258,6 +258,17 @@ def solution_cost(inst: Instance, sol: ClusteringSolution) -> float:
     return max(float(inst.dist_row(inst.pos(i))[pos].max()) for i, pos in members.items())
 
 
+def cluster_color_peaks(inst: Instance, sol: ClusteringSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Size and largest single-color count of each served cluster."""
+    centers = np.fromiter(sol.assign.values(), dtype=np.int64, count=len(sol.assign))
+    _, cluster = np.unique(centers, return_inverse=True)
+    colors = inst.colors()[[inst.pos(j) for j in sol.assign]]
+    n_clusters = int(cluster.max(initial=-1)) + 1
+    counts = np.bincount(cluster * inst.n_colors + colors, minlength=n_clusters * inst.n_colors)
+    counts = counts.reshape(n_clusters, inst.n_colors)
+    return counts.sum(axis=1), counts.max(axis=1)
+
+
 def check_capped(inst: Instance, sol: ClusteringSolution, alpha: float | None = None) -> bool:
     """True iff every cluster has every color count <= alpha * cluster size.
 
@@ -266,15 +277,8 @@ def check_capped(inst: Instance, sol: ClusteringSolution, alpha: float | None = 
     """
     if alpha is None:
         alpha = inst.alpha
-    for members in sol.clusters().values():
-        counts: dict[int, int] = {}
-        for j in members:
-            c = inst.color_at(inst.pos(j))
-            counts[c] = counts.get(c, 0) + 1
-        bound = alpha * len(members) + CAP_TOL
-        if any(cnt > bound for cnt in counts.values()):
-            return False
-    return True
+    sizes, peaks = cluster_color_peaks(inst, sol)
+    return bool((peaks <= alpha * sizes + CAP_TOL).all())
 
 
 def candidate_radii(inst: Instance) -> RadiusGrid:

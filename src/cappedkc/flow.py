@@ -2,180 +2,113 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Hashable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from .core import ContractViolation, InputError, Instance
 
 SNAP_TOL = 1e-6
 SUPPORT_TOL = 1e-9
 
-SOURCE = ("s",)
-SINK = ("t",)
-
-
-def client_node(j: int) -> tuple:
-    return ("client", j)
-
-
-def color_node(i: int, c: int) -> tuple:
-    return ("fc", i, c)
-
-
-def facility_node(i: int) -> tuple:
-    return ("fac", i)
-
-
-@dataclass(frozen=True)
-class Arc:
-    tail: Hashable
-    head: Hashable
-    lower: int
-    cap: int
+SOURCE = 0
+SINK = 1
+INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Directed network with integer lower bounds and capacities per arc."""
+    """Directed network on nodes 0..n_nodes-1; arc k runs tail[k] -> head[k].
 
-    arcs: tuple[Arc, ...]
-    source: Hashable = SOURCE
-    sink: Hashable = SINK
+    Each arc carries integer bounds [lower[k], cap[k]].  Node 0 is the source
+    and node 1 the sink.  `point` names the point id each node stands for
+    (-1 for none); without it a node stands for its own number.
+    """
 
-    def nodes(self) -> list:
-        seen: dict = {self.source: None, self.sink: None}
-        for a in self.arcs:
-            seen.setdefault(a.tail, None)
-            seen.setdefault(a.head, None)
-        return list(seen)
+    n_nodes: int
+    tail: np.ndarray
+    head: np.ndarray
+    lower: np.ndarray
+    cap: np.ndarray
+    point: np.ndarray | None = None
 
+    @property
+    def arcs(self) -> range:
+        """Arc ids, in the order of the arrays."""
+        return range(len(self.tail))
 
-@dataclass(frozen=True)
-class IntegralFlow:
-    """Flow value per arc (aligned with FlowNetwork.arcs) and total value."""
-
-    flows: tuple[int, ...]
-    value: int
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        e = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[u].append(e)
-        self.to.append(u)
-        self.cap.append(0)
-        self.adj[v].append(e + 1)
-        return e
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return total
-            it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, math.inf, level, it)
-                if pushed == 0:
-                    break
-                total += pushed
-
-    def _dfs(self, u, t, limit, level, it):
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            e = self.adj[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs(v, t, min(limit, self.cap[e]), level, it)
-                if pushed > 0:
-                    self.cap[e] -= pushed
-                    self.cap[e ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+    def points(self) -> np.ndarray:
+        return np.arange(self.n_nodes) if self.point is None else self.point
 
 
-def max_flow_lower_bounds(net: FlowNetwork, demand: int) -> IntegralFlow | None:
+def max_flow_lower_bounds(net: FlowNetwork, demand: int) -> np.ndarray | None:
     """Integral source->sink flow of exactly `demand` meeting all lower bounds.
 
     Standard reduction: force the value with a sink->source arc of fixed
     demand, cancel lower bounds into node excesses/deficits, and saturate
-    them from a super source/sink with an ordinary integral max-flow.
-    Returns None when no such flow exists.
+    them from a super source/sink with one ordinary integral max-flow.
+    Returns the flow on each arc, or None when no such flow exists.
     """
-    for a in net.arcs:
-        if not (isinstance(a.lower, (int, np.integer)) and isinstance(a.cap, (int, np.integer))):
-            raise InputError("arc bounds must be integers")
-        if a.lower < 0 or a.lower > a.cap:
-            raise InputError(f"bad bounds [{a.lower},{a.cap}] on arc {a.tail}->{a.head}")
+    arrays = [np.asarray(a) for a in (net.tail, net.head, net.lower, net.cap)]
+    if any(a.dtype.kind not in "iu" or a.shape != arrays[0].shape for a in arrays):
+        raise InputError("arc ends and bounds must be integer arrays of one length")
+    tail, head, lower, cap = (a.astype(np.int64) for a in arrays)
+    n = net.n_nodes
+    if n < 2:
+        raise InputError("a network needs a source and a sink")
+    if ((tail < 0) | (tail >= n) | (head < 0) | (head >= n)).any():
+        raise InputError(f"node ids must lie in [0, {n})")
+    bad = np.flatnonzero((lower < 0) | (lower > cap))
+    if bad.size:
+        k = bad[0]
+        raise InputError(f"bad bounds [{lower[k]},{cap[k]}] on arc {tail[k]}->{head[k]}")
+    if cap.max(initial=0) > INT32_MAX:
+        raise InputError("arc capacities must fit in int32")
+    key = tail * n + head
+    if np.unique(key).size != key.size:
+        raise InputError("repeated (tail, head) arc")
     if demand < 0:
         raise InputError("demand must be non-negative")
 
-    nodes = net.nodes()
-    idx = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    super_s, super_t = n, n + 1
-    dinic = _Dinic(n + 2)
-
-    excess = [0] * n
-    edge_of_arc = []
-    for a in net.arcs:
-        u, v = idx[a.tail], idx[a.head]
-        excess[v] += a.lower
-        excess[u] -= a.lower
-        edge_of_arc.append(dinic.add_edge(u, v, a.cap - a.lower))
+    excess = np.zeros(n, dtype=np.int64)
+    np.add.at(excess, head, lower)
+    np.subtract.at(excess, tail, lower)
     # fix the s->t value at `demand` via a saturating return arc
-    excess[idx[net.source]] += demand
-    excess[idx[net.sink]] -= demand
+    excess[SOURCE] += demand
+    excess[SINK] -= demand
+    need = int(excess[excess > 0].sum())
+    if need > INT32_MAX:
+        raise InputError("total lower-bound excess must fit in int32")
 
-    need = 0
-    for v, e in enumerate(excess):
-        if e > 0:
-            dinic.add_edge(super_s, v, e)
-            need += e
-        elif e < 0:
-            dinic.add_edge(v, super_t, -e)
-
-    if dinic.max_flow(super_s, super_t) != need:
+    super_s, super_t = n, n + 1
+    gain, loss = np.flatnonzero(excess > 0), np.flatnonzero(excess < 0)
+    rows = np.concatenate((tail, np.full(gain.size, super_s), loss))
+    cols = np.concatenate((head, gain, np.full(loss.size, super_t)))
+    caps = np.concatenate((cap - lower, excess[gain], -excess[loss])).astype(np.int32)
+    graph = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
+    result = maximum_flow(graph, super_s, super_t)
+    if result.flow_value != need:
         return None
-
-    flows = tuple(
-        a.lower + ((a.cap - a.lower) - dinic.cap[edge_of_arc[i]])
-        for i, a in enumerate(net.arcs)
-    )
-    return IntegralFlow(flows, demand)
+    # the flow matrix is skew-symmetric: an arc opposite a busier one reads negative;
+    # an empty fancy index would return a sparse matrix, hence the guard
+    pushed = np.asarray(result.flow[tail, head]).ravel() if tail.size else tail
+    return lower + np.maximum(pushed, 0)
 
 
-def _snap(v: float) -> float:
-    r = round(v)
-    return float(r) if abs(v - r) <= SNAP_TOL else v
+def _snap(v):
+    r = np.round(v)
+    return np.where(np.abs(v - r) <= SNAP_TOL, r, v)
 
 
 def build_assignment_network(inst: Instance, frac, opened) -> FlowNetwork:
     """Assignment network for an integrally-opened fractional solution.
 
-    Clients feed unit arcs into per-(facility, color) nodes on the support of
-    the fractional assignment; (facility, color) and facility arcs carry
+    Nodes: source, sink, one per client by point position, one per
+    (facility, color) pair with support, one per facility with support.
+    Clients feed unit arcs into their (facility, color) nodes on the support
+    of the fractional assignment; (facility, color) and facility arcs carry
     floor/ceiling bounds of the fractional column sums, which is what pins
     the integral color counts to the fractional ones.
     """
@@ -185,61 +118,63 @@ def build_assignment_network(inst: Instance, frac, opened) -> FlowNetwork:
         if abs(frac.y.get(i, 0.0) - 1.0) > 1e-6:
             raise ContractViolation(f"facility {i} is not integrally open")
 
-    arcs: list[Arc] = [Arc(SOURCE, client_node(p.id), 0, 1) for p in inst.points]
+    support = [
+        (inst.pos(i), inst.pos(j), v)
+        for (i, j), v in frac.x.items()
+        if v > SUPPORT_TOL and i in opened_set
+    ]
+    fpos, cpos, mass = (np.array(col) for col in zip(*support)) if support else [np.zeros(0, int)] * 3
+    # sums accumulate in the order of frac.x, so they are the same floats as a loop's
+    fc_keys, fc_of = np.unique(fpos * inst.n_colors + inst.colors()[cpos], return_inverse=True)
+    fac_keys, fac_of = np.unique(fpos, return_inverse=True)
+    fc_sum = _snap(np.bincount(fc_of, weights=mass, minlength=fc_keys.size))
+    fac_sum = _snap(np.bincount(fac_of, weights=mass, minlength=fac_keys.size))
 
-    color_sums: dict[tuple[int, int], float] = {}
-    fac_sums: dict[int, float] = {}
-    support: list[tuple[int, int]] = []
-    for (i, j), v in frac.x.items():
-        if v <= SUPPORT_TOL or i not in opened_set:
-            continue
-        c = inst.color_at(inst.pos(j))
-        support.append((i, j))
-        color_sums[(i, c)] = color_sums.get((i, c), 0.0) + v
-        fac_sums[i] = fac_sums.get(i, 0.0) + v
-
-    support.sort(key=lambda ij: (inst.pos(ij[0]), inst.pos(ij[1])))
-    for i, j in support:
-        arcs.append(Arc(client_node(j), color_node(i, inst.color_at(inst.pos(j))), 0, 1))
-
-    for (i, c) in sorted(color_sums, key=lambda ic: (inst.pos(ic[0]), ic[1])):
-        s = _snap(color_sums[(i, c)])
-        arcs.append(Arc(color_node(i, c), facility_node(i), int(math.floor(s)), int(math.ceil(s))))
-    for i in sorted(fac_sums, key=inst.pos):
-        s = _snap(fac_sums[i])
-        arcs.append(Arc(facility_node(i), SINK, int(math.floor(s)), int(math.ceil(s))))
-
-    return FlowNetwork(tuple(arcs))
-
-
-def extract_assignment(net: FlowNetwork, flow: IntegralFlow) -> dict[int, int]:
-    """Map each client to the facility whose (facility, color) arc carries its unit."""
-    assign: dict[int, int] = {}
-    clients = set()
-    for a, f in zip(net.arcs, flow.flows):
-        if a.tail == SOURCE and a.head[0] == "client":
-            clients.add(a.head[1])
-        if a.tail[0] == "client" and f > 0:
-            j = a.tail[1]
-            if j in assign:
-                raise ContractViolation(f"client {j} sends more than one unit")
-            assign[j] = a.head[1]  # ("fc", facility, color)
-    missing = clients - set(assign)
-    if missing:
-        raise ContractViolation(f"clients with no outgoing flow: {sorted(missing)}")
-    return assign
+    n = inst.n
+    fc_fac = fc_keys // inst.n_colors  # facility position of each (facility, color) node
+    fc_node = 2 + n + np.arange(fc_keys.size)
+    fac_node = 2 + n + fc_keys.size + np.arange(fac_keys.size)
+    order = np.lexsort((cpos, fpos))  # client arcs by (facility, client) position
+    layers = [  # (tail, head, lower, cap) of each layer of arcs
+        (np.full(n, SOURCE), 2 + np.arange(n), np.zeros(n), np.ones(n)),
+        (2 + cpos[order], fc_node[fc_of[order]], np.zeros(order.size), np.ones(order.size)),
+        (fc_node, fac_node[np.searchsorted(fac_keys, fc_fac)], np.floor(fc_sum), np.ceil(fc_sum)),
+        (fac_node, np.full(fac_keys.size, SINK), np.floor(fac_sum), np.ceil(fac_sum)),
+    ]
+    tail, head, lower, cap = (np.concatenate(col).astype(np.int64) for col in zip(*layers))
+    ids = np.array(inst.ids())
+    point = np.concatenate(([-1, -1], ids, ids[fc_fac], ids[fac_keys]))
+    return FlowNetwork(point.size, tail, head, lower, cap, point)
 
 
-def network_to_dot(net: FlowNetwork, flow: IntegralFlow | None = None) -> str:
-    """DOT rendering of the network (debug aid)."""
-    def name(v) -> str:
-        return '"' + "_".join(str(part) for part in v) + '"'
+def extract_assignment(net: FlowNetwork, flow: np.ndarray) -> dict[int, int]:
+    """Map each client to the facility whose (facility, color) arc carries its unit.
 
+    Clients are the heads of the source's arcs; each must send flow on
+    exactly one outgoing arc.
+    """
+    clients = net.head[net.tail == SOURCE]
+    sent = np.isin(net.tail, clients) & (np.asarray(flow) > 0)
+    senders = net.tail[sent]
+    point = net.points()
+    counts = np.bincount(senders, minlength=net.n_nodes)
+    if (counts > 1).any():
+        raise ContractViolation(f"client {point[np.argmax(counts > 1)]} sends more than one unit")
+    missing = clients[counts[clients] == 0]
+    if missing.size:
+        raise ContractViolation(f"clients with no outgoing flow: {sorted(point[missing].tolist())}")
+    return dict(zip(point[senders].tolist(), point[net.head[sent]].tolist()))
+
+
+def network_to_dot(net: FlowNetwork, flow: np.ndarray | None = None) -> str:
+    """DOT rendering of the network (debug aid): source s, sink t, other nodes by point."""
+    point = net.points()
+    names = ["s", "t"] + [f"{v}:{point[v]}" for v in range(2, net.n_nodes)]
     lines = ["digraph assignment {"]
-    for k, a in enumerate(net.arcs):
-        label = f"[{a.lower},{a.cap}]"
+    for k in net.arcs:
+        label = f"[{net.lower[k]},{net.cap[k]}]"
         if flow is not None:
-            label = f"{flow.flows[k]} {label}"
-        lines.append(f"  {name(a.tail)} -> {name(a.head)} [label=\"{label}\"];")
+            label = f"{flow[k]} {label}"
+        lines.append(f'  "{names[net.tail[k]]}" -> "{names[net.head[k]]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)

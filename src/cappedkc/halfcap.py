@@ -7,6 +7,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .core import (
     ClusteringSolution,
@@ -59,23 +60,14 @@ def threshold_graph(inst: Instance, tau: float) -> SimpleGraph:
 
 def connected_components(g: SimpleGraph) -> list[list[int]]:
     """Components as sorted node lists, ordered by smallest member."""
-    adj = g.adjacency()
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
+    if g.n == 0:
+        return []
+    u, v = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
+    adj = csr_matrix((np.ones(u.size), (u, v)), shape=(g.n, g.n))
+    _, labels = csgraph.connected_components(adj, directed=False)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return sorted((grp.tolist() for grp in groups), key=lambda comp: comp[0])
 
 
 def caplet_decompose(

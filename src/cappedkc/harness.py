@@ -17,6 +17,7 @@ from .core import (
     InfeasibleInstance,
     InputError,
     Instance,
+    cluster_color_peaks,
     make_instance,
     solution_cost,
 )
@@ -68,16 +69,9 @@ class CappedInstanceReport:
 
 def max_additive_violation(inst: Instance, sol: ClusteringSolution, alpha: float) -> int:
     """Worst excess of any cluster's color count over the floored cap floor(|C|*alpha)."""
-    delta = 0
-    for members in sol.clusters().values():
-        counts: dict[int, int] = {}
-        for j in members:
-            c = inst.color_at(inst.pos(j))
-            counts[c] = counts.get(c, 0) + 1
-        allowed = int(math.floor(len(members) * alpha + CAP_TOL))
-        worst = max(counts.values()) - allowed
-        delta = max(delta, worst, 0)
-    return delta
+    sizes, peaks = cluster_color_peaks(inst, sol)
+    allowed = np.floor(sizes * alpha + CAP_TOL).astype(np.int64)
+    return int((peaks - allowed).max(initial=0))
 
 
 def _grid(start: float, stop: float, epsilon: float) -> list[float]:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import ClusteringSolution, ContractViolation, InputError, Instance
 from .flow import build_assignment_network, extract_assignment, max_flow_lower_bounds
 from .lp_feasibility import FractionalSolution, build_polytope, check_feasible
@@ -37,18 +39,16 @@ def select_separated_facilities(
     if scan_order is None:
         scan_order = [inst.id_at(p) for p in range(inst.n)]
     opened: list[int] = []
+    opened_pos: list[int] = []
     theta: dict[int, int] = {}
     for i in scan_order:
-        anchor = None
-        for o in opened:
-            if inst.dist(i, o) <= 2.0 * lam:
-                anchor = o
-                break
-        if anchor is None:
-            opened.append(i)
-            theta[i] = i
+        near = np.flatnonzero(inst.dist_row(inst.pos(i))[opened_pos] <= 2.0 * lam)
+        if near.size:
+            theta[i] = opened[near[0]]
         else:
-            theta[i] = anchor
+            opened.append(i)
+            opened_pos.append(inst.pos(i))
+            theta[i] = i
     return FacilityMap(tuple(opened), theta, lam)
 
 

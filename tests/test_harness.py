@@ -33,6 +33,11 @@ def test_delta_formula_direct():
     inst = make_instance([(0.0,)] * 3, ["r", "r", "b"], k=1, alpha=0.5)
     sol = nearest_assignment(inst, [0])
     assert max_additive_violation(inst, sol, 0.5) == 1
+    # 100 * 0.29 is 28.999999999999996 in floats; the tolerance floors it to 29
+    inst = make_instance([(0.0,)] * 100, ["r"] * 29 + ["b"] * 71, k=1, alpha=0.29)
+    sol = nearest_assignment(inst, [0])
+    assert max_additive_violation(inst, sol, 0.29) == 71 - 29
+    assert check_capped(inst.with_params(alpha=0.71), sol) and not check_capped(inst, sol)
 
 
 def test_brute_capped_unit_square(unit_square):

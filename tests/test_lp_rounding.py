@@ -1,7 +1,11 @@
 import random
 
+import numpy as np
+
 from cappedkc import (
     FractionalSolution,
+    Instance,
+    Point,
     build_polytope,
     candidate_radii,
     check_capped,
@@ -37,6 +41,18 @@ def test_select_line_example():
     fmap = select_separated_facilities(inst, 1.0)
     assert fmap.opened == (0, 2)
     assert fmap.theta[1] == 0
+
+    # explicit metric, ids 10..13 at positions 0..3: a facility joins the first
+    # opened one within 2*lam (inclusive), not the nearest
+    dm = np.array([[0, 5, 2, 3], [5, 0, 1, 2.5], [2, 1, 0, 4], [3, 2.5, 4, 0]], dtype=float)
+    points = [Point(10 + p, (0.0,), 0) for p in range(4)]
+    inst = Instance(points, k=4, alpha=1.0, dist_matrix=dm)
+    fmap = select_separated_facilities(inst, 1.0)
+    assert fmap.opened == (10, 11, 13)
+    assert fmap.theta == {10: 10, 11: 11, 12: 10, 13: 13}
+    fmap = select_separated_facilities(inst, 1.0, scan_order=[13, 12, 11, 10])
+    assert fmap.opened == (13, 12)
+    assert fmap.theta == {13: 13, 12: 12, 11: 12, 10: 12}
 
 
 def test_reroute_identity_when_separated():
