@@ -237,13 +237,6 @@ def ceil_inv_alpha(alpha: float) -> int:
     return int(math.ceil(1.0 / alpha - CAP_TOL))
 
 
-def distance(p: Point, q: Point) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    if len(p.coords) != len(q.coords):
-        raise InputError(f"dimension mismatch: {len(p.coords)} vs {len(q.coords)}")
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p.coords, q.coords)))
-
-
 def solution_cost(inst: Instance, sol: ClusteringSolution) -> float:
     """Maximum distance from any point to its assigned center."""
     centers = set(sol.centers)

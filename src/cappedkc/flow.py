@@ -112,19 +112,15 @@ def build_assignment_network(inst: Instance, frac, opened) -> FlowNetwork:
     floor/ceiling bounds of the fractional column sums, which is what pins
     the integral color counts to the fractional ones.
     """
-    opened = list(opened)
-    opened_set = set(opened)
-    for i in opened:
-        if abs(frac.y.get(i, 0.0) - 1.0) > 1e-6:
-            raise ContractViolation(f"facility {i} is not integrally open")
+    opened_pos = np.array([inst.pos(i) for i in opened], dtype=int)
+    loose = np.abs(frac.y[opened_pos] - 1.0) > 1e-6
+    if loose.any():
+        i = inst.id_at(opened_pos[np.argmax(loose)])
+        raise ContractViolation(f"facility {i} is not integrally open")
 
-    support = [
-        (inst.pos(i), inst.pos(j), v)
-        for (i, j), v in frac.x.items()
-        if v > SUPPORT_TOL and i in opened_set
-    ]
-    fpos, cpos, mass = (np.array(col) for col in zip(*support)) if support else [np.zeros(0, int)] * 3
-    # sums accumulate in the order of frac.x, so they are the same floats as a loop's
+    support = (frac.x > SUPPORT_TOL) & np.isin(frac.facility, opened_pos)
+    fpos, cpos, mass = frac.facility[support], frac.client[support], frac.x[support]
+    # sums accumulate in the order of frac's pairs, so they are the same floats as a loop's
     fc_keys, fc_of = np.unique(fpos * inst.n_colors + inst.colors()[cpos], return_inverse=True)
     fac_keys, fac_of = np.unique(fpos, return_inverse=True)
     fc_sum = _snap(np.bincount(fc_of, weights=mass, minlength=fc_keys.size))

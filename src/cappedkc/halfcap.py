@@ -7,7 +7,6 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .core import (
     ClusteringSolution,
@@ -47,27 +46,6 @@ def _colored_pairs(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keep = colors[a] != colors[b]
     a, b = a[keep], b[keep]
     return a, b, inst.pairwise()[a, b]
-
-
-def threshold_graph(inst: Instance, tau: float) -> SimpleGraph:
-    """Edges join differently-colored points at distance <= tau (nodes = positions)."""
-    if tau < 0:
-        raise InputError("tau must be non-negative")
-    a, b, d = _colored_pairs(inst)
-    near = d <= tau
-    return SimpleGraph.from_edges(inst.n, zip(a[near].tolist(), b[near].tolist()))
-
-
-def connected_components(g: SimpleGraph) -> list[list[int]]:
-    """Components as sorted node lists, ordered by smallest member."""
-    if g.n == 0:
-        return []
-    u, v = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
-    adj = csr_matrix((np.ones(u.size), (u, v)), shape=(g.n, g.n))
-    _, labels = csgraph.connected_components(adj, directed=False)
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    return sorted((grp.tolist() for grp in groups), key=lambda comp: comp[0])
 
 
 def caplet_decompose(

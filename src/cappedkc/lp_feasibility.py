@@ -44,16 +44,17 @@ class LinearSystem:
     variables ordered by (facility, client) position, then one load column
     L_i per facility in the y order.  `lower`/`upper` hold the per-column
     bounds: [0, 1] for y and x, [0, inf) for L.  Pairs farther than the
-    radius simply have no column.  `pair_facility` (the local facility index)
-    and `pair_color` describe each x column, so a point can be checked
-    against the color caps without the L columns.
+    radius simply have no column.  Columns are described by point positions:
+    `facility_pos` for the y (and L) columns, and `pair_facility`,
+    `pair_client` and `pair_color` for the x columns.
     """
 
     lam: float
     alpha: float
-    facility_ids: list[int]
-    pair_ids: list[tuple[int, int]]
+    n_points: int
+    facility_pos: np.ndarray
     pair_facility: np.ndarray
+    pair_client: np.ndarray
     pair_color: np.ndarray
     blocks: list[Block]
     lower: np.ndarray
@@ -64,18 +65,13 @@ class LinearSystem:
     def n_vars(self) -> int:
         return self.lower.size
 
-    def y_col(self, idx: int) -> int:
-        return idx
-
-    def x_col(self, idx: int) -> int:
-        return len(self.facility_ids) + idx
-
     def dump_lp(self) -> str:
-        """Human-readable LP text (debug aid)."""
-        names = [f"y_{i}" for i in self.facility_ids] + [
-            f"x_{i}_{j}" for i, j in self.pair_ids
+        """Human-readable LP text (debug aid); columns are named by point position."""
+        fac = self.facility_pos.tolist()
+        names = [f"y_{i}" for i in fac] + [
+            f"x_{i}_{j}" for i, j in zip(self.pair_facility.tolist(), self.pair_client.tolist())
         ]
-        names += [f"L_{i}" for i in self.facility_ids]
+        names += [f"L_{i}" for i in fac]
         out = ["\\ feasibility system at radius %.12g" % self.lam, "Minimize", " obj: 0", "Subject To"]
         r = 0
         for blk in self.blocks:
@@ -99,12 +95,19 @@ class LinearSystem:
         return "\n".join(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalSolution:
-    """A point of the polytope: sparse assignment and opening values."""
+    """A point of the polytope, by point position.
 
-    x: dict[tuple[int, int], float]
-    y: dict[int, float]
+    `facility`, `client` and `x` list the support pairs (facility position,
+    client position, assignment mass) in column order; `y` holds one opening
+    per point, 0 off the facility set.
+    """
+
+    facility: np.ndarray
+    client: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
 
 
 def build_polytope(
@@ -203,18 +206,18 @@ def build_polytope(
 
     covered = np.zeros(n, dtype=bool)
     covered[pj] = True
-    ids = np.array(inst.ids())
     return LinearSystem(
         lam=lam,
         alpha=inst.alpha,
-        facility_ids=ids[fac_pos].tolist(),
-        pair_ids=list(zip(ids[fac_pos[pf]].tolist(), ids[pj].tolist())),
-        pair_facility=pf,
+        n_points=n,
+        facility_pos=fac_pos,
+        pair_facility=fac_pos[pf],
+        pair_client=pj,
         pair_color=pc,
         blocks=blocks,
         lower=np.zeros(nf + n_pairs + nf),
         upper=np.concatenate([np.ones(nf + n_pairs), np.full(nf, np.inf)]),
-        uncovered_clients=ids[~covered].tolist(),
+        uncovered_clients=np.array(inst.ids())[~covered].tolist(),
     )
 
 
@@ -239,13 +242,15 @@ def validate_point(sys: LinearSystem, vec: np.ndarray, tol: float = ROW_TOL) -> 
         worst = rows.max(initial=0.0)
         if worst > tol:
             bad.append(f"{blk.family}: violation {worst:.3e}")
-    nf, n_pairs = len(sys.facility_ids), len(sys.pair_ids)
+    nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
     if n_pairs:
         x = vec[nf : nf + n_pairs]
         n_colors = int(sys.pair_color.max()) + 1
         mass = np.bincount(
-            sys.pair_facility * n_colors + sys.pair_color, weights=x, minlength=nf * n_colors
-        ).reshape(nf, n_colors)
+            sys.pair_facility * n_colors + sys.pair_color,
+            weights=x,
+            minlength=sys.n_points * n_colors,
+        ).reshape(sys.n_points, n_colors)
         worst = (mass - sys.alpha * mass.sum(axis=1, keepdims=True)).max()
         if worst > tol:
             bad.append(f"color cap on x: violation {worst:.3e}")
@@ -310,44 +315,23 @@ def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
     bad = validate_point(sys, vec)
     if bad:
         raise SolverError("HiGHS returned an invalid point: " + "; ".join(bad))
-    nf = len(sys.facility_ids)
-    y = {i: float(v) for i, v in zip(sys.facility_ids, vec[:nf]) if v > 1e-12}
-    x = {p: float(v) for p, v in zip(sys.pair_ids, vec[nf : nf + len(sys.pair_ids)]) if v > 1e-12}
-    return FractionalSolution(x=x, y=y)
+    nf = sys.facility_pos.size
+    x = vec[nf : nf + sys.pair_client.size]
+    support = x > 1e-12
+    y = np.zeros(sys.n_points)
+    y[sys.facility_pos] = vec[:nf]
+    return FractionalSolution(sys.pair_facility[support], sys.pair_client[support], x[support], y)
 
 
 def min_feasible_radius(
-    inst: Instance,
-    grid: RadiusGrid,
-    restricted: Sequence[int] | None = None,
-    strategy: str = "scan",
+    inst: Instance, grid: RadiusGrid, restricted: Sequence[int] | None = None
 ) -> tuple[float, FractionalSolution] | None:
     """Smallest grid radius whose polytope is non-empty, with a point in it.
 
-    "scan" walks the grid in ascending order (cheap infeasible solves first);
-    "bisect" exploits feasibility monotonicity in the radius.
+    Walks the grid in ascending order, so the cheap infeasible solves come first.
     """
-    vals = list(grid)
-    if strategy == "scan":
-        for lam in vals:
-            frac = check_feasible(build_polytope(inst, lam, restricted))
-            if frac is not None:
-                return lam, frac
-        return None
-    if strategy == "bisect":
-        lo, hi = 0, len(vals) - 1
-        best: tuple[float, FractionalSolution] | None = None
-        frac = check_feasible(build_polytope(inst, vals[hi], restricted))
-        if frac is None:
-            return None
-        best = (vals[hi], frac)
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            frac = check_feasible(build_polytope(inst, vals[mid], restricted))
-            if frac is not None:
-                best = (vals[mid], frac)
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        return best
-    raise InputError(f"unknown strategy {strategy!r}")
+    for lam in grid:
+        frac = check_feasible(build_polytope(inst, lam, restricted))
+        if frac is not None:
+            return lam, frac
+    return None

@@ -52,52 +52,69 @@ def select_separated_facilities(
     return FacilityMap(tuple(opened), theta, lam)
 
 
-def reroute_fractional(frac: FractionalSolution, fmap: FacilityMap) -> FractionalSolution:
+def reroute_fractional(
+    inst: Instance, frac: FractionalSolution, fmap: FacilityMap
+) -> FractionalSolution:
     """Merge each facility's fractional column onto its opened representative.
 
     The result opens exactly fmap.opened (y = 1 there) and keeps every
-    client's total assignment mass unchanged.
+    client's total assignment mass unchanged.  Merged pairs keep the order in
+    which they first appear in frac, and their masses add up in pair order.
     """
-    x2: dict[tuple[int, int], float] = {}
-    for (i, j), v in frac.x.items():
-        tgt = fmap.theta.get(i)
-        if tgt is None:
-            raise ContractViolation(f"facility {i} carries mass but is outside the map")
-        key = (tgt, j)
-        x2[key] = x2.get(key, 0.0) + v
-    y2 = {i: 1.0 for i in fmap.opened}
-    return FractionalSolution(x=x2, y=y2)
+    theta = np.full(inst.n, -1)  # by position: the opened position, -1 off the map
+    for i, t in fmap.theta.items():
+        theta[inst.pos(i)] = inst.pos(t)
+    target = theta[frac.facility]
+    outside = target < 0
+    if outside.any():
+        i = inst.id_at(frac.facility[np.argmax(outside)])
+        raise ContractViolation(f"facility {i} carries mass but is outside the map")
+    keys, first, merged = np.unique(
+        target * inst.n + frac.client, return_index=True, return_inverse=True
+    )
+    mass = np.bincount(merged, weights=frac.x, minlength=keys.size)
+    order = np.argsort(first)
+    y = np.zeros(inst.n)
+    y[[inst.pos(i) for i in fmap.opened]] = 1.0
+    return FractionalSolution(keys[order] // inst.n, keys[order] % inst.n, mass[order], y)
 
 
 def validate_rerouted(inst: Instance, lam: float, frac: FractionalSolution, tol: float = SEP_TOL):
     """Check the rerouted point against the radius-3*lam polytope families.
 
-    Verifies support radius, unit coverage, x <= y, color caps, and the
+    Verifies x in [0, 1], support radius, unit coverage, color caps, and the
     opening budget.  The minimum-load family is deliberately not enforced:
     merging columns onto a maximal separated subset can leave an opened
     facility with less than ceil(1/alpha) mass, and nothing downstream
     relies on it.
     """
-    cover: dict[int, float] = {p.id: 0.0 for p in inst.points}
-    per_fac: dict[int, dict[int, float]] = {}
-    for (i, j), v in frac.x.items():
-        if v < -tol or v > 1.0 + tol:
-            raise ContractViolation(f"x[{i},{j}]={v} outside [0,1]")
-        if inst.dist(i, j) > 3.0 * lam * (1 + 1e-12) + tol:
-            raise ContractViolation(f"pair ({i},{j}) farther than 3*lambda")
-        cover[j] += v
-        per_fac.setdefault(i, {})
-        c = inst.color_at(inst.pos(j))
-        per_fac[i][c] = per_fac[i].get(c, 0.0) + v
-    for j, total in cover.items():
-        if abs(total - 1.0) > tol:
-            raise ContractViolation(f"client {j} coverage {total} != 1")
-    for i, by_color in per_fac.items():
-        col_total = sum(by_color.values())
-        for c, mass in by_color.items():
-            if mass > inst.alpha * col_total + tol:
-                raise ContractViolation(f"color cap broken at facility {i}, color {c}")
-    if len(frac.y) > inst.k:
+    fac, client, x = frac.facility, frac.client, frac.x
+    bad = np.flatnonzero((x < -tol) | (x > 1.0 + tol))
+    if bad.size:
+        p = bad[0]
+        raise ContractViolation(
+            f"x[{inst.id_at(fac[p])},{inst.id_at(client[p])}]={x[p]} outside [0,1]"
+        )
+    for i in np.unique(fac).tolist():
+        mine = client[fac == i]
+        far = mine[inst.dist_row(i)[mine] > 3.0 * lam * (1 + 1e-12) + tol]
+        if far.size:
+            raise ContractViolation(
+                f"pair ({inst.id_at(i)},{inst.id_at(far[0])}) farther than 3*lambda"
+            )
+    cover = np.bincount(client, weights=x, minlength=inst.n)
+    bad = np.flatnonzero(np.abs(cover - 1.0) > tol)
+    if bad.size:
+        raise ContractViolation(f"client {inst.id_at(bad[0])} coverage {cover[bad[0]]} != 1")
+    nc = inst.n_colors
+    mass = np.bincount(
+        fac * nc + inst.colors()[client], weights=x, minlength=inst.n * nc
+    ).reshape(inst.n, nc)
+    bad = np.argwhere(mass > inst.alpha * mass.sum(axis=1, keepdims=True) + tol)
+    if bad.size:
+        i, c = bad[0]
+        raise ContractViolation(f"color cap broken at facility {inst.id_at(i)}, color {c}")
+    if np.count_nonzero(frac.y) > inst.k:
         raise ContractViolation("more than k facilities opened")
 
 
@@ -105,7 +122,6 @@ def fair_k_center(
     inst: Instance,
     lam: float,
     restricted: Sequence[int] | None = None,
-    scan_order: str = "index",
     validate: bool = False,
 ) -> ClusteringSolution | None:
     """LP-guess-and-round at radius lam: None when the polytope is empty.
@@ -120,22 +136,12 @@ def fair_k_center(
     if frac is None:
         return None
 
-    if restricted is None:
-        facilities = [inst.id_at(p) for p in range(inst.n)]
-    else:
-        facilities = sorted(restricted, key=inst.pos)
-    if scan_order == "index":
-        order = facilities
-    elif scan_order == "mass":
-        order = sorted(facilities, key=lambda i: (-frac.y.get(i, 0.0), inst.pos(i)))
-    else:
-        raise InputError(f"unknown scan_order {scan_order!r}")
-
+    order = None if restricted is None else sorted(restricted, key=inst.pos)
     fmap = select_separated_facilities(inst, lam, order)
     if len(fmap.opened) > inst.k:
         return None
 
-    merged = reroute_fractional(frac, fmap)
+    merged = reroute_fractional(inst, frac, fmap)
     if validate:
         validate_rerouted(inst, lam, merged)
 

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from cappedkc import Instance, make_instance
+from cappedkc import FractionalSolution, Instance, make_instance
 
 
 def random_capped_instance(
@@ -28,6 +29,25 @@ def line_instance(xs, colors=None, k=1, alpha=1.0) -> Instance:
     if colors is None:
         colors = [0] * len(xs)
     return make_instance(coords, colors, k=k, alpha=alpha)
+
+
+def fractional_point(inst: Instance, x: dict, y: dict) -> FractionalSolution:
+    """A point from {(facility id, client id): mass} and {facility id: opening}, in dict order."""
+    facility = np.array([inst.pos(i) for i, _ in x], dtype=int)
+    client = np.array([inst.pos(j) for _, j in x], dtype=int)
+    opening = np.zeros(inst.n)
+    for i, v in y.items():
+        opening[inst.pos(i)] = v
+    return FractionalSolution(facility, client, np.array(list(x.values()), dtype=float), opening)
+
+
+def pair_masses(inst: Instance, frac: FractionalSolution) -> dict:
+    """The point's pairs as {(facility id, client id): mass}, in pair order."""
+    ids = inst.ids()
+    return {
+        (ids[f], ids[j]): v
+        for f, j, v in zip(frac.facility.tolist(), frac.client.tolist(), frac.x.tolist())
+    }
 
 
 @pytest.fixture

@@ -149,14 +149,14 @@ def test_criterion_4_flow_integrality_and_sandwich():
             k=rng.randint(1, 3),
             alpha=alpha,
         )
-        found = min_feasible_radius(inst, candidate_radii(inst), strategy="bisect")
+        found = min_feasible_radius(inst, candidate_radii(inst))
         if found is None:
             continue
         lam, frac = found
         fmap = select_separated_facilities(inst, lam)
         if len(fmap.opened) > inst.k:
             continue
-        merged = reroute_fractional(frac, fmap)
+        merged = reroute_fractional(inst, frac, fmap)
         net = build_assignment_network(inst, merged, fmap.opened)
         flow = max_flow_lower_bounds(net, inst.n)
         assert flow is not None, "integral |D|-flow must exist for a rerouted point"
@@ -165,16 +165,17 @@ def test_criterion_4_flow_integrality_and_sandwich():
 
         col_sums: dict[tuple[int, int], float] = {}
         fac_sums: dict[int, float] = {}
-        for (i, j), v in merged.x.items():
-            c = inst.color_at(inst.pos(j))
+        for i, j, v in zip(merged.facility.tolist(), merged.client.tolist(), merged.x.tolist()):
+            c = inst.color_at(j)
             col_sums[(i, c)] = col_sums.get((i, c), 0.0) + v
             fac_sums[i] = fac_sums.get(i, 0.0) + v
         got_color: dict[tuple[int, int], int] = {}
         got_fac: dict[int, int] = {}
         for j, i in assign.items():
             c = inst.color_at(inst.pos(j))
-            got_color[(i, c)] = got_color.get((i, c), 0) + 1
-            got_fac[i] = got_fac.get(i, 0) + 1
+            key = (inst.pos(i), c)
+            got_color[key] = got_color.get(key, 0) + 1
+            got_fac[inst.pos(i)] = got_fac.get(inst.pos(i), 0) + 1
         for key, total in col_sums.items():
             s = _snap(total)
             assert math.floor(s) <= got_color.get(key, 0) <= math.ceil(s)

@@ -14,7 +14,6 @@ from cappedkc import (
     Point,
     candidate_radii,
     check_capped,
-    distance,
     make_instance,
     nearest_assignment,
     solution_cost,
@@ -23,25 +22,27 @@ from conftest import line_instance
 
 
 def test_distance_identity():
-    p = Point(0, (1.0, 2.0), 0)
-    assert distance(p, p) == 0.0
+    inst = make_instance([(1.0, 2.0)], [0], k=1, alpha=1.0)
+    assert inst.dist_pos(0, 0) == 0.0
 
 
 def test_distance_345():
-    assert distance(Point(0, (0.0, 0.0), 0), Point(1, (3.0, 4.0), 0)) == 5.0
+    inst = make_instance([(0.0, 0.0), (3.0, 4.0)], [0, 0], k=1, alpha=1.0)
+    assert inst.dist_pos(0, 1) == 5.0
 
 
 def test_distance_symmetry_random():
     rng = random.Random(7)
     for _ in range(50):
-        p = Point(0, (rng.random(), rng.random(), rng.random()), 0)
-        q = Point(1, (rng.random(), rng.random(), rng.random()), 0)
-        assert distance(p, q) == distance(q, p)
+        coords = [(rng.random(), rng.random(), rng.random()) for _ in range(2)]
+        inst = make_instance(coords, [0, 0], k=1, alpha=1.0)
+        assert inst.dist_pos(0, 1) == inst.dist_pos(1, 0)
 
 
 def test_distance_dimension_mismatch():
-    with pytest.raises(InputError):
-        distance(Point(0, (0.0,), 0), Point(1, (0.0, 0.0), 0))
+    # mixed dimensions never reach a distance: the instance refuses them
+    with pytest.raises(InputError, match="dimensionality"):
+        Instance([Point(0, (0.0,), 0), Point(1, (0.0, 0.0), 0)], k=1, alpha=1.0)
 
 
 coords3 = st.tuples(*[st.floats(-100, 100) for _ in range(3)])
@@ -50,9 +51,9 @@ coords3 = st.tuples(*[st.floats(-100, 100) for _ in range(3)])
 @given(coords3, coords3, coords3)
 @settings(max_examples=200, deadline=None)
 def test_triangle_inequality(a, b, c):
-    pa, pb, pc = Point(0, a, 0), Point(1, b, 0), Point(2, c, 0)
-    lhs = distance(pa, pc)
-    rhs = distance(pa, pb) + distance(pb, pc)
+    inst = make_instance([a, b, c], [0, 0, 0], k=1, alpha=1.0)
+    lhs = inst.dist_pos(0, 2)
+    rhs = inst.dist_pos(0, 1) + inst.dist_pos(1, 2)
     assert lhs <= rhs * (1 + 1e-9) + 1e-9
 
 

@@ -7,7 +7,6 @@ from scipy.optimize import linprog
 from cappedkc import (
     ContractViolation,
     FlowNetwork,
-    FractionalSolution,
     InputError,
     build_assignment_network,
     extract_assignment,
@@ -16,6 +15,7 @@ from cappedkc import (
     network_to_dot,
 )
 from cappedkc.flow import SINK, SOURCE
+from conftest import fractional_point
 
 
 def network(n_nodes, arcs, point=None) -> FlowNetwork:
@@ -152,7 +152,8 @@ def coincident_instance(colors):
 def test_network_bounds_fractional_sums():
     # column sums 1.5 red and 0.5 blue at one facility
     inst = coincident_instance(["r", "r", "r", "b"])
-    frac = FractionalSolution(
+    frac = fractional_point(
+        inst,
         x={(0, 0): 0.5, (0, 1): 0.5, (0, 2): 0.5, (0, 3): 0.5},
         y={0: 1.0},
     )
@@ -167,7 +168,7 @@ def test_network_bounds_fractional_sums():
 
 def test_network_bounds_integral_sums_collapse():
     inst = coincident_instance(["r", "b"])
-    frac = FractionalSolution(x={(0, 0): 1.0, (0, 1): 1.0}, y={0: 1.0})
+    frac = fractional_point(inst, x={(0, 0): 1.0, (0, 1): 1.0}, y={0: 1.0})
     net = build_assignment_network(inst, frac, [0])
     beyond_clients = net.tail >= 2 + inst.n
     assert beyond_clients.any()
@@ -178,7 +179,7 @@ def test_network_bounds_integral_sums_collapse():
 
 def test_snapping_absorbs_float_dust():
     inst = coincident_instance(["r", "b"])
-    frac = FractionalSolution(x={(0, 0): 0.9999999, (0, 1): 1.0000001}, y={0: 1.0})
+    frac = fractional_point(inst, x={(0, 0): 0.9999999, (0, 1): 1.0000001}, y={0: 1.0})
     net = build_assignment_network(inst, frac, [0])
     fac = net.head == SINK
     assert (net.lower[fac].tolist(), net.cap[fac].tolist()) == ([2], [2])
@@ -187,17 +188,8 @@ def test_snapping_absorbs_float_dust():
 def test_unit_coverage_network_has_full_flow():
     # balanced fractional point with unit row sums: integral |D|-flow must exist
     inst = make_instance([(0.0,), (0.0,), (1.0,), (1.0,)], ["r", "b", "r", "b"], k=2, alpha=0.5)
-    frac = FractionalSolution(
-        x={
-            (0, 0): 1.0,
-            (0, 1): 0.5,
-            (2, 1): 0.5,
-            (2, 2): 1.0,
-            (0, 3): 0.5,
-            (2, 3): 0.5,
-        },
-        y={0: 1.0, 2: 1.0},
-    )
+    x = {(0, 0): 1.0, (0, 1): 0.5, (2, 1): 0.5, (2, 2): 1.0, (0, 3): 0.5, (2, 3): 0.5}
+    frac = fractional_point(inst, x, y={0: 1.0, 2: 1.0})
     net = build_assignment_network(inst, frac, [0, 2])
     flow = max_flow_lower_bounds(net, 4)
     assert flow is not None
@@ -206,13 +198,13 @@ def test_unit_coverage_network_has_full_flow():
     assert set(assign) == {0, 1, 2, 3}
     # support of the extraction is inside the fractional support
     for j, i in assign.items():
-        assert frac.x.get((i, j), 0.0) > 0
+        assert x.get((i, j), 0.0) > 0
 
 
 def test_network_names_clients_and_facilities_by_id():
     # ids out of position order: nodes follow positions, labels carry ids
     inst = make_instance([(0.0,), (0.0,)], ["r", "b"], k=1, alpha=0.5, ids=[9, 4])
-    frac = FractionalSolution(x={(4, 9): 1.0, (4, 4): 1.0}, y={4: 1.0})
+    frac = fractional_point(inst, x={(4, 9): 1.0, (4, 4): 1.0}, y={4: 1.0})
     net = build_assignment_network(inst, frac, [4])
     assert net.point.tolist() == [-1, -1, 9, 4, 4, 4, 4]
     flow = max_flow_lower_bounds(net, 2)

@@ -11,7 +11,6 @@ from cappedkc import (
     InputError,
     Instance,
     Point,
-    SimpleGraph,
     candidate_radii,
     caplet_decompose,
     check_capped,
@@ -20,32 +19,41 @@ from cappedkc import (
     make_instance,
     non_dominant_k_center,
     solution_cost,
-    threshold_graph,
 )
 from cappedkc import halfcap
-from cappedkc.halfcap import ACCEPT_TOL, connected_components
+from cappedkc.halfcap import ACCEPT_TOL
 from conftest import random_capped_instance
+
+
+# The threshold-graph tests pin the reference helpers below, which specify
+# what the one-pass scan in non_dominant_k_center must reproduce.
 
 
 def test_threshold_zero_distinct_points():
     inst = make_instance([(0.0,), (1.0,)], ["r", "b"], k=1, alpha=0.5)
-    assert threshold_graph(inst, 0.0).edges == frozenset()
+    assert _reference_threshold_edges(inst, 0.0) == []
 
 
 def test_threshold_same_color_never_joined():
     inst = make_instance([(0.0,), (0.0,)], ["r", "r"], k=1, alpha=0.5)
-    assert threshold_graph(inst, 1.0).edges == frozenset()
+    assert _reference_threshold_edges(inst, 1.0) == []
 
 
 def test_threshold_boundary_inclusive():
     inst = make_instance([(0.0,), (1.0,)], ["r", "b"], k=1, alpha=0.5)
-    assert threshold_graph(inst, 1.0).edges == frozenset({(0, 1)})
+    assert _reference_threshold_edges(inst, 1.0) == [(0, 1)]
+    # the scan too: the r-b pairs at distance 2 join at lam = 1, where 2*lam == 2
+    dm = np.array([[0, 2, 1, 3], [2, 0, 3, 1], [1, 3, 0, 2], [3, 1, 2, 0]], dtype=float)
+    points = [Point(p, (), p % 2) for p in range(4)]
+    inst = Instance(points, k=2, alpha=0.5, dist_matrix=dm)
+    _, info = non_dominant_k_center(inst, return_info=True)
+    assert info["lambda"] == 1.0
+    assert [c.members for c in info["caplets"]] == [(0, 1), (2, 3)]
 
 
 def test_components():
     inst = make_instance([(0.0,), (0.5,), (9.0,)], ["r", "b", "g"], k=1, alpha=0.5)
-    g = threshold_graph(inst, 1.0)
-    assert connected_components(g) == [[0, 1], [2]]
+    assert _reference_components(inst.n, _reference_threshold_edges(inst, 1.0)) == [[0, 1], [2]]
 
 
 def test_caplet_size_validation():
@@ -147,15 +155,23 @@ def _reference_threshold_edges(inst, tau):
     ]
 
 
+def _reference_components(n, edges):
+    """Connected components of nodes 0..n-1 as sorted lists, ordered by smallest member."""
+    label = list(range(n))
+    for a, b in edges:
+        old, new = max(label[a], label[b]), min(label[a], label[b])
+        label = [new if v == old else v for v in label]
+    return [[v for v in range(n) if label[v] == r] for r in sorted(set(label))]
+
+
 def _reference_non_dominant_k_center(inst):
     """The scan that recomputes everything at every radius: the specification."""
     dm = inst.pairwise()
     colors_arr = inst.colors()
     for lam in candidate_radii(inst):
-        graph = SimpleGraph.from_edges(inst.n, _reference_threshold_edges(inst, 2.0 * lam))
         caplets = []
         feasible = True
-        for comp in connected_components(graph):
+        for comp in _reference_components(inst.n, _reference_threshold_edges(inst, 2.0 * lam)):
             if len(comp) == 1:
                 feasible = False
                 break
@@ -242,8 +258,11 @@ def test_scan_matches_reference_on_random_instances():
         expected = _scan_outcome(_reference_non_dominant_k_center, inst)
         assert _scan_outcome(_new_scan, inst) == expected
         solved += expected is not None
+        # the scan's differently-colored pairs within tau are the reference edges
         tau = rng.choice(candidate_radii(inst).values)
-        assert threshold_graph(inst, tau).edges == frozenset(_reference_threshold_edges(inst, tau))
+        a, b, d = halfcap._colored_pairs(inst)
+        near = d <= tau
+        assert sorted(zip(a[near].tolist(), b[near].tolist())) == _reference_threshold_edges(inst, tau)
     assert 100 <= solved <= 300
 
 

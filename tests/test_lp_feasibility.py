@@ -1,4 +1,5 @@
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,9 +34,9 @@ def test_ceil_inv_alpha():
 def test_radius_prunes_variables():
     inst = make_instance([(0.0,), (1.0,)], ["r", "b"], k=2, alpha=0.5)
     sys = build_polytope(inst, 0.5)
-    assert sys.pair_ids == [(0, 0), (1, 1)]
+    assert sys.pair_facility.tolist() == [0, 1] and sys.pair_client.tolist() == [0, 1]
     sys = build_polytope(inst, 1.0)
-    assert len(sys.pair_ids) == 4
+    assert sys.pair_client.size == 4
 
 
 def test_minload_coefficient_matches_ceiling():
@@ -49,7 +50,7 @@ def test_coincident_pair_feasible_at_zero():
     inst = make_instance([(0.0,), (0.0,)], ["r", "b"], k=1, alpha=0.5)
     frac = check_feasible(build_polytope(inst, 0.0))
     assert frac is not None
-    assert sum(frac.y.values()) <= 1 + 1e-7
+    assert frac.y.sum() <= 1 + 1e-7
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 7.0])
@@ -70,15 +71,7 @@ def test_min_feasible_radius_scan(unit_square):
     assert got is not None
     lam, frac = got
     assert lam == 1.0
-    assert frac.x
-
-
-def test_min_feasible_radius_bisect_matches_scan(unit_square):
-    grid = candidate_radii(unit_square)
-    scan = min_feasible_radius(unit_square, grid, strategy="scan")
-    bisect = min_feasible_radius(unit_square, grid, strategy="bisect")
-    assert scan is not None and bisect is not None
-    assert scan[0] == bisect[0]
+    assert frac.x.size
 
 
 def test_min_feasible_radius_empty_when_alpha_too_small():
@@ -122,13 +115,10 @@ def test_returned_points_satisfy_every_row():
         frac = check_feasible(build_polytope(inst, lam))
         if frac is None:
             continue
-        assert all(0 <= v <= 1 + 1e-7 for v in frac.x.values())
-        assert all(0 <= v <= 1 + 1e-7 for v in frac.y.values())
-        cover = {}
-        for (i, j), v in frac.x.items():
-            cover[j] = cover.get(j, 0.0) + v
-        for j, total in cover.items():
-            assert abs(total - 1.0) <= 1e-6
+        assert ((frac.x > 0) & (frac.x <= 1 + 1e-7)).all()
+        assert ((frac.y >= -1e-7) & (frac.y <= 1 + 1e-7)).all()
+        cover = np.bincount(frac.client, weights=frac.x, minlength=inst.n)
+        assert np.abs(cover - 1.0).max() <= 1e-6
 
 
 def test_validate_point_flags_corruption(unit_square):
@@ -145,6 +135,34 @@ def test_dump_lp_smoke(unit_square):
     assert "Subject To" in text and "colorcap" in text and "Bounds" in text
     cover = [line for line in text.splitlines() if line.startswith(" cover_")]
     assert len(cover) == 4 and all(line.endswith(" = 1") for line in cover)
+
+
+def test_dump_lp_names_columns_by_position():
+    # ids 7 and 3 sit at positions 0 and 1; the text names columns by position
+    inst = make_instance([(0.0,), (1.0,)], ["r", "b"], k=1, alpha=0.5, ids=[7, 3])
+    text = build_polytope(inst, 1.0, [3]).dump_lp()
+    names = set(re.findall(r"\b[yxL]_[0-9_]+", text))
+    assert names == {"y_1", "x_1_0", "x_1_1", "L_1"}
+
+
+def test_check_feasible_slices_the_solver_point():
+    # restricted facilities and ids out of position order: the point is the
+    # solver vector's x support in column order, with y zero off the facility set
+    inst = make_instance(
+        [(0.0,), (0.0,), (1.0,), (1.0,)], ["r", "b", "r", "b"], k=2, alpha=0.5, ids=[7, 3, 9, 1]
+    )
+    sys = build_polytope(inst, 1.0, [9, 3])
+    vec = _solve_highs(sys)
+    frac = check_feasible(sys)
+    assert vec is not None and frac is not None
+    assert sys.facility_pos.tolist() == [1, 2]
+    x = vec[2 : 2 + sys.pair_client.size]
+    support = x > 1e-12
+    assert not support.all()  # the filter has something to drop
+    assert frac.facility.tolist() == sys.pair_facility[support].tolist()
+    assert frac.client.tolist() == sys.pair_client[support].tolist()
+    assert frac.x.tolist() == x[support].tolist()
+    assert frac.y.tolist() == [0.0, vec[0], vec[1], 0.0]
 
 
 def test_integral_optimum_lies_in_polytope():
@@ -165,15 +183,14 @@ def test_integral_optimum_lies_in_polytope():
             continue
         sys = build_polytope(inst, cost)
         clusters = sol.clusters()
-        nf = len(sys.facility_ids)
+        nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
         vec = np.zeros(sys.n_vars)
-        for c, fid in enumerate(sys.facility_ids):
-            vec[c] = float(fid in clusters)
-        for c, pair in enumerate(sys.pair_ids):
-            if sol.assign[pair[1]] == pair[0]:
+        for c, f in enumerate(sys.facility_pos.tolist()):
+            vec[c] = float(inst.id_at(f) in clusters)
+            vec[nf + n_pairs + c] = len(clusters.get(inst.id_at(f), ()))
+        for c, (f, j) in enumerate(zip(sys.pair_facility.tolist(), sys.pair_client.tolist())):
+            if sol.assign[inst.id_at(j)] == inst.id_at(f):
                 vec[nf + c] = 1.0
-        for c, fid in enumerate(sys.facility_ids):
-            vec[nf + len(sys.pair_ids) + c] = len(clusters.get(fid, ()))
         assert validate_point(sys, vec) == []
         checked += 1
     assert checked >= 20
@@ -193,13 +210,13 @@ def test_polytope_row_counts():
             inst.pos(j) for j in inst.ids() if j not in sys.uncovered_clients
         }
         load = by_family["load"]
-        assert load.relation == "==" and load.n_rows == len(sys.facility_ids)
+        assert load.relation == "==" and load.n_rows == sys.facility_pos.size
         cap = by_family["colorcap"]
         positive = np.zeros(cap.n_rows, dtype=bool)
         positive[cap.rows[cap.data > 0]] = True
         assert positive.all()
         # every x column sits in exactly one cap row
-        nf = len(sys.facility_ids)
+        nf = sys.facility_pos.size
         assert sorted(cap.cols[cap.data > 0].tolist()) == list(range(nf, sys.n_vars - nf))
 
 
@@ -212,14 +229,11 @@ def test_colorcap_rows_match_loop_reference():
         lam = rng.choice(candidate_radii(inst).values)
         restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
-        nf, n_pairs = len(sys.facility_ids), len(sys.pair_ids)
+        nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
         expected = []
-        for f, i in enumerate(sys.facility_ids):
-            members = [
-                (nf + c, inst.color_at(inst.pos(j)))
-                for c, (fac, j) in enumerate(sys.pair_ids)
-                if fac == i
-            ]
+        for f, i in enumerate(sys.facility_pos.tolist()):
+            pairs = zip(sys.pair_facility.tolist(), sys.pair_client.tolist())
+            members = [(nf + c, inst.color_at(j)) for c, (fac, j) in enumerate(pairs) if fac == i]
             for color in range(inst.n_colors):
                 if all(mc != color for _, mc in members):
                     continue
@@ -288,9 +302,10 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
     return LinearSystem(
         lam=lam,
         alpha=inst.alpha,
-        facility_ids=[inst.id_at(p) for p in fac_pos],
-        pair_ids=[(inst.id_at(fac_pos[f]), inst.id_at(j)) for f, j in pairs],
-        pair_facility=np.array([f for f, _ in pairs], dtype=int),
+        n_points=inst.n,
+        facility_pos=np.array(fac_pos, dtype=int),
+        pair_facility=np.array([fac_pos[f] for f, _ in pairs], dtype=int),
+        pair_client=np.array([j for _, j in pairs], dtype=int),
         pair_color=np.array([inst.color_at(j) for _, j in pairs], dtype=int),
         blocks=blocks,
         lower=np.zeros(n_vars),
@@ -332,7 +347,8 @@ def test_compact_system_matches_dense_reference():
             restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
         ref = _reference_build_polytope(inst, lam, restricted)
-        assert sys.facility_ids == ref.facility_ids and sys.pair_ids == ref.pair_ids
+        for name in ("facility_pos", "pair_facility", "pair_client", "pair_color"):
+            assert np.array_equal(getattr(sys, name), getattr(ref, name)), name
         assert sys.uncovered_clients == ref.uncovered_clients
         if sys.uncovered_clients:
             continue
@@ -355,7 +371,7 @@ def test_nonzeros_stay_linear_in_pairs():
         lam = rng.choice(candidate_radii(inst).values)
         restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
-        nf, n_pairs = len(sys.facility_ids), len(sys.pair_ids)
+        nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
         n_cap = next(b.n_rows for b in sys.blocks if b.family == "colorcap")
         nnz = sum(b.matrix(sys.n_vars).nnz for b in sys.blocks)
         assert nnz == 5 * n_pairs + n_cap + 4 * nf
@@ -365,21 +381,21 @@ def test_validate_point_flags_corrupted_load(unit_square):
     sys = build_polytope(unit_square, 1.0)
     vec = _solve_highs(sys)
     assert vec is not None and validate_point(sys, vec) == []
-    nf = len(sys.facility_ids)
+    nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
     opened = int(np.argmax(vec[:nf]))
-    vec[nf + len(sys.pair_ids) + opened] += 0.5  # L_i no longer equals its x mass
+    vec[nf + n_pairs + opened] += 0.5  # L_i no longer equals its x mass
     assert any(msg.startswith("load") for msg in validate_point(sys, vec))
-    vec[nf + len(sys.pair_ids) + opened] = -1.0  # below the load column's lower bound
+    vec[nf + n_pairs + opened] = -1.0  # below the load column's lower bound
     assert "variable bound violated" in validate_point(sys, vec)
 
 
 def test_validate_point_rechecks_caps_on_x(unit_square):
     # a point that meets the cap rows only through inflated loads still fails
     sys = build_polytope(unit_square, 1.0)
-    nf, n_pairs = len(sys.facility_ids), len(sys.pair_ids)
+    nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
     vec = np.zeros(sys.n_vars)
     vec[0] = 1.0
-    same_color = [c for c, (i, j) in enumerate(sys.pair_ids) if i == 0 and j in (0, 1)]
+    same_color = np.flatnonzero((sys.pair_facility == 0) & (sys.pair_client <= 1))
     vec[[nf + c for c in same_color]] = 1.0
     vec[nf + n_pairs] = 4.0
     problems = validate_point(sys, vec)

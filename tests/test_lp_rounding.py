@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 
+import pytest
+
 from cappedkc import (
-    FractionalSolution,
+    ContractViolation,
+    FacilityMap,
     Instance,
     Point,
     build_polytope,
@@ -18,8 +21,10 @@ from cappedkc import (
     select_separated_facilities,
     solution_cost,
 )
+from cappedkc.flow import build_assignment_network
+from cappedkc.lp_feasibility import _solve_highs
 from cappedkc.lp_rounding import validate_rerouted
-from conftest import line_instance, random_capped_instance
+from conftest import fractional_point, line_instance, pair_masses, random_capped_instance
 
 
 def test_select_all_when_far_apart():
@@ -57,24 +62,25 @@ def test_select_line_example():
 
 def test_reroute_identity_when_separated():
     inst = line_instance([0, 10], ["r", "b"], k=2, alpha=1.0)
-    frac = FractionalSolution(x={(0, 0): 1.0, (1, 1): 1.0}, y={0: 1.0, 1: 1.0})
+    frac = fractional_point(inst, x={(0, 0): 1.0, (1, 1): 1.0}, y={0: 1.0, 1: 1.0})
     fmap = select_separated_facilities(inst, 1.0)
-    merged = reroute_fractional(frac, fmap)
-    assert merged.x == frac.x
-    assert merged.y == {0: 1.0, 1: 1.0}
+    merged = reroute_fractional(inst, frac, fmap)
+    assert pair_masses(inst, merged) == {(0, 0): 1.0, (1, 1): 1.0}
+    assert merged.y.tolist() == [1.0, 1.0]
 
 
 def test_reroute_merges_coincident_columns():
     inst = make_instance([(0.0,), (0.0,), (0.0,)], ["r", "b", "g"], k=2, alpha=0.5)
-    frac = FractionalSolution(
+    frac = fractional_point(
+        inst,
         x={(0, 0): 1.0, (0, 1): 0.5, (1, 1): 0.5, (1, 2): 1.0},
         y={0: 0.5, 1: 0.5},
     )
     fmap = select_separated_facilities(inst, 0.25)
-    merged = reroute_fractional(frac, fmap)
+    merged = reroute_fractional(inst, frac, fmap)
     assert fmap.opened == (0,)
-    assert merged.y == {0: 1.0}
-    assert merged.x == {(0, 0): 1.0, (0, 1): 1.0, (0, 2): 1.0}
+    assert merged.y.tolist() == [1.0, 0.0, 0.0]
+    assert pair_masses(inst, merged) == {(0, 0): 1.0, (0, 1): 1.0, (0, 2): 1.0}
     validate_rerouted(inst, 0.25, merged)
 
 
@@ -89,7 +95,7 @@ def test_rerouted_point_keeps_color_caps():
             continue
         lam, frac = found
         fmap = select_separated_facilities(inst, lam)
-        merged = reroute_fractional(frac, fmap)
+        merged = reroute_fractional(inst, frac, fmap)
         validate_rerouted(inst, lam, merged)  # raises on any broken family
 
 
@@ -170,13 +176,122 @@ def test_multiplicative_bound_for_integer_inverse_alpha():
     assert checked >= 10
 
 
-def test_scan_order_variants_both_round():
-    rng = random.Random(404)
-    inst = random_capped_instance(rng, n=8, n_colors=2, k=2, alpha=0.5)
-    found = min_feasible_radius(inst, candidate_radii(inst))
-    assert found is not None
-    lam, _ = found
-    for order in ("index", "mass"):
-        sol = fair_k_center(inst, lam, scan_order=order)
-        assert sol is not None
-        assert solution_cost(inst, sol) <= 3 * lam + 1e-7
+def _reference_point(inst, sys, vec) -> dict:
+    """The solver vector's x support as {(facility id, client id): mass}, in column order."""
+    ids = inst.ids()
+    pairs = zip(sys.pair_facility.tolist(), sys.pair_client.tolist())
+    x = vec[sys.facility_pos.size : sys.facility_pos.size + sys.pair_client.size]
+    return {(ids[f], ids[j]): float(v) for (f, j), v in zip(pairs, x) if v > 1e-12}
+
+
+def _reference_reroute(x: dict, fmap) -> dict:
+    """The merge pair by pair on id-keyed dicts: the specification of reroute_fractional."""
+    x2: dict[tuple[int, int], float] = {}
+    for (i, j), v in x.items():
+        tgt = fmap.theta.get(i)
+        if tgt is None:
+            raise ContractViolation(f"facility {i} carries mass but is outside the map")
+        key = (tgt, j)
+        x2[key] = x2.get(key, 0.0) + v
+    return x2
+
+
+def _reroute_instance(rng: random.Random) -> Instance:
+    n = rng.randint(3, 12)
+    n_colors = rng.randint(2, 4)
+    kind = rng.choice(["uniform", "ties", "coincident"])
+    if kind == "uniform":
+        coords = [(rng.random(), rng.random()) for _ in range(n)]
+    elif kind == "ties":
+        coords = [(float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(n)]
+    else:
+        sites = [(rng.random(), rng.random()) for _ in range(rng.randint(1, 3))]
+        coords = [rng.choice(sites) for _ in range(n)]
+    colors = [j % n_colors for j in range(n)]
+    rng.shuffle(colors)
+    alpha = rng.choice([1 / 2, 1 / 3, 0.3, 0.4])
+    ids = rng.sample(range(1000), n)  # ids out of position order
+    return make_instance(coords, colors, k=rng.randint(1, 4), alpha=alpha, ids=ids)
+
+
+def test_reroute_matches_dict_reference():
+    rng = random.Random(89)
+    compared = reordered = summed = 0
+    for _ in range(300):
+        inst = _reroute_instance(rng)
+        radii = candidate_radii(inst).values
+        lam = rng.choice(radii[len(radii) // 2 :])
+        restricted = None
+        if rng.random() < 0.5:
+            restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
+        sys = build_polytope(inst, lam, restricted)
+        frac = check_feasible(sys)
+        if frac is None:
+            continue
+        order = None if restricted is None else sorted(restricted, key=inst.pos)
+        fmap = select_separated_facilities(inst, lam, order)
+        point = _reference_point(inst, sys, _solve_highs(sys))
+        expected = _reference_reroute(point, fmap)
+        merged = reroute_fractional(inst, frac, fmap)
+        # same pairs in the same order, and the same bits in every mass
+        got = [(i, j, v.hex()) for (i, j), v in pair_masses(inst, merged).items()]
+        assert got == [(i, j, v.hex()) for (i, j), v in expected.items()]
+        assert merged.y.tolist() == [float(i in fmap.opened) for i in inst.ids()]
+
+        net = build_assignment_network(inst, merged, fmap.opened)
+        ref = fractional_point(inst, expected, {i: 1.0 for i in fmap.opened})
+        ref_net = build_assignment_network(inst, ref, fmap.opened)
+        for name in ("tail", "head", "lower", "cap", "point"):
+            assert np.array_equal(getattr(net, name), getattr(ref_net, name)), name
+        compared += 1
+        by_position = sorted(expected, key=lambda p: (inst.pos(p[0]), inst.pos(p[1])))
+        reordered += list(expected) != by_position
+        summed += len(expected) < len(point)
+    # many merged points add up several pairs, and list their pairs in an
+    # order other than sorted positions
+    assert compared >= 120 and reordered >= 50 and summed >= 25
+
+
+def test_reroute_keeps_first_appearance_order_and_pair_order_sums():
+    # four coincident points merge onto facility 5 at lam = 0; client 8's
+    # masses give 1.0 when added in pair order and 0.9999999999999999 backwards
+    inst = make_instance([(0.0,)] * 4, ["r", "b", "r", "b"], k=1, alpha=0.5, ids=[5, 6, 7, 8])
+    x = {(6, 8): 0.1, (7, 8): 0.2, (5, 7): 1.0, (5, 8): 0.7, (6, 5): 1.0, (7, 6): 1.0}
+    fmap = select_separated_facilities(inst, 0.0)
+    assert fmap.opened == (5,)
+    merged = reroute_fractional(inst, fractional_point(inst, x, {5: 0.4, 6: 0.3, 7: 0.3}), fmap)
+    expected = _reference_reroute(x, fmap)
+    assert list(expected) == [(5, 8), (5, 7), (5, 5), (5, 6)]
+    assert expected[(5, 8)] == 1.0
+    assert list(pair_masses(inst, merged).items()) == list(expected.items())
+    with pytest.raises(ContractViolation, match="facility 6 carries mass"):
+        reroute_fractional(inst, fractional_point(inst, x, {}), FacilityMap((5,), {5: 5}, 0.0))
+
+
+def _two_sites_point():
+    """A rerouted point on sites 10 apart: facilities 0, 2 and 4 each serve one r/b pair."""
+    inst = make_instance(
+        [(0.0,)] * 4 + [(10.0,)] * 2, ["r", "b", "r", "b", "r", "b"], k=3, alpha=0.5
+    )
+    x = {(0, 0): 1.0, (0, 1): 1.0, (2, 2): 1.0, (2, 3): 1.0, (4, 4): 1.0, (4, 5): 1.0}
+    return inst, x, {0: 1.0, 2: 1.0, 4: 1.0}
+
+
+def test_validate_rerouted_flags_each_family():
+    inst, x, y = _two_sites_point()
+    lam = 3.3  # 3 * lam = 9.9, just short of the distance between the sites
+    validate_rerouted(inst, lam, fractional_point(inst, x, y))
+    far = {**{p: v for p, v in x.items() if p[0] != 4}, (0, 4): 1.0, (0, 5): 1.0}
+    validate_rerouted(inst, 3.4, fractional_point(inst, far, y))  # 3 * 3.4 = 10.2
+    swapped = {p: v for p, v in x.items() if p not in ((0, 1), (2, 2))}
+    corrupt = [
+        ("outside", {**x, (0, 0): 1.5}, y),
+        ("outside", {**x, (0, 1): -0.5}, y),
+        ("farther than 3", far, y),
+        ("coverage", {**x, (4, 5): 0.5}, y),
+        ("color cap", {**swapped, (0, 2): 1.0, (2, 1): 1.0}, y),
+        ("more than k", x, {**y, 1: 1.0}),
+    ]
+    for message, bad_x, bad_y in corrupt:
+        with pytest.raises(ContractViolation, match=message):
+            validate_rerouted(inst, lam, fractional_point(inst, bad_x, bad_y))
