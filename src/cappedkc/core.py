@@ -32,24 +32,6 @@ class Point:
     color: int
 
 
-@dataclass(frozen=True)
-class RadiusGrid:
-    """Sorted candidate values for the optimal radius."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.values, self.values[1:]):
-            if not a < b:
-                raise InputError("radius grid must be strictly increasing")
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-
 @dataclass
 class ClusteringSolution:
     """Opened centers plus a total assignment of every point to one of them."""
@@ -274,14 +256,14 @@ def check_capped(inst: Instance, sol: ClusteringSolution, alpha: float | None = 
     return bool((peaks <= alpha * sizes + CAP_TOL).all())
 
 
-def candidate_radii(inst: Instance) -> RadiusGrid:
-    """All distinct pairwise distances, with 0 always included."""
+def candidate_radii(inst: Instance) -> list[float]:
+    """All distinct pairwise distances in increasing order, with 0 always included."""
     dm = inst.pairwise()
     iu = np.triu_indices(inst.n, k=1)
     vals = np.unique(dm[iu]) if iu[0].size else np.array([])
     if vals.size == 0 or vals[0] > 0.0:
         vals = np.concatenate(([0.0], vals))
-    return RadiusGrid(tuple(float(v) for v in vals))
+    return vals.tolist()
 
 
 def nearest_assignment(inst: Instance, centers: Sequence[int]) -> ClusteringSolution:

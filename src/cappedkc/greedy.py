@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -11,17 +10,8 @@ import numpy as np
 from .core import ClusteringSolution, InputError, Instance, nearest_assignment, solution_cost
 
 
-@dataclass(frozen=True)
-class GreedyConfig:
-    """Pins the otherwise-arbitrary first-center choice so runs are reproducible."""
-
-    first_center_rule: str = "lowest_index"  # or "seeded"
-    seed: int = 0
-
-
 def greedy_k_center(
     inst: Instance,
-    cfg: GreedyConfig = GreedyConfig(),
     k: int | None = None,
     subset: Sequence[int] | None = None,
 ) -> tuple[ClusteringSolution, float]:
@@ -29,9 +19,10 @@ def greedy_k_center(
 
     `k` overrides inst.k and `subset` restricts both clients and candidate
     centers to the given point ids (used for coresets and caplet
-    representatives).  Ties in the farthest-client argmax break to the lowest
-    position; points already chosen as centers are skipped so exactly
-    min(k, n) distinct centers come back.
+    representatives).  The first center is the lowest position; ties in the
+    farthest-client argmax break to the lowest position, and points already
+    chosen as centers are skipped, so exactly min(k, n) distinct centers come
+    back.
     """
     target_k = inst.k if k is None else k
     if target_k < 1:
@@ -45,17 +36,10 @@ def greedy_k_center(
     pos_arr = np.array(pos_list, dtype=int)
     target_k = min(target_k, len(pos_list))
 
-    if cfg.first_center_rule == "lowest_index":
-        first = pos_list[0]
-    elif cfg.first_center_rule == "seeded":
-        first = pos_list[random.Random(cfg.seed).randrange(len(pos_list))]
-    else:
-        raise InputError(f"unknown first_center_rule {cfg.first_center_rule!r}")
-
-    centers = [first]
-    min_dist = inst.dist_row(first)[pos_arr].copy()
+    centers = [pos_list[0]]
+    min_dist = inst.dist_row(pos_list[0])[pos_arr].copy()
     chosen = np.zeros(len(pos_list), dtype=bool)
-    chosen[pos_list.index(first)] = True
+    chosen[0] = True
     while len(centers) < target_k:
         masked = np.where(chosen, -np.inf, min_dist)
         nxt = int(masked.argmax())  # argmax takes the lowest position on ties

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .core import (
     candidate_radii,
 )
 from .greedy import greedy_k_center
-from .matching import SimpleGraph, max_matching
+from .matching import max_matching, sorted_adjacency
 
 ACCEPT_TOL = 1e-9
 
@@ -32,13 +31,6 @@ class Caplet:
             raise InputError("caplets have two or three members")
 
 
-@dataclass(frozen=True)
-class CapletDecomposition:
-    """A partition of one component into edge caplets plus at most one triangle."""
-
-    caplets: tuple[Caplet, ...]
-
-
 def _colored_pairs(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Position pairs a < b of differently-colored points, with their distances."""
     a, b = np.triu_indices(inst.n, k=1)
@@ -48,58 +40,50 @@ def _colored_pairs(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, inst.pairwise()[a, b]
 
 
+def _triangles(adj: list[list[int]]) -> Iterator[tuple[int, int, int]]:
+    """Every triangle a < b < c of the graph, in lexicographic order."""
+    for a, nbrs in enumerate(adj):
+        higher = [b for b in nbrs if b > a]
+        for i, b in enumerate(higher):
+            b_nbrs = set(adj[b])
+            for c in higher[i + 1 :]:
+                if c in b_nbrs:
+                    yield a, b, c
+
+
 def caplet_decompose(
-    nodes: Sequence[int],
-    colors: Mapping[int, int],
-    edges: Iterable[tuple[int, int]],
-) -> CapletDecomposition | None:
+    nodes: Sequence[int], u: np.ndarray, v: np.ndarray
+) -> tuple[Caplet, ...] | None:
     """Partition a component into distinct-color pairs plus at most one triangle.
 
-    Even components are one perfect-matching attempt.  Odd components try
-    each pairwise-adjacent triangle in lexicographic node order, then a
-    perfect matching on the rest; the first success wins.  Returns None when
-    no decomposition exists (in particular for singletons).
+    `nodes` are the component's point ids in ascending order, and the edges
+    join nodes[u[e]] and nodes[v[e]]; each pair appears once.  Every edge
+    must join two different colors, as the pairs of `_colored_pairs` do, so
+    the caplets need no color check.  Even components are one
+    perfect-matching attempt.  Odd components try each triangle in
+    lexicographic node order, then a perfect matching on the rest; the first
+    success wins.  Returns the caplets sorted by members, or None when no
+    decomposition exists (in particular for singletons).
     """
-    nodes = sorted(nodes)
     m = len(nodes)
-    local = {v: i for i, v in enumerate(nodes)}
-    node_set = set(nodes)
-    local_edges = set()
-    for a, b in edges:
-        if a in node_set and b in node_set and colors[a] != colors[b]:
-            la, lb = local[a], local[b]
-            local_edges.add((min(la, lb), max(la, lb)))
-
-    def matching_on(keep: list[int]) -> list[tuple[int, int]] | None:
-        sub = {v: i for i, v in enumerate(keep)}
-        g = SimpleGraph.from_edges(
-            len(keep),
-            [(sub[a], sub[b]) for a, b in local_edges if a in sub and b in sub],
-        )
-        matched = max_matching(g)
-        if len(matched) * 2 != len(keep):
-            return None
-        return [(keep[a], keep[b]) for a, b in matched]
-
     if m < 2:
         return None
+    adj = sorted_adjacency(m, u, v)
 
     if m % 2 == 0:
-        pairs = matching_on(list(range(m)))
-        if pairs is None:
+        pairs = max_matching(adj)
+        if len(pairs) * 2 != m:
             return None
-        caplets = [Caplet((nodes[a], nodes[b])) for a, b in sorted(pairs)]
-        return CapletDecomposition(tuple(caplets))
+        return tuple(Caplet((nodes[a], nodes[b])) for a, b in sorted(pairs))
 
     # odd: one triangle is forced; any triangle of the graph has 3 distinct colors
-    for tri in combinations(range(m), 3):
-        a, b, c = tri
-        if (a, b) in local_edges and (a, c) in local_edges and (b, c) in local_edges:
-            pairs = matching_on([v for v in range(m) if v not in tri])
-            if pairs is not None:
-                caplets = [Caplet((nodes[a], nodes[b], nodes[c]))]
-                caplets += [Caplet((nodes[p], nodes[q])) for p, q in sorted(pairs)]
-                return CapletDecomposition(tuple(sorted(caplets, key=lambda k: k.members)))
+    for tri in _triangles(adj):
+        rest = [[] if a in tri else [b for b in nbrs if b not in tri] for a, nbrs in enumerate(adj)]
+        pairs = max_matching(rest)
+        if len(pairs) * 2 == m - 3:
+            caplets = [Caplet(tuple(nodes[a] for a in tri))]
+            caplets += [Caplet((nodes[a], nodes[b])) for a, b in pairs]
+            return tuple(sorted(caplets, key=lambda cap: cap.members))
     return None
 
 
@@ -109,7 +93,7 @@ def _decompose_components(
     label: np.ndarray,
     pa: np.ndarray,
     pb: np.ndarray,
-    decomposed: dict[tuple[int, ...], tuple[int, CapletDecomposition | None]],
+    decomposed: dict[tuple[int, ...], tuple[int, tuple[Caplet, ...] | None]],
 ) -> list[Caplet] | None:
     """Caplets of every component in order, or None once one has no decomposition.
 
@@ -120,26 +104,24 @@ def _decompose_components(
     lam, so an equal count means an equal edge set and the entry is reused.
     """
     ids = np.array(inst.ids())
-    colors = inst.colors()
     wide_label = label[pa]
     inside = wide_label == label[pb]
     wide_count = np.bincount(wide_label[inside], minlength=inst.n)
+    rank = np.empty(inst.n, dtype=np.int64)  # each position's index among its component's ids
     caplets: list[Caplet] = []
     for comp in comps:
         count = int(wide_count[comp[0]])
         cached = decomposed.get(comp)
         if cached is None or cached[0] != count:
-            members = ids[list(comp)].tolist()
+            members = np.array(comp)
+            by_id = members[np.argsort(ids[members])]
+            rank[by_id] = np.arange(by_id.size)
             edge = np.flatnonzero(inside & (wide_label == comp[0]))
-            dec = caplet_decompose(
-                members,
-                dict(zip(members, colors[list(comp)].tolist())),
-                list(zip(ids[pa[edge]].tolist(), ids[pb[edge]].tolist())),
-            )
+            dec = caplet_decompose(ids[by_id].tolist(), rank[pa[edge]], rank[pb[edge]])
             cached = decomposed[comp] = (count, dec)
         if cached[1] is None:
             return None
-        caplets.extend(cached[1].caplets)
+        caplets.extend(cached[1])
     return caplets
 
 
@@ -177,7 +159,7 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
     label = np.arange(inst.n)  # smallest member of each point's 2*lam component
     comps: list[tuple[int, ...]] = []
     n_near = n_wide = 0
-    decomposed: dict[tuple[int, ...], tuple[int, CapletDecomposition | None]] = {}
+    decomposed: dict[tuple[int, ...], tuple[int, tuple[Caplet, ...] | None]] = {}
     last_reps: tuple[int, ...] | None = None
 
     for lam in candidate_radii(inst):

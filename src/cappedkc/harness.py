@@ -21,7 +21,7 @@ from .core import (
     make_instance,
     solution_cost,
 )
-from .greedy import GreedyConfig, greedy_k_center, lloyd_kcenter_round, random_baseline
+from .greedy import greedy_k_center, lloyd_kcenter_round, random_baseline
 from .halfcap import non_dominant_k_center
 from .lp_rounding import fair_k_center
 
@@ -111,8 +111,8 @@ def faster_algorithm(inst: Instance, cfg: RunConfig, return_info: bool = False):
         raise InputError("faster_algorithm drives the lp route")
     work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
     lam_anchor = float(work.dist_row(0).max())
-    _, lam_greedy = greedy_k_center(work, GreedyConfig(), k=cfg.k)
-    coreset_sol, _ = greedy_k_center(work, GreedyConfig(), k=cfg.m * cfg.k)
+    _, lam_greedy = greedy_k_center(work, k=cfg.k)
+    coreset_sol, _ = greedy_k_center(work, k=cfg.m * cfg.k)
     coreset = sorted(coreset_sol.centers, key=work.pos)
 
     grid = lambda_grid(work, lam_greedy, lam_anchor, cfg.epsilon)
@@ -212,7 +212,7 @@ def make_balanced_instance(
 
 def greedy_gold(inst: Instance) -> tuple[ClusteringSolution, float]:
     """The gold-standard baseline: greedy centers refined by one Lloyd round."""
-    sol, _ = greedy_k_center(inst, GreedyConfig())
+    sol, _ = greedy_k_center(inst)
     refined = lloyd_kcenter_round(inst, sol)
     return refined, solution_cost(inst, refined)
 

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .core import InputError, Instance, RadiusGrid, ceil_inv_alpha
+from .core import InputError, Instance, ceil_inv_alpha
 
 ROW_TOL = 1e-7
 RADIUS_SLACK = 1e-12  # pairs with d <= lambda*(1+slack) get a variable
@@ -324,13 +324,13 @@ def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
 
 
 def min_feasible_radius(
-    inst: Instance, grid: RadiusGrid, restricted: Sequence[int] | None = None
+    inst: Instance, radii: Sequence[float], restricted: Sequence[int] | None = None
 ) -> tuple[float, FractionalSolution] | None:
-    """Smallest grid radius whose polytope is non-empty, with a point in it.
+    """First of the ascending `radii` whose polytope is non-empty, with a point in it.
 
-    Walks the grid in ascending order, so the cheap infeasible solves come first.
+    Walks the radii in order, so the cheap infeasible solves come first.
     """
-    for lam in grid:
+    for lam in radii:
         frac = check_feasible(build_polytope(inst, lam, restricted))
         if frac is not None:
             return lam, frac

@@ -82,8 +82,8 @@ def reroute_fractional(
 def validate_rerouted(inst: Instance, lam: float, frac: FractionalSolution, tol: float = SEP_TOL):
     """Check the rerouted point against the radius-3*lam polytope families.
 
-    Verifies x in [0, 1], support radius, unit coverage, color caps, and the
-    opening budget.  The minimum-load family is deliberately not enforced:
+    Verifies x in [0, 1], x <= y, support radius, unit coverage, color caps,
+    and the opening budget.  The minimum-load family is deliberately not enforced:
     merging columns onto a maximal separated subset can leave an opened
     facility with less than ceil(1/alpha) mass, and nothing downstream
     relies on it.
@@ -94,6 +94,13 @@ def validate_rerouted(inst: Instance, lam: float, frac: FractionalSolution, tol:
         p = bad[0]
         raise ContractViolation(
             f"x[{inst.id_at(fac[p])},{inst.id_at(client[p])}]={x[p]} outside [0,1]"
+        )
+    bad = np.flatnonzero(x > frac.y[fac] + tol)
+    if bad.size:
+        p = bad[0]
+        raise ContractViolation(
+            f"x[{inst.id_at(fac[p])},{inst.id_at(client[p])}]={x[p]} exceeds "
+            f"the opening y={frac.y[fac[p]]}"
         )
     for i in np.unique(fac).tolist():
         mine = client[fac == i]

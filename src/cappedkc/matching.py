@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import InputError
 
@@ -28,22 +30,37 @@ class SimpleGraph:
         return SimpleGraph(n, frozenset(norm))
 
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return [sorted(nb) for nb in adj]
+        u, v = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T
+        return sorted_adjacency(self.n, u, v)
 
 
-def max_matching(g: SimpleGraph) -> set[tuple[int, int]]:
+def sorted_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> list[list[int]]:
+    """Each node's neighbors in ascending order, from edge endpoint arrays.
+
+    The edges (u[e], v[e]) must be distinct, with no self-loops.
+    """
+    src = np.concatenate((u, v))
+    dst = np.concatenate((v, u))
+    flat = dst[np.lexsort((dst, src))].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def max_matching(adj: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
     """Maximum-cardinality matching; odd cycles are handled by blossom contraction.
+
+    `adj[v]` lists v's neighbors in ascending order, symmetrically and
+    without self-loops, as `SimpleGraph.adjacency` and `sorted_adjacency`
+    give them.  Roots and neighbors are visited in node order, so a node
+    with an empty list changes nothing for the others: emptying some nodes'
+    lists, and removing them from their neighbors' lists, gives the matching
+    of the graph with those nodes deleted, in the same node numbering.
 
     O(n^3)-style implementation: repeatedly grow an alternating BFS forest
     from each exposed node, contracting blossoms in-place via a base[] array,
     and augment when an exposed node is reached.
     """
-    n = g.n
-    adj = g.adjacency()
+    n = len(adj)
     match = [-1] * n
 
     def lca(a: int, b: int, base: list[int], parent: list[int]) -> int:
@@ -120,4 +137,4 @@ def has_perfect_matching(g: SimpleGraph) -> bool:
     """True iff the graph has even order and a matching covering every node."""
     if g.n % 2 != 0:
         return False
-    return len(max_matching(g)) == g.n // 2
+    return len(max_matching(g.adjacency())) == g.n // 2

@@ -140,12 +140,12 @@ def test_check_capped_monotone_in_alpha(n, alpha, bump, seed):
 
 def test_candidate_radii_collinear():
     inst = line_instance([0, 1, 3])
-    assert candidate_radii(inst).values == (0.0, 1.0, 2.0, 3.0)
+    assert candidate_radii(inst) == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_candidate_radii_single_point():
     inst = line_instance([4.2])
-    assert candidate_radii(inst).values == (0.0,)
+    assert candidate_radii(inst) == [0.0]
 
 
 def test_candidate_radii_count_bound():
@@ -157,7 +157,9 @@ def test_candidate_radii_count_bound():
         )
         grid = candidate_radii(inst)
         assert len(grid) <= n * (n - 1) // 2 + 1
-        assert grid.values[0] == 0.0
+        assert grid[0] == 0.0
+        assert all(type(r) is float for r in grid)
+        assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def test_cost_never_improves_when_center_removed():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cappedkc import (
-    GreedyConfig,
     InputError,
     Instance,
     greedy_k_center,
@@ -40,17 +39,6 @@ def test_greedy_duplicate_points_center_count():
     inst = line_instance([0, 0, 0, 5], k=3)
     sol, _ = greedy_k_center(inst)
     assert len(sol.centers) == 3
-
-
-def test_greedy_deterministic_seeded_rule():
-    rng = random.Random(5)
-    inst = make_instance(
-        [(rng.random(), rng.random()) for _ in range(12)], [0] * 12, k=3, alpha=1.0
-    )
-    cfg = GreedyConfig(first_center_rule="seeded", seed=42)
-    a, ca = greedy_k_center(inst, cfg)
-    b, cb = greedy_k_center(inst, cfg)
-    assert a.centers == b.centers and ca == cb
 
 
 def test_greedy_centers_spread_beyond_cost():

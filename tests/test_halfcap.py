@@ -11,12 +11,14 @@ from cappedkc import (
     InputError,
     Instance,
     Point,
+    SimpleGraph,
     candidate_radii,
     caplet_decompose,
     check_capped,
     greedy_k_center,
     make_balanced_instance,
     make_instance,
+    max_matching,
     non_dominant_k_center,
     solution_cost,
 )
@@ -63,26 +65,31 @@ def test_caplet_size_validation():
         Caplet((1, 2, 3, 4))
 
 
+def _local(nodes, edges):
+    """caplet_decompose's arguments for id edges: sorted ids and local endpoint arrays."""
+    nodes = sorted(nodes)
+    rank = {v: i for i, v in enumerate(nodes)}
+    u = np.array([rank[a] for a, _ in edges], dtype=np.int64)
+    v = np.array([rank[b] for _, b in edges], dtype=np.int64)
+    return nodes, u, v
+
+
 def test_decompose_edge_pair():
-    dec = caplet_decompose([4, 9], {4: 0, 9: 1}, [(4, 9)])
-    assert dec is not None
-    assert dec.caplets == (Caplet((4, 9)),)
+    assert caplet_decompose(*_local([4, 9], [(4, 9)])) == (Caplet((4, 9)),)
 
 
 def test_decompose_two_colors_odd_fails():
-    dec = caplet_decompose([0, 1, 2], {0: 0, 1: 0, 2: 1}, [(0, 2), (1, 2)])
-    assert dec is None
+    # colors 0, 0, 1: only the edges to node 2 join different colors
+    assert caplet_decompose(*_local([0, 1, 2], [(0, 2), (1, 2)])) is None
 
 
 def test_decompose_triangle():
     edges = [(0, 1), (0, 2), (1, 2)]
-    dec = caplet_decompose([0, 1, 2], {0: 0, 1: 1, 2: 2}, edges)
-    assert dec is not None
-    assert dec.caplets == (Caplet((0, 1, 2)),)
+    assert caplet_decompose(*_local([0, 1, 2], edges)) == (Caplet((0, 1, 2)),)
 
 
 def test_decompose_singleton_none():
-    assert caplet_decompose([3], {3: 0}, []) is None
+    assert caplet_decompose(*_local([3], [])) is None
 
 
 def test_unit_square_pairs(unit_square):
@@ -164,6 +171,54 @@ def _reference_components(n, edges):
     return [[v for v in range(n) if label[v] == r] for r in sorted(set(label))]
 
 
+def _reference_caplet_decompose(nodes, colors, edges):
+    """The decomposition with a renumbered graph per triangle: the specification.
+
+    Returns the caplets, or None.
+    """
+    nodes = sorted(nodes)
+    m = len(nodes)
+    local = {v: i for i, v in enumerate(nodes)}
+    node_set = set(nodes)
+    local_edges = set()
+    for a, b in edges:
+        if a in node_set and b in node_set and colors[a] != colors[b]:
+            la, lb = local[a], local[b]
+            local_edges.add((min(la, lb), max(la, lb)))
+
+    def matching_on(keep: list[int]) -> list[tuple[int, int]] | None:
+        sub = {v: i for i, v in enumerate(keep)}
+        g = SimpleGraph.from_edges(
+            len(keep),
+            [(sub[a], sub[b]) for a, b in local_edges if a in sub and b in sub],
+        )
+        matched = max_matching(g.adjacency())
+        if len(matched) * 2 != len(keep):
+            return None
+        return [(keep[a], keep[b]) for a, b in matched]
+
+    if m < 2:
+        return None
+
+    if m % 2 == 0:
+        pairs = matching_on(list(range(m)))
+        if pairs is None:
+            return None
+        caplets = [Caplet((nodes[a], nodes[b])) for a, b in sorted(pairs)]
+        return tuple(caplets)
+
+    # odd: one triangle is forced; any triangle of the graph has 3 distinct colors
+    for tri in combinations(range(m), 3):
+        a, b, c = tri
+        if (a, b) in local_edges and (a, c) in local_edges and (b, c) in local_edges:
+            pairs = matching_on([v for v in range(m) if v not in tri])
+            if pairs is not None:
+                caplets = [Caplet((nodes[a], nodes[b], nodes[c]))]
+                caplets += [Caplet((nodes[p], nodes[q])) for p, q in sorted(pairs)]
+                return tuple(sorted(caplets, key=lambda k: k.members))
+    return None
+
+
 def _reference_non_dominant_k_center(inst):
     """The scan that recomputes everything at every radius: the specification."""
     dm = inst.pairwise()
@@ -182,11 +237,11 @@ def _reference_non_dominant_k_center(inst):
                 for a, b in combinations(comp, 2)
                 if colors_arr[a] != colors_arr[b] and dm[a, b] <= 10.0 * lam
             ]
-            dec = caplet_decompose(ids, colors, wide_edges)
+            dec = _reference_caplet_decompose(ids, colors, wide_edges)
             if dec is None:
                 feasible = False
                 break
-            caplets.extend(dec.caplets)
+            caplets.extend(dec)
         if not feasible:
             continue
         reps = sorted({min(c.members, key=inst.pos) for c in caplets}, key=inst.pos)
@@ -200,6 +255,57 @@ def _reference_non_dominant_k_center(inst):
                 assign[j] = center
         return ClusteringSolution(gsol.centers, assign), lam, tuple(caplets), gcost
     raise InfeasibleInstance("no radius admits a caplet decomposition with a greedy cover")
+
+
+def _colored_graph(rng: random.Random):
+    """Ids out of order, a color per id, and differently-colored id edges in random order."""
+    m = rng.randint(1, 15)
+    n_colors = rng.choice([2, 2, 3, 4])
+    if rng.random() < 0.5:
+        colors = [i % n_colors for i in range(m)]
+        rng.shuffle(colors)
+    else:
+        colors = [rng.randrange(n_colors) for _ in range(m)]
+    ids = rng.sample(range(1000), m)
+    p = rng.choice([0.2, 0.4, 0.6, 0.9])
+    edges = [
+        (ids[b], ids[a]) if rng.random() < 0.5 else (ids[a], ids[b])
+        for a, b in combinations(range(m), 2)
+        if colors[a] != colors[b] and rng.random() < p
+    ]
+    if m > 1 and rng.random() < 0.3:
+        # a leaf on the smallest id: every triangle through that id fails
+        low = colors[ids.index(min(ids))]
+        ids.append(1000)
+        colors.append(rng.choice([c for c in range(n_colors) if c != low]))
+        edges.append((min(ids), 1000))
+    rng.shuffle(edges)
+    return ids, dict(zip(ids, colors)), edges
+
+
+def test_decompose_matches_reference_on_random_graphs():
+    rng = random.Random(77)
+    tally = {"solved": 0, "triangle": 0, "later_triangle": 0, "odd_two_color": 0}
+    for _ in range(600):
+        ids, colors, edges = _colored_graph(rng)
+        expected = _reference_caplet_decompose(ids, colors, edges)
+        assert caplet_decompose(*_local(ids, edges)) == expected
+        tally["solved"] += expected is not None
+        if len(ids) % 2 and len(set(colors.values())) == 2:
+            tally["odd_two_color"] += 1
+        tri = [c.members for c in expected or () if len(c.members) == 3]
+        if tri:
+            tally["triangle"] += 1
+            edge_set = {frozenset(e) for e in edges}
+            first = next(
+                t for t in combinations(sorted(ids), 3)
+                if all(frozenset(p) in edge_set for p in combinations(t, 2))
+            )
+            tally["later_triangle"] += tri[0] != first
+    assert tally["solved"] >= 150
+    assert tally["triangle"] >= 40
+    assert tally["later_triangle"] >= 10
+    assert tally["odd_two_color"] >= 100
 
 
 def _scan_outcome(fn, inst):
@@ -259,7 +365,7 @@ def test_scan_matches_reference_on_random_instances():
         assert _scan_outcome(_new_scan, inst) == expected
         solved += expected is not None
         # the scan's differently-colored pairs within tau are the reference edges
-        tau = rng.choice(candidate_radii(inst).values)
+        tau = rng.choice(candidate_radii(inst))
         a, b, d = halfcap._colored_pairs(inst)
         near = d <= tau
         assert sorted(zip(a[near].tolist(), b[near].tolist())) == _reference_threshold_edges(inst, tau)
@@ -280,10 +386,10 @@ def test_scan_matches_reference_on_criterion_7_instance():
 def test_scan_never_repeats_a_decomposition(monkeypatch):
     seen = []
 
-    def recording(nodes, colors, edges):
-        edges = list(edges)
-        seen.append((tuple(sorted(nodes)), frozenset((min(e), max(e)) for e in edges)))
-        return caplet_decompose(nodes, colors, edges)
+    def recording(nodes, u, v):
+        edges = zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist())
+        seen.append((tuple(nodes), frozenset(edges)))
+        return caplet_decompose(nodes, u, v)
 
     monkeypatch.setattr(halfcap, "caplet_decompose", recording)
     non_dominant_k_center(_criterion_7_instance())

@@ -8,7 +8,6 @@ import scipy.optimize
 
 from cappedkc import (
     InfeasibleInstance,
-    RadiusGrid,
     SolverError,
     brute_force_capped_opt,
     build_polytope,
@@ -67,7 +66,7 @@ def test_unit_square_feasibility_threshold(unit_square):
 
 
 def test_min_feasible_radius_scan(unit_square):
-    got = min_feasible_radius(unit_square, RadiusGrid((0.5, 1.0, 2.0)))
+    got = min_feasible_radius(unit_square, (0.5, 1.0, 2.0))
     assert got is not None
     lam, frac = got
     assert lam == 1.0
@@ -99,7 +98,7 @@ def test_feasible_implies_aggregate_color_bound():
         inst = make_instance(
             [(rng.random(),) for _ in range(n)], colors, k=2, alpha=rng.choice([0.5, 0.6])
         )
-        lam = max(candidate_radii(inst).values)
+        lam = max(candidate_radii(inst))
         if check_feasible(build_polytope(inst, lam)) is not None:
             for c in range(inst.n_colors):
                 count = sum(1 for p in inst.points if p.color == c)
@@ -111,7 +110,7 @@ def test_returned_points_satisfy_every_row():
     rng = random.Random(57)
     for _ in range(10):
         inst = random_capped_instance(rng, n=6, n_colors=3, k=2, alpha=0.5)
-        lam = max(candidate_radii(inst).values)
+        lam = max(candidate_radii(inst))
         frac = check_feasible(build_polytope(inst, lam))
         if frac is None:
             continue
@@ -200,7 +199,7 @@ def test_polytope_row_counts():
     rng = random.Random(67)
     for _ in range(20):
         inst = random_capped_instance(rng, n=rng.randint(3, 9), n_colors=3, k=2, alpha=0.5)
-        lam = rng.choice(candidate_radii(inst).values)
+        lam = rng.choice(candidate_radii(inst))
         sys = build_polytope(inst, lam)
         by_family = {b.family: b for b in sys.blocks}
         assert list(by_family) == ["cover", "open", "load", "colorcap", "minload", "budget"]
@@ -226,7 +225,7 @@ def test_colorcap_rows_match_loop_reference():
         inst = random_capped_instance(
             rng, n=rng.randint(3, 8), n_colors=3, k=2, alpha=rng.choice([0.5, 1 / 3])
         )
-        lam = rng.choice(candidate_radii(inst).values)
+        lam = rng.choice(candidate_radii(inst))
         restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
         nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
@@ -339,7 +338,7 @@ def test_compact_system_matches_dense_reference():
     verdicts = {True: 0, False: 0}
     for _ in range(300):
         inst = _equivalence_instance(rng)
-        radii = candidate_radii(inst).values
+        radii = candidate_radii(inst)
         # the upper half of the radii, where most feasible systems lie, half the time
         lam = rng.choice(radii[len(radii) // 2 :] if rng.random() < 0.5 else radii)
         restricted = None
@@ -368,7 +367,7 @@ def test_nonzeros_stay_linear_in_pairs():
         inst = random_capped_instance(
             rng, n=rng.randint(3, 12), n_colors=rng.randint(2, 4), k=2, alpha=0.3
         )
-        lam = rng.choice(candidate_radii(inst).values)
+        lam = rng.choice(candidate_radii(inst))
         restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
         nf, n_pairs = sys.facility_pos.size, sys.pair_client.size

@@ -111,6 +111,18 @@ def test_fair_k_center_infeasible_colors():
     assert fair_k_center(inst, 5.0) is None
 
 
+def test_fair_k_center_rejects_a_separated_set_larger_than_k():
+    # the radius slack admits the middle facility for both ends, but the ends
+    # are more than 2*lam apart, so separation opens two facilities for k = 1
+    inst = make_instance([(0.0,), (1 + 5e-13,), (2 + 1e-12,)], [0, 0, 0], k=1, alpha=1.0)
+    dm = np.array([[0, 1, 10], [1, 0, 1], [10, 1, 0]], dtype=float)
+    not_metric = Instance([Point(p, (), 0) for p in range(3)], k=1, alpha=1.0, dist_matrix=dm)
+    for case in (inst, not_metric):
+        assert check_feasible(build_polytope(case, 1.0)) is not None
+        assert select_separated_facilities(case, 1.0).opened == (0, 2)
+        assert fair_k_center(case, 1.0) is None
+
+
 def test_fair_k_center_coincident_balanced_zero_radius():
     inst = make_instance([(0.0,)] * 4, ["r", "b", "r", "b"], k=2, alpha=0.5)
     sol = fair_k_center(inst, 0.0, validate=True)
@@ -219,7 +231,7 @@ def test_reroute_matches_dict_reference():
     compared = reordered = summed = 0
     for _ in range(300):
         inst = _reroute_instance(rng)
-        radii = candidate_radii(inst).values
+        radii = candidate_radii(inst)
         lam = rng.choice(radii[len(radii) // 2 :])
         restricted = None
         if rng.random() < 0.5:
@@ -291,6 +303,7 @@ def test_validate_rerouted_flags_each_family():
         ("coverage", {**x, (4, 5): 0.5}, y),
         ("color cap", {**swapped, (0, 2): 1.0, (2, 1): 1.0}, y),
         ("more than k", x, {**y, 1: 1.0}),
+        ("exceeds the opening", x, {0: 1.0, 4: 1.0}),
     ]
     for message, bad_x, bad_y in corrupt:
         with pytest.raises(ContractViolation, match=message):

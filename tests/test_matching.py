@@ -2,6 +2,10 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cappedkc import SimpleGraph, has_perfect_matching, max_matching
 
 
@@ -21,12 +25,12 @@ def brute_max_matching_size(n: int, edges: frozenset) -> int:
 
 def test_triangle():
     g = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert len(max_matching(g)) == 1
+    assert len(max_matching(g.adjacency())) == 1
 
 
 def test_even_path():
     g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert len(max_matching(g)) == 2
+    assert len(max_matching(g.adjacency())) == 2
 
 
 def petersen() -> SimpleGraph:
@@ -38,7 +42,7 @@ def petersen() -> SimpleGraph:
 
 def test_petersen_perfect():
     g = petersen()
-    assert len(max_matching(g)) == 5
+    assert len(max_matching(g.adjacency())) == 5
     assert has_perfect_matching(g)
     assert brute_max_matching_size(g.n, g.edges) == 5
 
@@ -55,7 +59,7 @@ def test_two_disjoint_edges():
 
 def test_star_three_leaves():
     g = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert len(max_matching(g)) == 1
+    assert len(max_matching(g.adjacency())) == 1
     assert not has_perfect_matching(g)
 
 
@@ -65,7 +69,7 @@ def test_matching_edges_valid():
         n = rng.randint(2, 9)
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
         g = SimpleGraph.from_edges(n, edges)
-        matched = max_matching(g)
+        matched = max_matching(g.adjacency())
         used = [v for e in matched for v in e]
         assert len(used) == len(set(used))
         for u, v in matched:
@@ -79,4 +83,34 @@ def test_agrees_with_brute_force_200_trials():
         p = rng.choice([0.15, 0.3, 0.5, 0.8])
         edges = [e for e in combinations(range(n), 2) if rng.random() < p]
         g = SimpleGraph.from_edges(n, edges)
-        assert len(max_matching(g)) == brute_max_matching_size(n, g.edges)
+        assert len(max_matching(g.adjacency())) == brute_max_matching_size(n, g.edges)
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 60))
+    if n < 2:
+        return n, []
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e)))
+    return n, draw(st.lists(pair, max_size=4 * n, unique=True))
+
+
+def test_agrees_with_networkx_up_to_60_nodes():
+    nx = pytest.importorskip("networkx")
+
+    @settings(max_examples=100, deadline=None)
+    @given(_graphs())
+    def check(graph):
+        n, edges = graph
+        g = SimpleGraph.from_edges(n, edges)
+        matched = max_matching(g.adjacency())
+        used = [v for e in matched for v in e]
+        assert len(used) == len(set(used))
+        assert all(u < v and (u, v) in g.edges for u, v in matched)
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(n))
+        oracle.add_edges_from(edges)
+        assert len(matched) == len(nx.max_weight_matching(oracle, maxcardinality=True))
+
+    check()
