@@ -138,8 +138,9 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
 
     The scan is one pass over the differently-colored pairs, sorted once by
     distance: each radius takes the <= 2*lam and <= 10*lam prefixes of that
-    order.  Radii at which some point has no partner within 2*lam are
-    skipped, since that point is a singleton component no caplet can cover.
+    order, found for all radii by one `searchsorted` each.  Radii at which
+    some point has no partner within 2*lam are skipped, since that point is
+    a singleton component no caplet can cover.
     The 2*lam components grow by merging as the prefix grows.  Caplets are
     recomputed only when the components or the 10*lam prefix change, a
     component's decomposition only when its members or its number of 10*lam
@@ -162,10 +163,11 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
     decomposed: dict[tuple[int, ...], tuple[int, tuple[Caplet, ...] | None]] = {}
     last_reps: tuple[int, ...] | None = None
 
-    for lam in candidate_radii(inst):
-        if 2.0 * lam < no_singletons:
-            continue
-        near = int(np.searchsorted(pd, 2.0 * lam, side="right"))
+    radii = np.array(candidate_radii(inst))
+    radii = radii[2.0 * radii >= no_singletons]
+    nears = np.searchsorted(pd, 2.0 * radii, side="right").tolist()
+    wides = np.searchsorted(pd, 10.0 * radii, side="right").tolist()
+    for lam, near, wide in zip(radii.tolist(), nears, wides):
         merged = not comps
         for a, b in zip(pa[n_near:near].tolist(), pb[n_near:near].tolist()):
             la, lb = label[a], label[b]
@@ -175,7 +177,6 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
         n_near = near
         if merged:
             comps = [tuple(np.flatnonzero(label == r).tolist()) for r in np.unique(label)]
-        wide = int(np.searchsorted(pd, 10.0 * lam, side="right"))
         if merged or wide != n_wide:
             n_wide = wide
             caplets = _decompose_components(inst, comps, label, pa[:n_wide], pb[:n_wide], decomposed)

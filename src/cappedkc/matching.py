@@ -132,9 +132,3 @@ def max_matching(adj: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
 
     return {(v, match[v]) for v in range(n) if match[v] > v}
 
-
-def has_perfect_matching(g: SimpleGraph) -> bool:
-    """True iff the graph has even order and a matching covering every node."""
-    if g.n % 2 != 0:
-        return False
-    return len(max_matching(g.adjacency())) == g.n // 2

@@ -18,6 +18,7 @@ from cappedkc import (
     validate_point,
 )
 from cappedkc.core import ceil_inv_alpha
+from cappedkc import lp_feasibility
 from cappedkc.lp_feasibility import RADIUS_SLACK, Block, LinearSystem, _solve_highs
 from conftest import random_capped_instance
 
@@ -408,3 +409,74 @@ def test_solver_failure_raises(unit_square, monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", failing)
     with pytest.raises(SolverError):
         check_feasible(build_polytope(unit_square, 1.0))
+
+
+def _counting_solves(monkeypatch) -> list[int]:
+    """Count `_solve_highs` calls made through `check_feasible`."""
+    calls = [0]
+
+    def counting(sys):
+        calls[0] += 1
+        return _solve_highs(sys)
+
+    monkeypatch.setattr(lp_feasibility, "_solve_highs", counting)
+    return calls
+
+
+def test_color_starved_rung_rejected_without_a_solve(monkeypatch):
+    # alpha = 1/2: a facility must see 2 colors.  At lambda = 0 every point
+    # covers itself, but the one-color blobs at 10 and 20 reach no facility
+    # that sees both colors; at lambda = 10 the blob at 10 sees every point.
+    inst = make_instance(
+        [(0.0,), (0.0,), (10.0,), (10.0,), (20.0,), (20.0,)],
+        ["r", "b", "r", "r", "b", "b"],
+        k=1,
+        alpha=0.5,
+    )
+    calls = _counting_solves(monkeypatch)
+    sys = build_polytope(inst, 0.0)
+    assert sys.uncovered_clients == []
+    assert check_feasible(sys) is None
+    assert calls[0] == 0
+    assert candidate_radii(inst)[1] == 10.0
+    assert check_feasible(build_polytope(inst, 10.0)) is not None
+    assert calls[0] == 1
+
+
+def _blob_instance(rng: random.Random, alpha: float):
+    """A few blobs, each with its own color palette, so color-starved facilities are common."""
+    need = ceil_inv_alpha(alpha)
+    n_colors = rng.randint(max(2, need - 1), need + 2)
+    n_blobs = rng.randint(2, 4)
+    centers = [(rng.random() * 4, rng.random() * 4) for _ in range(n_blobs)]
+    palettes = [rng.sample(range(n_colors), rng.randint(1, n_colors)) for _ in range(n_blobs)]
+    coords, colors = [], []
+    for _ in range(rng.randint(n_colors, n_colors + 8)):
+        b = rng.randrange(n_blobs)
+        coords.append((centers[b][0] + rng.gauss(0, 0.2), centers[b][1] + rng.gauss(0, 0.2)))
+        colors.append(rng.choice(palettes[b]))
+    return make_instance(coords, colors, k=rng.randint(1, 3), alpha=alpha)
+
+
+def test_color_precheck_rejects_only_empty_polytopes(monkeypatch):
+    # alphas with 1/alpha just above an integer are left out: HiGHS can
+    # report an unknown status there, whatever the pre-check does
+    alphas = [1 / 2, 1 / 3, 0.3, 1 / 4, 0.2, 0.1, 0.34]
+    calls = _counting_solves(monkeypatch)
+    rng = random.Random(83)
+    rejected = 0
+    for i in range(140):
+        inst = _blob_instance(rng, alphas[i % len(alphas)])
+        restricted = rng.sample(inst.ids(), rng.randint(1, inst.n)) if i % 2 else None
+        radii = candidate_radii(inst)
+        for lam in sorted(rng.sample(radii, min(4, len(radii)))):
+            sys = build_polytope(inst, lam, restricted)
+            if sys.uncovered_clients:
+                continue
+            before = calls[0]
+            frac = check_feasible(sys)
+            if calls[0] == before:
+                assert frac is None
+                assert _solve_highs(sys) is None
+                rejected += 1
+    assert rejected >= 300
