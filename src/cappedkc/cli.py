@@ -145,6 +145,9 @@ def main(argv: list[str] | None = None) -> int:
     if not alphas:
         print("error: --alpha needs at least one value", file=sys.stderr)
         return 1
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
 
     try:
         tasks = []
@@ -160,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 tasks.append((Path(path).stem, path, cfg))
         if args.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # the pool forks all its workers on first use, so never more than cells
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
                 results = list(pool.map(_run_cell, tasks))
         else:
             results = [_run_cell(t) for t in tasks]

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 import scipy.optimize
 
-from cappedkc import InputError, make_balanced_instance, make_instance
+from cappedkc import InputError, cli, make_balanced_instance, make_instance
 from cappedkc.cli import cost_alpha_svg, load_csv, main, save_csv
 
 
@@ -145,7 +145,14 @@ def test_main_non_finite_coordinate_is_error(tmp_path, capsys, value, algo):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--epsilon", "-1"], ["--epsilon", "nan"], ["--epsilon", "inf"], ["--m", "0"]]
+    "flag",
+    [
+        ["--epsilon", "-1"],
+        ["--epsilon", "nan"],
+        ["--epsilon", "inf"],
+        ["--m", "0"],
+        ["--jobs", "0"],
+    ],
 )
 def test_main_bad_config_is_error(tmp_path, capsys, flag):
     path = square_csv(tmp_path)
@@ -170,6 +177,31 @@ def test_main_jobs_parallel(tmp_path, capsys):
     assert main(args[:-3] + ["--no-wall"]) == 0
     serial = capsys.readouterr().out
     assert json.loads(parallel) == json.loads(serial)
+
+
+def test_main_jobs_clamped_to_cells(tmp_path, capsys, monkeypatch):
+    # a stand-in pool records its size and maps in this process: nothing is forked
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    path = square_csv(tmp_path)
+    args = ["--input", str(path), "--k", "2", "--alpha", "0.5,1.0", "--algo", "greedy"]
+    assert main(args + ["--jobs", "8"]) == 0
+    assert sizes == [2]
+    assert len(json.loads(capsys.readouterr().out)["runs"]) == 2
 
 
 def test_svg_scatter_shape():

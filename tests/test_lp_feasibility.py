@@ -13,13 +13,21 @@ from cappedkc import (
     build_polytope,
     candidate_radii,
     check_feasible,
+    greedy_k_center,
+    make_balanced_instance,
     make_instance,
     min_feasible_radius,
     validate_point,
 )
 from cappedkc.core import ceil_inv_alpha
 from cappedkc import lp_feasibility
-from cappedkc.lp_feasibility import RADIUS_SLACK, Block, LinearSystem, _solve_highs
+from cappedkc.lp_feasibility import (
+    IPM_MIN_COLUMNS,
+    RADIUS_SLACK,
+    Block,
+    LinearSystem,
+    _solve_highs,
+)
 from conftest import random_capped_instance
 
 
@@ -409,6 +417,67 @@ def test_solver_failure_raises(unit_square, monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", failing)
     with pytest.raises(SolverError):
         check_feasible(build_polytope(unit_square, 1.0))
+
+
+def _recording_linprog(monkeypatch) -> list[tuple[str, object]]:
+    """Record the `method` and result of every `linprog` call."""
+    calls = []
+    real = scipy.optimize.linprog
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((kwargs["method"], res))
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    return calls
+
+
+def test_small_system_uses_dual_simplex(unit_square, monkeypatch):
+    calls = _recording_linprog(monkeypatch)
+    sys = build_polytope(unit_square, 1.0)
+    assert sys.n_vars < IPM_MIN_COLUMNS
+    assert check_feasible(sys) is not None
+    assert [method for method, _ in calls] == ["highs"]
+
+
+@pytest.fixture(scope="module")
+def wide_system():
+    """The LP route's instance and coreset at n=1000, d=10, 50 colors.
+
+    At 4.3446 its system has 9,332 columns.
+    """
+    inst = make_balanced_instance(50, 20, dim=10, k=25, alpha=0.1, seed=0)
+    coreset, _ = greedy_k_center(inst, k=50)
+    return inst, sorted(coreset.centers, key=inst.pos)
+
+
+def test_wide_system_uses_interior_point_deterministically(wide_system, monkeypatch):
+    inst, coreset = wide_system
+    calls = _recording_linprog(monkeypatch)
+    sys = build_polytope(inst, 4.3446, coreset)
+    assert sys.n_vars >= IPM_MIN_COLUMNS
+    first = check_feasible(sys)
+    second = check_feasible(sys)
+    assert first is not None and second is not None
+    assert [method for method, _ in calls] == ["highs-ipm", "highs-ipm"]
+    assert validate_point(sys, np.asarray(calls[0][1].x)) == []
+    for name in ("facility", "client", "x", "y"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_infeasible_systems_either_side_of_the_constant_are_none(wide_system, monkeypatch):
+    # at 4.2 the polytope is empty (7,458 columns); at 4.3446 a budget of 2
+    # openings cannot cover every client
+    inst, coreset = wide_system
+    calls = _recording_linprog(monkeypatch)
+    narrow = build_polytope(inst, 4.2, coreset)
+    wide = build_polytope(inst.with_params(k=2), 4.3446, coreset)
+    assert narrow.n_vars < IPM_MIN_COLUMNS <= wide.n_vars
+    assert check_feasible(narrow) is None
+    assert check_feasible(wide) is None
+    assert [method for method, _ in calls] == ["highs", "highs-ipm"]
 
 
 def _counting_solves(monkeypatch) -> list[int]:
