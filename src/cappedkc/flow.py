@@ -102,23 +102,23 @@ def _snap(v):
     return np.where(np.abs(v - r) <= SNAP_TOL, r, v)
 
 
-def build_assignment_network(inst: Instance, frac, opened) -> FlowNetwork:
+def build_assignment_network(inst: Instance, frac, opened: np.ndarray) -> FlowNetwork:
     """Assignment network for an integrally-opened fractional solution.
 
-    Nodes: source, sink, one per client by point position, one per
-    (facility, color) pair with support, one per facility with support.
+    `opened` holds the integrally opened facilities' positions.  Nodes:
+    source, sink, one per client by point position, one per (facility,
+    color) pair with support, one per facility with support.
     Clients feed unit arcs into their (facility, color) nodes on the support
     of the fractional assignment; (facility, color) and facility arcs carry
     floor/ceiling bounds of the fractional column sums, which is what pins
     the integral color counts to the fractional ones.
     """
-    opened_pos = np.array([inst.pos(i) for i in opened], dtype=int)
-    loose = np.abs(frac.y[opened_pos] - 1.0) > 1e-6
+    loose = np.abs(frac.y[opened] - 1.0) > 1e-6
     if loose.any():
-        i = inst.id_at(opened_pos[np.argmax(loose)])
+        i = inst.id_at(opened[np.argmax(loose)])
         raise ContractViolation(f"facility {i} is not integrally open")
 
-    support = (frac.x > SUPPORT_TOL) & np.isin(frac.facility, opened_pos)
+    support = (frac.x > SUPPORT_TOL) & np.isin(frac.facility, opened)
     fpos, cpos, mass = frac.facility[support], frac.client[support], frac.x[support]
     # sums accumulate in the order of frac's pairs, so they are the same floats as a loop's
     fc_keys, fc_of = np.unique(fpos * inst.n_colors + inst.colors()[cpos], return_inverse=True)

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 
-from .core import InputError, Instance, Point
+from .core import InputError, Instance, Point, ceil_inv_alpha
 
 _STAR_GUARD = 12
 _BRUTE_GUARD = 14
@@ -101,23 +101,10 @@ def hardness_instance(seed: BipartiteSeed) -> Instance:
         edges += [(l3[i], c4[2 * i + s]) for i in range(len(l3)) for s in (0, 1)]
 
     n = len(colors)
-    sentinel = float(n)
-    dist = np.full((n, n), sentinel)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for s in range(n):
-        dist[s, s] = 0.0
-        depth = {s: 0}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in depth:
-                    depth[u] = depth[v] + 1
-                    dist[s, u] = float(depth[u])
-                    queue.append(u)
+    tail, head = np.array(edges, dtype=int).reshape(-1, 2).T
+    graph = sp.csr_matrix((np.ones(tail.size), (tail, head)), shape=(n, n))
+    dist = shortest_path(graph, directed=False, unweighted=True)
+    dist[np.isinf(dist)] = float(n)
 
     points = [Point(i, (), colors[i]) for i in range(n)]
     return Instance(points, k=n, alpha=alpha, color_labels=labels, dist_matrix=dist)
@@ -162,66 +149,66 @@ def t_star_decomposition_exists(seed: BipartiteSeed, star_size: int) -> bool:
     return cover(frozenset(range(n)))
 
 
-def capped_cost_at_most(inst: Instance, radius: float) -> bool:
-    """Exact decision: does a capped clustering of cost <= radius exist, any cluster count?
+def _capped_system(inst: Instance, radius: float):
+    """The 0/1 program behind capped_cost_at_most as (A, lb, ub) in CSC form.
 
-    Solved as a 0/1 integer program (HiGHS): one opening variable per
-    facility, one assignment variable per in-radius pair, unit coverage,
-    openings dominating assignments, and the color-cap rows scaled to
-    integer coefficients when 1/alpha is an integer.
+    Columns are one opening y_i per point, then one assignment x_ij per pair
+    with d(i, j) <= radius + 1e-9, in (facility, client) position order.
+    Rows are unit coverage per client, x_ij <= y_i per pair, then one cap
+    row per (facility with a pair, color) listing every pair of the
+    facility.  None when some client has no facility in radius.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    n = inst.n
-    dm = inst.pairwise()
-    pairs = [(i, j) for i in range(n) for j in range(n) if dm[i, j] <= radius + 1e-9]
-    by_client: dict[int, list[int]] = {j: [] for j in range(n)}
-    for col, (i, j) in enumerate(pairs):
-        by_client[j].append(col)
-    if any(not cols for cols in by_client.values()):
-        return False
-
-    n_vars = n + len(pairs)  # y block then x block
-    rows, cols, data, lb, ub = [], [], [], [], []
-    r = 0
-
-    for j in range(n):
-        for col in by_client[j]:
-            rows.append(r)
-            cols.append(n + col)
-            data.append(1.0)
-        lb.append(1.0)
-        ub.append(1.0)
-        r += 1
-    for col, (i, j) in enumerate(pairs):
-        rows += [r, r]
-        cols += [n + col, i]
-        data += [1.0, -1.0]
-        lb.append(-np.inf)
-        ub.append(0.0)
-        r += 1
+    n, nc = inst.n, inst.n_colors
+    near = inst.pairwise() <= radius + 1e-9
+    if not near.any(axis=0).all():
+        return None
+    fac, client = np.nonzero(near)
+    n_pairs = fac.size
+    xcol = n + np.arange(n_pairs)
+    open_row = n + np.arange(n_pairs)
+    ones = np.ones(n_pairs)
 
     inv = round(1.0 / inst.alpha)
     scale = float(inv) if abs(inst.alpha - 1.0 / inv) < 1e-12 else 1.0 / inst.alpha
-    by_fac: dict[int, list[tuple[int, int]]] = {}
-    for col, (i, j) in enumerate(pairs):
-        by_fac.setdefault(i, []).append((j, col))
-    for i, served in sorted(by_fac.items()):
-        for c in range(inst.n_colors):
-            for j, col in served:
-                coeff = scale - 1.0 if inst.color_at(j) == c else -1.0
-                rows.append(r)
-                cols.append(n + col)
-                data.append(coeff)
-            lb.append(-np.inf)
-            ub.append(0.0)
-            r += 1
+    # cap row (facility, c): (scale - 1) on the pairs whose client has color c, -1 on the rest
+    facs, rank = np.unique(fac, return_inverse=True)
+    cap_row = n + n_pairs + (rank[:, None] * nc + np.arange(nc)).ravel()
+    coeff = np.where(inst.colors()[client][:, None] == np.arange(nc), scale - 1.0, -1.0)
 
-    A = sp.csc_matrix((data, (rows, cols)), shape=(r, n_vars))
+    n_rows = n + n_pairs + facs.size * nc
+    A = sp.csc_matrix(
+        (
+            np.concatenate([ones, ones, -ones, coeff.ravel()]),
+            (
+                np.concatenate([client, open_row, open_row, cap_row]),
+                np.concatenate([xcol, xcol, fac, np.repeat(xcol, nc)]),
+            ),
+        ),
+        shape=(n_rows, n + n_pairs),
+    )
+    lb = np.concatenate([np.ones(n), np.full(n_rows - n, -np.inf)])
+    ub = np.concatenate([np.ones(n), np.zeros(n_rows - n)])
+    return A, lb, ub
+
+
+def capped_cost_at_most(inst: Instance, radius: float) -> bool:
+    """Exact decision: does a capped clustering of cost <= radius exist, any cluster count?
+
+    Solved as a 0/1 integer program (HiGHS) over `_capped_system`: one
+    opening variable per facility, one assignment variable per in-radius
+    pair, unit coverage, openings dominating assignments, and the color-cap
+    rows scaled to integer coefficients when 1/alpha is an integer.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    system = _capped_system(inst, radius)
+    if system is None:
+        return False
+    A, lb, ub = system
     res = milp(
-        c=np.zeros(n_vars),
+        c=np.zeros(A.shape[1]),
         constraints=LinearConstraint(A, lb, ub),
-        integrality=np.ones(n_vars),
+        integrality=np.ones(A.shape[1]),
         bounds=Bounds(0, 1),
     )
     if res.status == 2:
@@ -253,7 +240,7 @@ def capped_partition_exists_bruteforce(inst: Instance, radius: float) -> bool:
     dm = inst.pairwise()
     colors = inst.colors()
     balls = [frozenset(np.flatnonzero(dm[v] <= radius + 1e-9).tolist()) for v in range(n)]
-    min_size = int(np.ceil(1.0 / inst.alpha - 1e-9))
+    min_size = ceil_inv_alpha(inst.alpha)
     memo: dict[frozenset, bool] = {}
 
     def capped(members: tuple[int, ...]) -> bool:

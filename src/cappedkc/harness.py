@@ -113,7 +113,7 @@ def faster_algorithm(inst: Instance, cfg: RunConfig, return_info: bool = False):
     lam_anchor = float(work.dist_row(0).max())
     _, lam_greedy = greedy_k_center(work, k=cfg.k)
     coreset_sol, _ = greedy_k_center(work, k=cfg.m * cfg.k)
-    coreset = sorted(coreset_sol.centers, key=work.pos)
+    coreset = list(coreset_sol.centers)
 
     grid = lambda_grid(work, lam_greedy, lam_anchor, cfg.epsilon)
     for lam in grid:

@@ -116,6 +116,10 @@ def build_polytope(
 ) -> LinearSystem:
     """Assemble the radius-lam system, optionally restricting facilities to a coreset.
 
+    `restricted_facilities` are point ids; from here on the facility set is
+    their positions in ascending order (`facility_pos`), which is also the
+    order in which `fair_k_center` scans them for separation.
+
     Families: per-client coverage held at exactly one unit (`cover`),
     openings dominating assignments (`open`), the load definition
     L_i = sum_j x_ij (`load`), per-facility color caps
@@ -132,7 +136,7 @@ def build_polytope(
     if restricted_facilities is None:
         fac_pos = np.arange(inst.n)
     else:
-        fac_pos = np.array(sorted(inst.pos(i) for i in restricted_facilities), dtype=int)
+        fac_pos = np.unique(np.array([inst.pos(i) for i in restricted_facilities], dtype=int))
         if not fac_pos.size:
             raise InputError("restricted facility set must be non-empty")
     n, nf = inst.n, len(fac_pos)
@@ -222,15 +226,15 @@ def build_polytope(
     )
 
 
-def validate_point(sys: LinearSystem, vec: np.ndarray, tol: float = ROW_TOL) -> list[str]:
-    """Re-check every row and column bound against a raw variable vector, solver-free.
+def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
+    """Re-check every row and column bound against a raw variable vector, within ROW_TOL.
 
     The color caps are also re-checked on x alone, per facility and color
     sum_{j in c} x_ij <= alpha * sum_j x_ij, so the cap guarantee never rests
     on the load columns.
     """
     bad: list[str] = []
-    if (vec < sys.lower - tol).any() or (vec > sys.upper + tol).any():
+    if (vec < sys.lower - ROW_TOL).any() or (vec > sys.upper + ROW_TOL).any():
         bad.append("variable bound violated")
     mat, rhs = _stack(sys.blocks, sys.n_vars)
     gap = mat @ vec - rhs
@@ -241,7 +245,7 @@ def validate_point(sys: LinearSystem, vec: np.ndarray, tol: float = ROW_TOL) -> 
         if blk.relation == "==":
             rows = np.abs(rows)
         worst = rows.max(initial=0.0)
-        if worst > tol:
+        if worst > ROW_TOL:
             bad.append(f"{blk.family}: violation {worst:.3e}")
     nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
     if n_pairs:
@@ -253,7 +257,7 @@ def validate_point(sys: LinearSystem, vec: np.ndarray, tol: float = ROW_TOL) -> 
             minlength=sys.n_points * n_colors,
         ).reshape(sys.n_points, n_colors)
         worst = (mass - sys.alpha * mass.sum(axis=1, keepdims=True)).max()
-        if worst > tol:
+        if worst > ROW_TOL:
             bad.append(f"color cap on x: violation {worst:.3e}")
     return bad
 

@@ -14,42 +14,42 @@ from .lp_feasibility import FractionalSolution, build_polytope, check_feasible
 SEP_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FacilityMap:
-    """Opened facilities (pairwise more than 2*lam apart) plus the merge map.
+    """Opened facilities (pairwise more than 2*lam apart) plus the merge map, by position.
 
-    theta sends every scanned facility to the first opened facility within
-    2*lam of it; opened facilities map to themselves.
+    `opened` holds the opened positions in ascending order.  `theta[p]` is
+    the opened position that facility position p merges onto (an opened
+    position maps to itself), and -1 for a position that was not scanned.
     """
 
-    opened: tuple[int, ...]
-    theta: dict[int, int]
-    lam: float
+    opened: np.ndarray
+    theta: np.ndarray
 
 
 def select_separated_facilities(
-    inst: Instance, lam: float, scan_order: Sequence[int] | None = None
+    inst: Instance, lam: float, facilities: np.ndarray | None = None
 ) -> FacilityMap:
-    """Greedy maximal subset under the strict >2*lam separation predicate.
+    """Greedy maximal subset of `facilities` under the strict >2*lam separation predicate.
 
-    Scanning order decides ties; the default is ascending point position.
+    `facilities` are point positions in ascending order, all points by
+    default.  They are scanned in that order: a facility opens unless an
+    already opened one lies within 2*lam, and then it merges onto the first
+    such one.
     """
     if lam < 0:
         raise InputError("lambda must be non-negative")
-    if scan_order is None:
-        scan_order = [inst.id_at(p) for p in range(inst.n)]
+    scan = range(inst.n) if facilities is None else facilities.tolist()
+    theta = np.full(inst.n, -1)
     opened: list[int] = []
-    opened_pos: list[int] = []
-    theta: dict[int, int] = {}
-    for i in scan_order:
-        near = np.flatnonzero(inst.dist_row(inst.pos(i))[opened_pos] <= 2.0 * lam)
+    for p in scan:
+        near = np.flatnonzero(inst.dist_row(p)[opened] <= 2.0 * lam)
         if near.size:
-            theta[i] = opened[near[0]]
+            theta[p] = opened[near[0]]
         else:
-            opened.append(i)
-            opened_pos.append(inst.pos(i))
-            theta[i] = i
-    return FacilityMap(tuple(opened), theta, lam)
+            opened.append(p)
+            theta[p] = p
+    return FacilityMap(np.array(opened, dtype=int), theta)
 
 
 def reroute_fractional(
@@ -61,10 +61,7 @@ def reroute_fractional(
     client's total assignment mass unchanged.  Merged pairs keep the order in
     which they first appear in frac, and their masses add up in pair order.
     """
-    theta = np.full(inst.n, -1)  # by position: the opened position, -1 off the map
-    for i, t in fmap.theta.items():
-        theta[inst.pos(i)] = inst.pos(t)
-    target = theta[frac.facility]
+    target = fmap.theta[frac.facility]
     outside = target < 0
     if outside.any():
         i = inst.id_at(frac.facility[np.argmax(outside)])
@@ -75,12 +72,12 @@ def reroute_fractional(
     mass = np.bincount(merged, weights=frac.x, minlength=keys.size)
     order = np.argsort(first)
     y = np.zeros(inst.n)
-    y[[inst.pos(i) for i in fmap.opened]] = 1.0
+    y[fmap.opened] = 1.0
     return FractionalSolution(keys[order] // inst.n, keys[order] % inst.n, mass[order], y)
 
 
-def validate_rerouted(inst: Instance, lam: float, frac: FractionalSolution, tol: float = SEP_TOL):
-    """Check the rerouted point against the radius-3*lam polytope families.
+def validate_rerouted(inst: Instance, lam: float, frac: FractionalSolution):
+    """Check the rerouted point against the radius-3*lam polytope families, within SEP_TOL.
 
     Verifies x in [0, 1], x <= y, support radius, unit coverage, color caps,
     and the opening budget.  The minimum-load family is deliberately not enforced:
@@ -89,13 +86,13 @@ def validate_rerouted(inst: Instance, lam: float, frac: FractionalSolution, tol:
     relies on it.
     """
     fac, client, x = frac.facility, frac.client, frac.x
-    bad = np.flatnonzero((x < -tol) | (x > 1.0 + tol))
+    bad = np.flatnonzero((x < -SEP_TOL) | (x > 1.0 + SEP_TOL))
     if bad.size:
         p = bad[0]
         raise ContractViolation(
             f"x[{inst.id_at(fac[p])},{inst.id_at(client[p])}]={x[p]} outside [0,1]"
         )
-    bad = np.flatnonzero(x > frac.y[fac] + tol)
+    bad = np.flatnonzero(x > frac.y[fac] + SEP_TOL)
     if bad.size:
         p = bad[0]
         raise ContractViolation(
@@ -104,20 +101,20 @@ def validate_rerouted(inst: Instance, lam: float, frac: FractionalSolution, tol:
         )
     for i in np.unique(fac).tolist():
         mine = client[fac == i]
-        far = mine[inst.dist_row(i)[mine] > 3.0 * lam * (1 + 1e-12) + tol]
+        far = mine[inst.dist_row(i)[mine] > 3.0 * lam * (1 + 1e-12) + SEP_TOL]
         if far.size:
             raise ContractViolation(
                 f"pair ({inst.id_at(i)},{inst.id_at(far[0])}) farther than 3*lambda"
             )
     cover = np.bincount(client, weights=x, minlength=inst.n)
-    bad = np.flatnonzero(np.abs(cover - 1.0) > tol)
+    bad = np.flatnonzero(np.abs(cover - 1.0) > SEP_TOL)
     if bad.size:
         raise ContractViolation(f"client {inst.id_at(bad[0])} coverage {cover[bad[0]]} != 1")
     nc = inst.n_colors
     mass = np.bincount(
         fac * nc + inst.colors()[client], weights=x, minlength=inst.n * nc
     ).reshape(inst.n, nc)
-    bad = np.argwhere(mass > inst.alpha * mass.sum(axis=1, keepdims=True) + tol)
+    bad = np.argwhere(mass > inst.alpha * mass.sum(axis=1, keepdims=True) + SEP_TOL)
     if bad.size:
         i, c = bad[0]
         raise ContractViolation(f"color cap broken at facility {inst.id_at(i)}, color {c}")
@@ -126,31 +123,31 @@ def validate_rerouted(inst: Instance, lam: float, frac: FractionalSolution, tol:
 
 
 def fair_k_center(
-    inst: Instance,
-    lam: float,
-    restricted: Sequence[int] | None = None,
-    validate: bool = False,
+    inst: Instance, lam: float, restricted: Sequence[int] | None = None
 ) -> ClusteringSolution | None:
     """LP-guess-and-round at radius lam: None when the polytope is empty.
 
-    On success every point lands within 3*lam of its center and each
-    cluster's color counts exceed the cap by at most two clients (one when
-    1/alpha is an integer).  A radius whose maximal separated facility set
-    exceeds k is rejected the same way as an empty polytope so grid drivers
-    simply advance.
+    The facilities are the ids in `restricted`, or every point.  The
+    polytope's point is merged onto a maximal >2*lam-separated subset of
+    them, scanned in ascending position, and the merged point is checked
+    against the radius-3*lam families (`validate_rerouted`) before a
+    max-flow rounds it.  On success every point lands within 3*lam of its
+    center and each cluster's color counts exceed the cap by at most two
+    clients (one when 1/alpha is an integer).  A radius whose maximal
+    separated facility set exceeds k is rejected the same way as an empty
+    polytope so grid drivers simply advance.
     """
-    frac = check_feasible(build_polytope(inst, lam, restricted))
+    sys = build_polytope(inst, lam, restricted)
+    frac = check_feasible(sys)
     if frac is None:
         return None
 
-    order = None if restricted is None else sorted(restricted, key=inst.pos)
-    fmap = select_separated_facilities(inst, lam, order)
+    fmap = select_separated_facilities(inst, lam, sys.facility_pos)
     if len(fmap.opened) > inst.k:
         return None
 
     merged = reroute_fractional(inst, frac, fmap)
-    if validate:
-        validate_rerouted(inst, lam, merged)
+    validate_rerouted(inst, lam, merged)
 
     net = build_assignment_network(inst, merged, fmap.opened)
     flow = max_flow_lower_bounds(net, inst.n)

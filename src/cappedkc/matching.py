@@ -3,35 +3,9 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .core import InputError
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Undirected simple graph on nodes 0..n-1."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise InputError("self-loops are not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add((min(u, v), max(u, v)))
-        return SimpleGraph(n, frozenset(norm))
-
-    def adjacency(self) -> list[list[int]]:
-        u, v = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T
-        return sorted_adjacency(self.n, u, v)
 
 
 def sorted_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> list[list[int]]:
@@ -50,11 +24,11 @@ def max_matching(adj: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
     """Maximum-cardinality matching; odd cycles are handled by blossom contraction.
 
     `adj[v]` lists v's neighbors in ascending order, symmetrically and
-    without self-loops, as `SimpleGraph.adjacency` and `sorted_adjacency`
-    give them.  Roots and neighbors are visited in node order, so a node
-    with an empty list changes nothing for the others: emptying some nodes'
-    lists, and removing them from their neighbors' lists, gives the matching
-    of the graph with those nodes deleted, in the same node numbering.
+    without self-loops, as `sorted_adjacency` gives them.  Roots and
+    neighbors are visited in node order, so a node with an empty list
+    changes nothing for the others: emptying some nodes' lists, and removing
+    them from their neighbors' lists, gives the matching of the graph with
+    those nodes deleted, in the same node numbering.
 
     O(n^3)-style implementation: repeatedly grow an alternating BFS forest
     from each exposed node, contracting blossoms in-place via a base[] array,

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cappedkc import FractionalSolution, Instance, make_instance
+from cappedkc import BipartiteSeed, FractionalSolution, Instance, make_instance, sorted_adjacency
 
 
 def random_capped_instance(
@@ -41,6 +41,12 @@ def fractional_point(inst: Instance, x: dict, y: dict) -> FractionalSolution:
     return FractionalSolution(facility, client, np.array(list(x.values()), dtype=float), opening)
 
 
+def edge_adjacency(n: int, edges) -> list[list[int]]:
+    """max_matching's input for n nodes and distinct undirected (u, v) edges."""
+    u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    return sorted_adjacency(n, u, v)
+
+
 def pair_masses(inst: Instance, frac: FractionalSolution) -> dict:
     """The point's pairs as {(facility id, client id): mass}, in pair order."""
     ids = inst.ids()
@@ -48,6 +54,26 @@ def pair_masses(inst: Instance, frac: FractionalSolution) -> dict:
         (ids[f], ids[j]): v
         for f, j, v in zip(frac.facility.tolist(), frac.client.tolist(), frac.x.tolist())
     }
+
+
+def tiny_seeds() -> list[BipartiteSeed]:
+    """The 30 small bipartite seeds of the gadget acceptance check (t in {0, 1})."""
+    seeds = []
+    edge_sets_21 = [(), ((0, 0),), ((1, 0),), ((0, 0), (1, 0))]
+    edge_sets_12 = [(), ((0, 0),), ((0, 1),), ((0, 0), (0, 1))]
+    for t in (0, 1):
+        seeds += [BipartiteSeed(2, 1, e, t) for e in edge_sets_21]
+        seeds += [BipartiteSeed(1, 2, e, t) for e in edge_sets_12]
+        seeds += [
+            BipartiteSeed(1, 1, (), t),
+            BipartiteSeed(1, 1, ((0, 0),), t),
+            BipartiteSeed(1, 0, (), t),
+            BipartiteSeed(0, 3, (), t),
+            BipartiteSeed(2, 2, ((0, 0), (1, 1)), t),
+            BipartiteSeed(3, 3, ((0, 0), (1, 0), (2, 1), (2, 2)), t),
+            BipartiteSeed(3, 3, ((0, 0), (1, 0), (2, 1)), t),
+        ]
+    return seeds
 
 
 @pytest.fixture

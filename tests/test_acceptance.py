@@ -5,7 +5,6 @@ import random
 import time
 
 from cappedkc import (
-    BipartiteSeed,
     InfeasibleInstance,
     RunConfig,
     brute_force_capped_opt,
@@ -34,7 +33,7 @@ from cappedkc import (
 )
 from cappedkc.flow import _snap
 from cappedkc.harness import report_to_dict
-from conftest import random_capped_instance
+from conftest import random_capped_instance, tiny_seeds
 
 
 def _verdict(criterion: str, ok: bool, detail: str):
@@ -73,7 +72,7 @@ def test_criterion_1_lp_route_vs_oracle():
     worst_ratio = 0.0
     deltas = {0: 0, 1: 0, 2: 0}
     for inst, opt_cost, _ in pool:
-        sol = fair_k_center(inst, opt_cost, validate=True)
+        sol = fair_k_center(inst, opt_cost)
         assert sol is not None, "polytope empty at the oracle's optimal radius"
         cost = solution_cost(inst, sol)
         assert cost <= 3 * opt_cost + 1e-6
@@ -191,28 +190,9 @@ def test_criterion_4_flow_integrality_and_sandwich():
     )
 
 
-def _tiny_seeds() -> list[BipartiteSeed]:
-    seeds = []
-    edge_sets_21 = [(), ((0, 0),), ((1, 0),), ((0, 0), (1, 0))]
-    edge_sets_12 = [(), ((0, 0),), ((0, 1),), ((0, 0), (0, 1))]
-    for t in (0, 1):
-        seeds += [BipartiteSeed(2, 1, e, t) for e in edge_sets_21]
-        seeds += [BipartiteSeed(1, 2, e, t) for e in edge_sets_12]
-        seeds += [
-            BipartiteSeed(1, 1, (), t),
-            BipartiteSeed(1, 1, ((0, 0),), t),
-            BipartiteSeed(1, 0, (), t),
-            BipartiteSeed(0, 3, (), t),
-            BipartiteSeed(2, 2, ((0, 0), (1, 1)), t),
-            BipartiteSeed(3, 3, ((0, 0), (1, 0), (2, 1), (2, 2)), t),
-            BipartiteSeed(3, 3, ((0, 0), (1, 0), (2, 1)), t),
-        ]
-    return seeds
-
-
 def test_criterion_5_hardness_gadget_oracle():
     t0 = time.monotonic()
-    seeds = _tiny_seeds()
+    seeds = tiny_seeds()
     assert len(seeds) >= 20
     yes_count = 0
     for seed in seeds:

@@ -205,7 +205,7 @@ def test_network_names_clients_and_facilities_by_id():
     # ids out of position order: nodes follow positions, labels carry ids
     inst = make_instance([(0.0,), (0.0,)], ["r", "b"], k=1, alpha=0.5, ids=[9, 4])
     frac = fractional_point(inst, x={(4, 9): 1.0, (4, 4): 1.0}, y={4: 1.0})
-    net = build_assignment_network(inst, frac, [4])
+    net = build_assignment_network(inst, frac, np.array([1]))  # id 4 opens, by position
     assert net.point.tolist() == [-1, -1, 9, 4, 4, 4, 4]
     flow = max_flow_lower_bounds(net, 2)
     assert extract_assignment(net, flow) == {9: 4, 4: 4}

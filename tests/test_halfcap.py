@@ -11,7 +11,6 @@ from cappedkc import (
     InputError,
     Instance,
     Point,
-    SimpleGraph,
     candidate_radii,
     caplet_decompose,
     check_capped,
@@ -24,7 +23,7 @@ from cappedkc import (
 )
 from cappedkc import halfcap
 from cappedkc.halfcap import ACCEPT_TOL
-from conftest import random_capped_instance
+from conftest import edge_adjacency, random_capped_instance
 
 
 # The threshold-graph tests pin the reference helpers below, which specify
@@ -188,11 +187,8 @@ def _reference_caplet_decompose(nodes, colors, edges):
 
     def matching_on(keep: list[int]) -> list[tuple[int, int]] | None:
         sub = {v: i for i, v in enumerate(keep)}
-        g = SimpleGraph.from_edges(
-            len(keep),
-            [(sub[a], sub[b]) for a, b in local_edges if a in sub and b in sub],
-        )
-        matched = max_matching(g.adjacency())
+        sub_edges = [(sub[a], sub[b]) for a, b in local_edges if a in sub and b in sub]
+        matched = max_matching(edge_adjacency(len(keep), sub_edges))
         if len(matched) * 2 != len(keep):
             return None
         return [(keep[a], keep[b]) for a, b in matched]

@@ -1,4 +1,10 @@
+import random
+from collections import deque
+
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 
 from cappedkc import (
     BipartiteSeed,
@@ -8,7 +14,9 @@ from cappedkc import (
     min_capped_cost_unbounded,
     t_star_decomposition_exists,
 )
-from cappedkc.hardness import capped_partition_exists_bruteforce
+from cappedkc import hardness
+from cappedkc.hardness import _capped_system, _star_counts, capped_partition_exists_bruteforce
+from conftest import tiny_seeds
 
 
 def seed_21(edges, t=0):
@@ -16,8 +24,6 @@ def seed_21(edges, t=0):
 
 
 def test_star_counts_three_three():
-    from cappedkc.hardness import _star_counts
-
     assert _star_counts(BipartiteSeed(3, 3, ())) == (1, 1)
     assert _star_counts(BipartiteSeed(2, 1, ())) == (1, 0)
     assert _star_counts(BipartiteSeed(1, 0, ())) is None
@@ -107,3 +113,116 @@ def test_mirrored_seed_costs_one():
     inst = hardness_instance(seed)
     assert inst.n == 12
     assert capped_cost_at_most(inst, 1)
+
+
+def _reference_distances(n: int, edges) -> np.ndarray:
+    """Per-source BFS over unit edges, with the sentinel n between components."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    dist = np.full((n, n), float(n))
+    for s in range(n):
+        dist[s, s] = 0.0
+        depth = {s: 0}
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if u not in depth:
+                    depth[u] = depth[v] + 1
+                    dist[s, u] = float(depth[u])
+                    queue.append(u)
+    return dist
+
+
+def test_gadget_distances_match_bfs_reference(monkeypatch):
+    graphs = []
+
+    def recording(graph, **kwargs):
+        graphs.append(graph.tocoo())
+        return shortest_path(graph, **kwargs)
+
+    monkeypatch.setattr(hardness, "shortest_path", recording)
+    rng = random.Random(55)
+    checked = with_sentinel = 0
+    for _ in range(250):
+        n_left, n_right = rng.randint(1, 5), rng.randint(1, 5)
+        edges = tuple(
+            (a, b) for a in range(n_left) for b in range(n_right) if rng.random() < 0.4
+        )
+        seed = BipartiteSeed(n_left, n_right, edges, rng.choice([0, 1, 2]))
+        if _star_counts(seed) is None:
+            continue
+        inst = hardness_instance(seed)
+        graph = graphs.pop()
+        ref = _reference_distances(inst.n, zip(graph.row.tolist(), graph.col.tolist()))
+        dm = inst.pairwise()
+        assert dm.dtype == ref.dtype and np.array_equal(dm, ref)
+        checked += 1
+        with_sentinel += bool((dm == inst.n).any())
+    assert checked >= 50 and with_sentinel >= 10
+
+
+def _reference_capped_system(inst, radius):
+    """The 0/1 program's rows, pair by pair and row by row: the specification."""
+    n = inst.n
+    dm = inst.pairwise()
+    pairs = [(i, j) for i in range(n) for j in range(n) if dm[i, j] <= radius + 1e-9]
+    by_client = {j: [] for j in range(n)}
+    for col, (i, j) in enumerate(pairs):
+        by_client[j].append(col)
+    if any(not cols for cols in by_client.values()):
+        return None
+    rows, cols, data, lb, ub = [], [], [], [], []
+    r = 0
+    for j in range(n):
+        for col in by_client[j]:
+            rows.append(r)
+            cols.append(n + col)
+            data.append(1.0)
+        lb.append(1.0)
+        ub.append(1.0)
+        r += 1
+    for col, (i, j) in enumerate(pairs):
+        rows += [r, r]
+        cols += [n + col, i]
+        data += [1.0, -1.0]
+        lb.append(-np.inf)
+        ub.append(0.0)
+        r += 1
+    inv = round(1.0 / inst.alpha)
+    scale = float(inv) if abs(inst.alpha - 1.0 / inv) < 1e-12 else 1.0 / inst.alpha
+    by_fac = {}
+    for col, (i, j) in enumerate(pairs):
+        by_fac.setdefault(i, []).append((j, col))
+    for i, served in sorted(by_fac.items()):
+        for c in range(inst.n_colors):
+            for j, col in served:
+                rows.append(r)
+                cols.append(n + col)
+                data.append(scale - 1.0 if inst.color_at(j) == c else -1.0)
+            lb.append(-np.inf)
+            ub.append(0.0)
+            r += 1
+    A = sp.csc_matrix((data, (rows, cols)), shape=(r, n + len(pairs)))
+    return A, np.array(lb), np.array(ub)
+
+
+def test_capped_system_matches_loop_reference():
+    compared = 0
+    for seed in tiny_seeds():
+        inst = hardness_instance(seed)
+        radii = np.unique(inst.pairwise()).tolist()
+        for radius in [-1.0] + radii:
+            got, ref = _capped_system(inst, radius), _reference_capped_system(inst, radius)
+            assert (got is None) == (ref is None)
+            if got is None:
+                continue
+            (A, lb, ub), (ref_A, ref_lb, ref_ub) = got, ref
+            assert A.format == "csc" and A.shape == ref_A.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(A, name), getattr(ref_A, name)), name
+            assert np.array_equal(lb, ref_lb) and np.array_equal(ub, ref_ub)
+            compared += 1
+    assert compared >= 60

@@ -7,6 +7,7 @@ import pytest
 from cappedkc import (
     ContractViolation,
     FacilityMap,
+    FractionalSolution,
     Instance,
     Point,
     build_polytope,
@@ -21,6 +22,7 @@ from cappedkc import (
     select_separated_facilities,
     solution_cost,
 )
+from cappedkc import lp_rounding
 from cappedkc.flow import build_assignment_network
 from cappedkc.lp_feasibility import _solve_highs
 from cappedkc.lp_rounding import validate_rerouted
@@ -30,21 +32,21 @@ from conftest import fractional_point, line_instance, pair_masses, random_capped
 def test_select_all_when_far_apart():
     inst = line_instance([0, 10, 20], k=3)
     fmap = select_separated_facilities(inst, 1.0)
-    assert fmap.opened == (0, 1, 2)
-    assert all(fmap.theta[i] == i for i in fmap.opened)
+    assert fmap.opened.tolist() == [0, 1, 2]
+    assert fmap.theta.tolist() == [0, 1, 2]
 
 
 def test_select_coincident_opens_first():
     inst = line_instance([5, 5, 5], k=3)
     fmap = select_separated_facilities(inst, 0.5)
-    assert fmap.opened == (0,)
-    assert fmap.theta == {0: 0, 1: 0, 2: 0}
+    assert fmap.opened.tolist() == [0]
+    assert fmap.theta.tolist() == [0, 0, 0]
 
 
 def test_select_line_example():
     inst = line_instance([0, 1, 10], k=3)
     fmap = select_separated_facilities(inst, 1.0)
-    assert fmap.opened == (0, 2)
+    assert fmap.opened.tolist() == [0, 2]
     assert fmap.theta[1] == 0
 
     # explicit metric, ids 10..13 at positions 0..3: a facility joins the first
@@ -53,11 +55,12 @@ def test_select_line_example():
     points = [Point(10 + p, (0.0,), 0) for p in range(4)]
     inst = Instance(points, k=4, alpha=1.0, dist_matrix=dm)
     fmap = select_separated_facilities(inst, 1.0)
-    assert fmap.opened == (10, 11, 13)
-    assert fmap.theta == {10: 10, 11: 11, 12: 10, 13: 13}
-    fmap = select_separated_facilities(inst, 1.0, scan_order=[13, 12, 11, 10])
-    assert fmap.opened == (13, 12)
-    assert fmap.theta == {13: 13, 12: 12, 11: 12, 10: 12}
+    assert fmap.opened.tolist() == [0, 1, 3]
+    assert fmap.theta.tolist() == [0, 1, 0, 3]
+    # a subset scans only its own positions; the others stay off the map
+    fmap = select_separated_facilities(inst, 1.0, np.array([1, 2, 3]))
+    assert fmap.opened.tolist() == [1, 3]
+    assert fmap.theta.tolist() == [-1, 1, 1, 3]
 
 
 def test_reroute_identity_when_separated():
@@ -78,7 +81,7 @@ def test_reroute_merges_coincident_columns():
     )
     fmap = select_separated_facilities(inst, 0.25)
     merged = reroute_fractional(inst, frac, fmap)
-    assert fmap.opened == (0,)
+    assert fmap.opened.tolist() == [0]
     assert merged.y.tolist() == [1.0, 0.0, 0.0]
     assert pair_masses(inst, merged) == {(0, 0): 1.0, (0, 1): 1.0, (0, 2): 1.0}
     validate_rerouted(inst, 0.25, merged)
@@ -100,10 +103,26 @@ def test_rerouted_point_keeps_color_caps():
 
 
 def test_fair_k_center_unit_square(unit_square):
-    sol = fair_k_center(unit_square, 1.0, validate=True)
+    sol = fair_k_center(unit_square, 1.0)
     assert sol is not None
     assert solution_cost(unit_square, sol) <= 3.0 + 1e-7
     assert max_additive_violation(unit_square, sol, 0.5) <= 1
+
+
+def test_fair_k_center_checks_the_merged_point(unit_square, monkeypatch):
+    # the merge drops half of one pair's mass; the flow network still has a
+    # full integral flow, so only the check on the merged point can object
+    honest = lp_rounding.reroute_fractional
+
+    def lossy(inst, frac, fmap):
+        merged = honest(inst, frac, fmap)
+        x = merged.x.copy()
+        x[0] *= 0.5
+        return FractionalSolution(merged.facility, merged.client, x, merged.y)
+
+    monkeypatch.setattr(lp_rounding, "reroute_fractional", lossy)
+    with pytest.raises(ContractViolation, match="coverage"):
+        fair_k_center(unit_square, 1.0)
 
 
 def test_fair_k_center_infeasible_colors():
@@ -119,13 +138,13 @@ def test_fair_k_center_rejects_a_separated_set_larger_than_k():
     not_metric = Instance([Point(p, (), 0) for p in range(3)], k=1, alpha=1.0, dist_matrix=dm)
     for case in (inst, not_metric):
         assert check_feasible(build_polytope(case, 1.0)) is not None
-        assert select_separated_facilities(case, 1.0).opened == (0, 2)
+        assert select_separated_facilities(case, 1.0).opened.tolist() == [0, 2]
         assert fair_k_center(case, 1.0) is None
 
 
 def test_fair_k_center_coincident_balanced_zero_radius():
     inst = make_instance([(0.0,)] * 4, ["r", "b", "r", "b"], k=2, alpha=0.5)
-    sol = fair_k_center(inst, 0.0, validate=True)
+    sol = fair_k_center(inst, 0.0)
     assert sol is not None
     assert solution_cost(inst, sol) == 0.0
     assert max_additive_violation(inst, sol, 0.5) == 0
@@ -145,7 +164,7 @@ def test_rounding_contracts_on_random_instances():
         if found is None:
             continue
         lam, _ = found
-        sol = fair_k_center(inst, lam, validate=True)
+        sol = fair_k_center(inst, lam)
         if sol is None:
             continue  # separated set larger than k at this radius
         checked += 1
@@ -196,14 +215,14 @@ def _reference_point(inst, sys, vec) -> dict:
     return {(ids[f], ids[j]): float(v) for (f, j), v in zip(pairs, x) if v > 1e-12}
 
 
-def _reference_reroute(x: dict, fmap) -> dict:
+def _reference_reroute(inst, x: dict, fmap) -> dict:
     """The merge pair by pair on id-keyed dicts: the specification of reroute_fractional."""
     x2: dict[tuple[int, int], float] = {}
     for (i, j), v in x.items():
-        tgt = fmap.theta.get(i)
-        if tgt is None:
+        tgt = int(fmap.theta[inst.pos(i)])
+        if tgt < 0:
             raise ContractViolation(f"facility {i} carries mass but is outside the map")
-        key = (tgt, j)
+        key = (inst.id_at(tgt), j)
         x2[key] = x2.get(key, 0.0) + v
     return x2
 
@@ -240,18 +259,18 @@ def test_reroute_matches_dict_reference():
         frac = check_feasible(sys)
         if frac is None:
             continue
-        order = None if restricted is None else sorted(restricted, key=inst.pos)
-        fmap = select_separated_facilities(inst, lam, order)
+        fmap = select_separated_facilities(inst, lam, sys.facility_pos)
         point = _reference_point(inst, sys, _solve_highs(sys))
-        expected = _reference_reroute(point, fmap)
+        expected = _reference_reroute(inst, point, fmap)
         merged = reroute_fractional(inst, frac, fmap)
         # same pairs in the same order, and the same bits in every mass
         got = [(i, j, v.hex()) for (i, j), v in pair_masses(inst, merged).items()]
         assert got == [(i, j, v.hex()) for (i, j), v in expected.items()]
-        assert merged.y.tolist() == [float(i in fmap.opened) for i in inst.ids()]
+        opened_ids = [inst.id_at(p) for p in fmap.opened.tolist()]
+        assert merged.y.tolist() == [float(i in opened_ids) for i in inst.ids()]
 
         net = build_assignment_network(inst, merged, fmap.opened)
-        ref = fractional_point(inst, expected, {i: 1.0 for i in fmap.opened})
+        ref = fractional_point(inst, expected, {i: 1.0 for i in opened_ids})
         ref_net = build_assignment_network(inst, ref, fmap.opened)
         for name in ("tail", "head", "lower", "cap", "point"):
             assert np.array_equal(getattr(net, name), getattr(ref_net, name)), name
@@ -270,14 +289,15 @@ def test_reroute_keeps_first_appearance_order_and_pair_order_sums():
     inst = make_instance([(0.0,)] * 4, ["r", "b", "r", "b"], k=1, alpha=0.5, ids=[5, 6, 7, 8])
     x = {(6, 8): 0.1, (7, 8): 0.2, (5, 7): 1.0, (5, 8): 0.7, (6, 5): 1.0, (7, 6): 1.0}
     fmap = select_separated_facilities(inst, 0.0)
-    assert fmap.opened == (5,)
+    assert fmap.opened.tolist() == [0]
     merged = reroute_fractional(inst, fractional_point(inst, x, {5: 0.4, 6: 0.3, 7: 0.3}), fmap)
-    expected = _reference_reroute(x, fmap)
+    expected = _reference_reroute(inst, x, fmap)
     assert list(expected) == [(5, 8), (5, 7), (5, 5), (5, 6)]
     assert expected[(5, 8)] == 1.0
     assert list(pair_masses(inst, merged).items()) == list(expected.items())
     with pytest.raises(ContractViolation, match="facility 6 carries mass"):
-        reroute_fractional(inst, fractional_point(inst, x, {}), FacilityMap((5,), {5: 5}, 0.0))
+        only_5 = FacilityMap(np.array([0]), np.array([0, -1, -1, -1]))
+        reroute_fractional(inst, fractional_point(inst, x, {}), only_5)
 
 
 def _two_sites_point():
