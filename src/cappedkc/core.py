@@ -175,7 +175,12 @@ class Instance:
         return self._dist
 
     def with_params(self, k: int | None = None, alpha: float | None = None) -> "Instance":
-        """Same points and metric under different k / alpha."""
+        """Same points and metric under different k / alpha; self when neither changes.
+
+        Returning self keeps the distance rows already cached.
+        """
+        if (k is None or k == self.k) and (alpha is None or alpha == self.alpha):
+            return self
         return Instance(
             self.points,
             self.k if k is None else k,

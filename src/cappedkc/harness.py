@@ -23,7 +23,7 @@ from .core import (
 )
 from .greedy import greedy_k_center, lloyd_kcenter_round, random_baseline
 from .halfcap import non_dominant_k_center
-from .lp_rounding import fair_k_center
+from .lp_rounding import fair_k_center, one_center_stop
 
 RANDOM_RERUNS = 10
 
@@ -106,18 +106,36 @@ def faster_algorithm(inst: Instance, cfg: RunConfig, return_info: bool = False):
     The facility variables are restricted to m*k greedy centers and the
     radius ladder grows by (1+epsilon) factors, so few and small systems are
     solved before the first feasible radius.
+
+    Two certificates stand in for solves.  A color with more than alpha*n
+    points empties every rung's polytope (summing the cap rows gives
+    |c| <= alpha*n at any of its points), so it raises InfeasibleInstance
+    before the ladder.  And the ladder stops at the first rung where
+    `one_center_stop` shows that the rounding can only give one cluster from
+    there on.  `return_info["lambda"]` is the rung where the output became
+    fixed: every earlier rung was rejected by `fair_k_center`, and the cost
+    is at most 3*lambda.
     """
     if cfg.algorithm != "lp":
         raise InputError("faster_algorithm drives the lp route")
     work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
+    if np.bincount(work.colors()).max() > work.alpha * work.n + CAP_TOL:
+        raise InfeasibleInstance(
+            "no radius in the grid admits a capped assignment; "
+            "alpha is below the largest color fraction"
+        )
     lam_anchor = float(work.dist_row(0).max())
     _, lam_greedy = greedy_k_center(work, k=cfg.k)
     coreset_sol, _ = greedy_k_center(work, k=cfg.m * cfg.k)
     coreset = list(coreset_sol.centers)
-
     grid = lambda_grid(work, lam_greedy, lam_anchor, cfg.epsilon)
+
     for lam in grid:
-        sol = fair_k_center(work, lam, restricted=coreset)
+        o = one_center_stop(work, coreset, lam, grid[-1])
+        if o is not None:
+            sol = ClusteringSolution((work.id_at(o),), dict.fromkeys(work.ids(), work.id_at(o)))
+        else:
+            sol = fair_k_center(work, lam, restricted=coreset)
         if sol is not None:
             if return_info:
                 return sol, {
@@ -128,10 +146,7 @@ def faster_algorithm(inst: Instance, cfg: RunConfig, return_info: bool = False):
                     "anchor_radius": lam_anchor,
                 }
             return sol
-    raise InfeasibleInstance(
-        "no radius in the grid admits a capped assignment; "
-        "alpha is below the largest color fraction"
-    )
+    raise InfeasibleInstance("no radius in the grid admits a capped assignment")
 
 
 @lru_cache(maxsize=32)

@@ -315,30 +315,37 @@ def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
     return np.asarray(res.x)
 
 
-def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
-    """A point satisfying every row within 1e-7, or None when the polytope is empty.
+def passes_prechecks(sys: LinearSystem) -> bool:
+    """False when one of two solve-free tests shows the polytope empty.
 
-    Two pre-checks empty the polytope without a solve.  The first: a client
-    with no facility in radius.  The second: a client whose in-radius
-    facilities each see fewer than ceil(1/alpha) colors among their
-    in-radius clients.  Such a facility cannot open: y_i > 0 forces
-    L_i >= ceil(1/alpha) * y_i > 0 (`minload`), each of its K colors carries
-    at most alpha * L_i (`colorcap`), so K * alpha >= 1, which
+    The first: a client with no facility in radius.  The second: a client
+    whose in-radius facilities each see fewer than ceil(1/alpha) colors
+    among their in-radius clients.  Such a facility cannot open: y_i > 0
+    forces L_i >= ceil(1/alpha) * y_i > 0 (`minload`), each of its K colors
+    carries at most alpha * L_i (`colorcap`), so K * alpha >= 1, which
     K < ceil(1/alpha) rules out (the float guard of `ceil_inv_alpha` only
     weakens the test).  With y_i = 0 the `open` rows hold all its x_ij at 0,
-    so a client reaching no other facility cannot be covered.  Otherwise
-    SciPy's HiGHS decides, and its point is re-checked against every row.
-    Numerical failures raise SolverError, they are never reported as
-    infeasible.
+    so a client reaching no other facility cannot be covered.
     """
     if sys.uncovered_clients:
-        return None  # some client has no facility in radius: trivially empty
+        return False
     n_colors = int(sys.pair_color.max()) + 1
     seen = np.unique(sys.pair_facility * n_colors + sys.pair_color)
     n_seen = np.bincount(seen // n_colors, minlength=sys.n_points)
     servable = n_seen[sys.pair_facility] >= ceil_inv_alpha(sys.alpha)
-    if not np.bincount(sys.pair_client[servable], minlength=sys.n_points).all():
-        return None  # some client reaches only facilities that cannot open
+    return bool(np.bincount(sys.pair_client[servable], minlength=sys.n_points).all())
+
+
+def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
+    """A point satisfying every row within 1e-7, or None when the polytope is empty.
+
+    When `passes_prechecks` already shows the polytope empty there is no
+    solve.  Otherwise SciPy's HiGHS decides, and its point is re-checked
+    against every row.  Numerical failures raise SolverError, they are never
+    reported as infeasible.
+    """
+    if not passes_prechecks(sys):
+        return None
     vec = _solve_highs(sys)
     if vec is None:
         return None

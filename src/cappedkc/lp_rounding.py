@@ -7,9 +7,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClusteringSolution, ContractViolation, InputError, Instance
+from .core import ClusteringSolution, ContractViolation, InputError, Instance, ceil_inv_alpha
 from .flow import build_assignment_network, extract_assignment, max_flow_lower_bounds
-from .lp_feasibility import FractionalSolution, build_polytope, check_feasible
+from .lp_feasibility import (
+    RADIUS_SLACK,
+    FractionalSolution,
+    build_polytope,
+    check_feasible,
+    passes_prechecks,
+)
 
 SEP_TOL = 1e-7
 
@@ -159,3 +165,35 @@ def fair_k_center(
     assign = extract_assignment(net, flow)
     centers = tuple(sorted(set(assign.values())))
     return ClusteringSolution(centers, assign)
+
+
+def one_center_stop(inst: Instance, restricted: Sequence[int], lam: float, top: float) -> int | None:
+    """The position o all clients round onto at every rung from lam to top, or None.
+
+    `restricted` are the facility ids of every rung, o the lowest of their
+    positions.  From lam on the ascending walk over `fair_k_center` rungs up
+    to `top` can only merge every client onto o, and accepts some rung, when:
+    - the >2*lam-separated set is {o}: max d(o, facilities) <= 2*lam, the
+      predicate of `select_separated_facilities`, so it stays {o} at every
+      larger rung;
+    - the pre-checks of `passes_prechecks` pass at lam;
+    - the one-center point (y_o = 1, x_oj = 1 for every client, L_o = n)
+      lies in the radius-top polytope: every color count <= alpha*n,
+      n >= ceil(1/alpha), and every d(o, j) within the radius top;
+    - every d(o, j) <= 3*lam, as the merged point's check demands.
+    The polytopes grow with the radius, so the walk accepts its first
+    non-empty rung, the top one at the latest, and the merged point there is
+    x_oj = 1 for every client: one cluster at o, within 3*lam.
+    """
+    fac = [inst.pos(i) for i in restricted]
+    o = min(fac)
+    reach = float(inst.dist_row(o).max())
+    if not (
+        max(float(inst.dist_row(p)[o]) for p in fac) <= 2.0 * lam
+        and reach <= 3.0 * lam
+        and reach <= top * (1.0 + RADIUS_SLACK)
+        and inst.n >= ceil_inv_alpha(inst.alpha)
+        and np.bincount(inst.colors()).max() <= inst.alpha * inst.n
+    ):
+        return None
+    return o if passes_prechecks(build_polytope(inst, lam, restricted)) else None

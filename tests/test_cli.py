@@ -124,12 +124,22 @@ def test_main_error_exit_code(tmp_path, capsys):
 
 
 def test_main_solver_failure_is_error(tmp_path, capsys, monkeypatch):
+    calls = []
+
     def failing(*args, **kwargs):
+        calls.append(1)
         return SimpleNamespace(status=4, message="numerical difficulties", x=None)
 
     monkeypatch.setattr(scipy.optimize, "linprog", failing)
-    path = square_csv(tmp_path)
+    # two unit squares 10 apart: the ladder needs an LP before one center could serve
+    # both, whereas a lone square stops at its one-center rung without a solve
+    rows = [(0, 0, "r"), (1, 1, "r"), (0, 1, "b"), (1, 0, "b")]
+    text = "id,color,x0,x1\n" + "".join(
+        f"{4 * s + i},{c},{x + 10 * s}.0,{y}.0\n" for s in (0, 1) for i, (x, y, c) in enumerate(rows)
+    )
+    path = write(tmp_path, "squares.csv", text)
     assert main(["--input", str(path), "--k", "2", "--alpha", "0.5", "--algo", "lp"]) == 1
+    assert calls
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "linprog status 4" in captured.err

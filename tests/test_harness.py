@@ -1,15 +1,22 @@
 import random
 
+import numpy as np
 import pytest
+import scipy.optimize
 
 from cappedkc import (
+    ContractViolation,
     InfeasibleInstance,
     InputError,
+    Instance,
+    Point,
     RunConfig,
     brute_force_capped_opt,
     brute_force_kcenter_opt,
+    build_polytope,
     check_capped,
     evaluate,
+    fair_k_center,
     faster_algorithm,
     greedy_k_center,
     make_balanced_instance,
@@ -18,9 +25,13 @@ from cappedkc import (
     nearest_assignment,
     report_to_json,
     reports_to_csv,
+    select_separated_facilities,
     solution_cost,
 )
+from cappedkc import harness
 from cappedkc.harness import lambda_grid, report_to_dict
+from cappedkc.lp_feasibility import passes_prechecks
+from cappedkc.lp_rounding import one_center_stop
 from conftest import line_instance, random_capped_instance
 
 
@@ -146,6 +157,227 @@ def test_faster_algorithm_accepts_first_feasible():
 
     for lam in homing:
         assert check_feasible(build_polytope(inst, lam, info["coreset"])) is None
+
+
+def _reference_faster_algorithm(inst, cfg):
+    """The plain ladder walk, with no stop rule and no up-front check: (solution, rung)."""
+    work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
+    lam_anchor = float(work.dist_row(0).max())
+    _, lam_greedy = greedy_k_center(work, k=cfg.k)
+    coreset_sol, _ = greedy_k_center(work, k=cfg.m * cfg.k)
+    coreset = list(coreset_sol.centers)
+    for lam in lambda_grid(work, lam_greedy, lam_anchor, cfg.epsilon):
+        sol = fair_k_center(work, lam, restricted=coreset)
+        if sol is not None:
+            return sol, lam
+    raise InfeasibleInstance("no radius in the grid admits a capped assignment")
+
+
+def _one_center_point_in(inst, lam, coreset) -> bool:
+    """Whether y_o = 1, x_oj = 1 for every client, L_o = n meets every row of the
+    radius-lam system exactly, o being the coreset's lowest position."""
+    sys = build_polytope(inst, lam, coreset)
+    nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
+    mine = np.flatnonzero(sys.pair_facility == sys.facility_pos[0])
+    if mine.size != inst.n:
+        return False
+    vec = np.zeros(sys.n_vars)
+    vec[[0, nf + n_pairs]] = [1.0, inst.n]
+    vec[nf + mine] = 1.0
+    for blk in sys.blocks:
+        lhs = blk.matrix(sys.n_vars) @ vec
+        holds = {"==": lhs == blk.rhs, "<=": lhs <= blk.rhs, ">=": lhs >= blk.rhs}
+        if not holds[blk.relation].all():
+            return False
+    return True
+
+
+def _stop_pool():
+    """Seeded (instance, config) pool for the one-center stop.
+
+    Euclidean instances on float and on integer coordinates (the latter hit
+    max d(o, coreset) == 2*lam exactly), unbalanced colors so that some are
+    globally over-represented, symmetric non-metric distance matrices, and
+    alphas where alpha*n falls a float ulp short of a color's count.
+    """
+    rng = np.random.default_rng(2024)
+    pool = []
+    for t in range(220):
+        n = int(rng.integers(5, 13))
+        coords = rng.random((n, int(rng.integers(1, 3))))
+        if t % 2:
+            coords = np.round(coords * 4)
+        n_colors = int(rng.integers(2, 5))
+        colors = np.arange(n) % n_colors
+        if t % 3 == 0:
+            colors[:2] = 0  # tip color 0 over its share, at some alphas
+        alpha = float(rng.choice([1 / 4, 1 / 3, 0.4, 1 / 2, 2 / 3, 1.0]))
+        pool.append((make_instance(coords, rng.permutation(colors).tolist(), k=1, alpha=alpha), alpha))
+    for _ in range(60):
+        n = int(rng.integers(5, 11))
+        upper = np.triu(10.0 ** rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+        colors = rng.permutation(np.arange(n) % 2)
+        points = [Point(j, (), int(c)) for j, c in enumerate(colors)]
+        alpha = float(rng.choice([1 / 2, 2 / 3, 1.0]))
+        pool.append((Instance(points, 1, alpha, dist_matrix=upper + upper.T), alpha))
+    for num, den in [(13, 23), (15, 22), (15, 26)] * 10:
+        # alpha * den rounds to just below num, so a color of num points passes
+        # the global-share check while the one-center point breaks its cap
+        colors = [0] * num + rng.integers(1, 4, size=den - num).tolist()
+        pool.append((make_instance(rng.random((den, 2)), colors, k=1, alpha=num / den), num / den))
+    return [
+        (inst, RunConfig(
+            k=int(rng.integers(1, 4)),
+            alpha=alpha,
+            epsilon=float(rng.choice([0.1, 0.25, 0.6])),
+            m=int(rng.integers(1, 4)),
+        ))
+        for inst, alpha in pool
+    ]
+
+
+def test_one_center_stop_matches_ladder_walk(monkeypatch):
+    accepted, solves = [], []
+    real_linprog = scipy.optimize.linprog
+
+    def counting_linprog(*args, **kwargs):
+        solves.append(1)
+        return real_linprog(*args, **kwargs)
+
+    def recording_fair_k_center(*args, **kwargs):
+        sol = fair_k_center(*args, **kwargs)
+        accepted.append(sol is not None)
+        return sol
+
+    paths = {"stop": 0, "ladder": 0, "infeasible": 0, "error": 0}
+    pool = _stop_pool()
+    for inst, cfg in pool:
+        try:
+            ref_sol, ref_lam = _reference_faster_algorithm(inst, cfg)
+            expect = ("ok", ref_sol.centers, ref_sol.assign)
+        except (InfeasibleInstance, ContractViolation) as exc:
+            expect, ref_lam = (type(exc).__name__,), None
+
+        accepted.clear()
+        solves.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.optimize, "linprog", counting_linprog)
+            patch.setattr(harness, "fair_k_center", recording_fair_k_center)
+            try:
+                sol, info = faster_algorithm(inst, cfg, return_info=True)
+                got = ("ok", sol.centers, sol.assign)
+            except (InfeasibleInstance, ContractViolation) as exc:
+                got = (type(exc).__name__,)
+        assert got == expect, (inst.n, cfg)
+        if got[0] == "InfeasibleInstance":
+            # a color above alpha*n is the only infeasible verdict, and it needs no solve
+            assert not solves, (inst.n, cfg)
+            paths["infeasible"] += 1
+            continue
+        if got[0] == "ContractViolation":
+            # off a metric, both walks can merge a client beyond 3*lam
+            paths["error"] += 1
+            continue
+        paths["ladder" if any(accepted) else "stop"] += 1
+
+        # the rung reported is the first that meets the one-center certificate,
+        # checked here from its parts, or else the walk's own accepted rung
+        work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
+        coreset, grid = info["coreset"], info["grid"]
+        core_pos = np.array(sorted(work.pos(i) for i in coreset))
+        fits = _one_center_point_in(work, grid[-1], coreset)
+        stop = next(
+            (
+                lam
+                for lam in grid
+                if lam < ref_lam
+                and fits
+                and len(select_separated_facilities(work, lam, core_pos).opened) == 1
+                and (work.dist_row(core_pos[0]) <= 3.0 * lam).all()
+                and passes_prechecks(build_polytope(work, lam, coreset))
+            ),
+            ref_lam,
+        )
+        assert info["lambda"] == stop, (inst.n, cfg)
+        assert solution_cost(inst, sol) <= 3.0 * info["lambda"] + 1e-7
+
+    print(f"one-center stop pool: {len(pool)} instances, paths {paths}")
+    assert len(pool) >= 300
+    assert paths["stop"] > 0 and paths["ladder"] > 0 and paths["infeasible"] > 0
+
+
+def _walk_from(inst, restricted, grid):
+    """The first solution of the fair_k_center walk over `grid`, or None."""
+    return next(
+        (sol for lam in grid if (sol := fair_k_center(inst, lam, restricted)) is not None), None
+    )
+
+
+def test_one_center_stop_conditions_against_the_walk():
+    # o=0 and q=2 on a line; at radius 1 the polytope is empty, because o
+    # must serve the two reds at -1 and 0 but reaches one blue only
+    inst = make_instance(
+        [(0.0,), (2.0,), (-1.0,), (1.0,), (3.0,), (3.0,)],
+        ["r", "r", "r", "b", "b", "b"],
+        k=2,
+        alpha=0.5,
+    )
+    pair = [0, 1]
+    # d(o, q) = 2*lam exactly: the separated set is {o}
+    assert len(select_separated_facilities(inst, 1.0, np.array([0, 1])).opened) == 1
+    assert one_center_stop(inst, pair, 1.0, 3.0) == 0
+    single = _walk_from(inst, pair, [1.0, 3.0])
+    assert single.centers == (0,) and set(single.assign.values()) == {0}
+    # up to radius 1.5 the one-center point is outside the top polytope and
+    # the walk finds nothing, so the stop must not fire
+    assert _walk_from(inst, pair, [1.0, 1.5]) is None
+    assert one_center_stop(inst, pair, 1.0, 1.5) is None
+
+    # a non-metric matrix: q is 1 from o and from j, but j is 5 from o
+    dm = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    far = Instance([Point(p, (), 0) for p in range(3)], k=1, alpha=1.0, dist_matrix=dm)
+    with pytest.raises(ContractViolation):
+        _walk_from(far, [0, 1], [1.0])  # merging j onto o breaks 3*lam
+    assert one_center_stop(far, [0, 1], 1.0, 5.0) is None
+    assert one_center_stop(far, [0, 1], 2.0, 5.0) == 0
+    assert _walk_from(far, [0, 1], [2.0]).centers == (0,)
+
+
+def test_one_center_stop_is_sound_for_any_facility_set():
+    rng = np.random.default_rng(77)
+    fired = 0
+    for t in range(150):
+        n = int(rng.integers(4, 10))
+        colors = rng.integers(0, 2, size=n).tolist()
+        alpha = float(rng.choice([1 / 2, 2 / 3, 1.0]))
+        if t % 2:
+            upper = np.triu(10.0 ** rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+            points = [Point(j, (), c) for j, c in enumerate(colors)]
+            inst = Instance(points, 2, alpha, dist_matrix=upper + upper.T)
+        else:
+            inst = make_instance(np.round(rng.random((n, 2)) * 4), colors, k=2, alpha=alpha)
+        restricted = sorted(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist())
+        radii = np.unique(inst.pairwise())
+        grid = sorted(rng.choice(np.concatenate([radii, radii / 2, radii / 3]), size=5).tolist())
+        for i, lam in enumerate(grid):
+            o = one_center_stop(inst, restricted, lam, grid[-1])
+            if o is None:
+                continue
+            # the walk from lam on must give the one cluster at o, within 3*lam
+            sol = _walk_from(inst, restricted, grid[i:])
+            assert sol is not None and sol.centers == (inst.id_at(o),), (t, lam)
+            assert solution_cost(inst, sol) <= 3.0 * lam * (1 + 1e-12) + 1e-7
+            fired += 1
+            break
+    assert fired > 20
+
+
+def test_with_params_keeps_the_instance_when_nothing_changes(unit_square):
+    assert unit_square.with_params() is unit_square
+    assert unit_square.with_params(k=2, alpha=0.5) is unit_square
+    other = unit_square.with_params(k=3)
+    assert other is not unit_square and other.k == 3 and other.alpha == 0.5
+    assert unit_square.k == 2
 
 
 def test_make_balanced_instance_shape():
