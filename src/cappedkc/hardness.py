@@ -1,4 +1,4 @@
-"""Gadget instances reducing star decomposition of a bipartite graph to capped clustering."""
+"""Gadget instances reducing star decomposition to capped clustering, and the exact capped optimum."""
 
 from __future__ import annotations
 
@@ -9,10 +9,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
-from .core import InputError, Instance, Point, ceil_inv_alpha
+from .core import CAP_TOL, ClusteringSolution, InfeasibleInstance, InputError, Instance, Point
 
 _STAR_GUARD = 12
-_BRUTE_GUARD = 14
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,9 @@ def hardness_instance(seed: BipartiteSeed) -> Instance:
     instance degenerates to a single red node (which admits no capped
     clustering at all).  The metric is unit-length shortest path on the
     gadget; nodes in different components sit at a sentinel distance equal
-    to the node count, which exceeds every true path length.
+    to the node count, which exceeds every true path length.  The instance
+    allows k = n clusters, so the budget row of `capped_opt`'s 0/1 program
+    is slack on gadgets and the optimum counts any number of clusters.
     """
     alpha = 1.0 / (2 + seed.t)
     counts = _star_counts(seed)
@@ -150,16 +151,18 @@ def t_star_decomposition_exists(seed: BipartiteSeed, star_size: int) -> bool:
 
 
 def _capped_system(inst: Instance, radius: float):
-    """The 0/1 program behind capped_cost_at_most as (A, lb, ub) in CSC form.
+    """The 0/1 program behind capped_opt as (A, lb, ub) in CSC form.
 
     Columns are one opening y_i per point, then one assignment x_ij per pair
-    with d(i, j) <= radius + 1e-9, in (facility, client) position order.
-    Rows are unit coverage per client, x_ij <= y_i per pair, then one cap
-    row per (facility with a pair, color) listing every pair of the
-    facility.  None when some client has no facility in radius.
+    with d(i, j) <= radius, in (facility, client) position order.  Rows are
+    unit coverage per client, x_ij <= y_i per pair, one cap row per
+    (facility with a pair, color) listing every pair of the facility, then
+    the budget row sum_i y_i <= k.  The cap rows are scaled to integer
+    coefficients when 1/alpha is an integer.  None when some client has no
+    facility in radius.
     """
     n, nc = inst.n, inst.n_colors
-    near = inst.pairwise() <= radius + 1e-9
+    near = inst.pairwise() <= radius
     if not near.any(axis=0).all():
         return None
     fac, client = np.nonzero(near)
@@ -175,35 +178,33 @@ def _capped_system(inst: Instance, radius: float):
     cap_row = n + n_pairs + (rank[:, None] * nc + np.arange(nc)).ravel()
     coeff = np.where(inst.colors()[client][:, None] == np.arange(nc), scale - 1.0, -1.0)
 
-    n_rows = n + n_pairs + facs.size * nc
+    budget_row = n + n_pairs + facs.size * nc
     A = sp.csc_matrix(
         (
-            np.concatenate([ones, ones, -ones, coeff.ravel()]),
+            np.concatenate([ones, ones, -ones, coeff.ravel(), np.ones(n)]),
             (
-                np.concatenate([client, open_row, open_row, cap_row]),
-                np.concatenate([xcol, xcol, fac, np.repeat(xcol, nc)]),
+                np.concatenate([client, open_row, open_row, cap_row, np.full(n, budget_row)]),
+                np.concatenate([xcol, xcol, fac, np.repeat(xcol, nc), np.arange(n)]),
             ),
         ),
-        shape=(n_rows, n + n_pairs),
+        shape=(budget_row + 1, n + n_pairs),
     )
-    lb = np.concatenate([np.ones(n), np.full(n_rows - n, -np.inf)])
-    ub = np.concatenate([np.ones(n), np.zeros(n_rows - n)])
+    lb = np.concatenate([np.ones(n), np.full(budget_row + 1 - n, -np.inf)])
+    ub = np.concatenate([np.ones(n), np.zeros(budget_row - n), [float(inst.k)]])
     return A, lb, ub
 
 
-def capped_cost_at_most(inst: Instance, radius: float) -> bool:
-    """Exact decision: does a capped clustering of cost <= radius exist, any cluster count?
+def _capped_solution(inst: Instance, radius: float) -> ClusteringSolution | None:
+    """A capped clustering with at most k clusters and cost <= radius, or None.
 
-    Solved as a 0/1 integer program (HiGHS) over `_capped_system`: one
-    opening variable per facility, one assignment variable per in-radius
-    pair, unit coverage, openings dominating assignments, and the color-cap
-    rows scaled to integer coefficients when 1/alpha is an integer.
+    Solved as a 0/1 integer program (HiGHS) over `_capped_system`.  The
+    centers are the facilities that serve a client at the integral point.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     system = _capped_system(inst, radius)
     if system is None:
-        return False
+        return None
     A, lb, ub = system
     res = milp(
         c=np.zeros(A.shape[1]),
@@ -212,66 +213,41 @@ def capped_cost_at_most(inst: Instance, radius: float) -> bool:
         bounds=Bounds(0, 1),
     )
     if res.status == 2:
-        return False
+        return None
     if res.status != 0:
         raise RuntimeError(f"milp failed with status {res.status}: {res.message}")
-    return True
+    fac, client = np.nonzero(inst.pairwise() <= radius)
+    chosen = res.x[inst.n :] > 0.5
+    ids = np.array(inst.ids())
+    centers = tuple(sorted(ids[np.unique(fac[chosen])].tolist()))
+    assign = dict(zip(ids[client[chosen]].tolist(), ids[fac[chosen]].tolist()))
+    return ClusteringSolution(centers, assign)
 
 
-def min_capped_cost_unbounded(inst: Instance) -> float:
-    """Exact optimal capped cost with unlimited clusters; inf when infeasible."""
-    dm = inst.pairwise()
-    radii = sorted(set(float(v) for v in np.unique(dm)))
-    for radius in radii:
-        if capped_cost_at_most(inst, radius):
-            return radius
-    return float("inf")
+def capped_cost_at_most(inst: Instance, radius: float) -> bool:
+    """Exact decision: does a capped clustering of cost <= radius with at most k clusters exist?"""
+    return _capped_solution(inst, radius) is not None
 
 
-def capped_partition_exists_bruteforce(inst: Instance, radius: float) -> bool:
-    """Enumeration cross-check for capped_cost_at_most on small instances.
+def capped_opt(inst: Instance) -> tuple[float, ClusteringSolution]:
+    """Exact capped k-center optimum: the cost and a clustering that attains it.
 
-    Recursively carves off a capped cluster containing the lowest remaining
-    point from some center's radius ball, memoizing on the remaining set.
+    Raises InfeasibleInstance, without a solve, exactly when some color holds
+    more than an alpha share of the points: a union of capped clusters is
+    capped, and otherwise all points form one capped cluster at the largest
+    distance.  Then it bisects the 0/1 program over the distinct pairwise
+    distances, since a larger radius only admits more pairs; the optimum is
+    the first distance that admits a capped clustering.
     """
-    n = inst.n
-    if n > _BRUTE_GUARD:
-        raise InputError(f"exhaustive search is limited to {_BRUTE_GUARD} points")
-    dm = inst.pairwise()
-    colors = inst.colors()
-    balls = [frozenset(np.flatnonzero(dm[v] <= radius + 1e-9).tolist()) for v in range(n)]
-    min_size = ceil_inv_alpha(inst.alpha)
-    memo: dict[frozenset, bool] = {}
-
-    def capped(members: tuple[int, ...]) -> bool:
-        counts: dict[int, int] = {}
-        for v in members:
-            counts[colors[v]] = counts.get(colors[v], 0) + 1
-        bound = inst.alpha * len(members) + 1e-9
-        return all(cnt <= bound for cnt in counts.values())
-
-    def feasible(remaining: frozenset) -> bool:
-        if not remaining:
-            return True
-        if remaining in memo:
-            return memo[remaining]
-        first = min(remaining)
-        out = False
-        for center in range(n):
-            pool = sorted((balls[center] & remaining) - {first})
-            if first not in balls[center]:
-                continue
-            for r in range(min_size - 1, len(pool) + 1):
-                for extra in combinations(pool, r):
-                    cluster = (first, *extra)
-                    if capped(cluster) and feasible(remaining - set(cluster)):
-                        out = True
-                        break
-                if out:
-                    break
-            if out:
-                break
-        memo[remaining] = out
-        return out
-
-    return feasible(frozenset(range(n)))
+    if np.bincount(inst.colors()).max() > inst.alpha * inst.n + CAP_TOL:
+        raise InfeasibleInstance("a color holds more than an alpha share of the points")
+    radii = np.unique(inst.pairwise())
+    lo, hi, best = 0, radii.size, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        sol = _capped_solution(inst, float(radii[mid]))
+        if sol is None:
+            lo = mid + 1
+        else:
+            hi, best = mid, sol
+    return float(radii[hi]), best

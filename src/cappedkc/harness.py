@@ -1,4 +1,4 @@
-"""Grid-search driver, quality metrics, brute-force oracles, and report plumbing."""
+"""Grid-search driver, quality metrics, and report plumbing."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations, product
 
 import numpy as np
 
@@ -147,66 +145,6 @@ def faster_algorithm(inst: Instance, cfg: RunConfig, return_info: bool = False):
                 }
             return sol
     raise InfeasibleInstance("no radius in the grid admits a capped assignment")
-
-
-@lru_cache(maxsize=32)
-def _assignments(m: int, n: int) -> np.ndarray:
-    """All m^n assignment vectors in lexicographic order, one row each."""
-    return np.array(list(product(range(m), repeat=n)), dtype=np.int8)
-
-
-def brute_force_capped_opt(inst: Instance) -> tuple[float, ClusteringSolution]:
-    """Exact capped optimum by enumerating center subsets and all assignments.
-
-    Guarded to 10 points and k <= 3.  Subsets are scanned by size then
-    lexicographically, assignments lexicographically, and only strict cost
-    improvements displace the incumbent, so ties resolve to the
-    lexicographically first solution.
-    """
-    n, k = inst.n, inst.k
-    if n > 10 or k > 3:
-        raise InputError("oracle limits: at most 10 points and k <= 3")
-    dm = inst.pairwise()
-    onehot = np.eye(inst.n_colors, dtype=np.int64)[inst.colors()]
-    rows = np.arange(n)
-
-    best_cost = np.inf
-    best: tuple[tuple[int, ...], np.ndarray] | None = None
-    for size in range(1, min(k, n) + 1):
-        A = _assignments(size, n)
-        for S in combinations(range(n), size):
-            dsub = dm[:, S]
-            costs = dsub[rows[None, :], A].max(axis=1)
-            ok = np.ones(len(A), dtype=bool)
-            for s in range(size):
-                mask = A == s
-                tot = mask.sum(axis=1)
-                cnts = mask.astype(np.int64) @ onehot
-                ok &= (cnts <= inst.alpha * tot[:, None] + CAP_TOL).all(axis=1)
-            costs = np.where(ok, costs, np.inf)
-            q = int(costs.argmin())
-            if costs[q] < best_cost:
-                best_cost = float(costs[q])
-                best = (S, A[q].copy())
-    if best is None or not np.isfinite(best_cost):
-        raise InfeasibleInstance("no capped assignment exists for any center subset")
-    S, digits = best
-    centers = tuple(sorted(inst.id_at(p) for p in S))
-    assign = {inst.id_at(j): inst.id_at(S[digits[j]]) for j in range(n)}
-    return best_cost, ClusteringSolution(centers, assign)
-
-
-def brute_force_kcenter_opt(inst: Instance) -> float:
-    """Exact unconstrained k-center optimum via subset enumeration (n <= 12, k <= 3)."""
-    n, k = inst.n, inst.k
-    if n > 12 or k > 3:
-        raise InputError("oracle limits: at most 12 points and k <= 3")
-    dm = inst.pairwise()
-    best = np.inf
-    for size in range(1, min(k, n) + 1):
-        for S in combinations(range(n), size):
-            best = min(best, float(dm[:, S].min(axis=1).max()))
-    return best
 
 
 def make_balanced_instance(

@@ -359,16 +359,3 @@ def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
     y[sys.facility_pos] = vec[:nf]
     return FractionalSolution(sys.pair_facility[support], sys.pair_client[support], x[support], y)
 
-
-def min_feasible_radius(
-    inst: Instance, radii: Sequence[float], restricted: Sequence[int] | None = None
-) -> tuple[float, FractionalSolution] | None:
-    """First of the ascending `radii` whose polytope is non-empty, with a point in it.
-
-    Walks the radii in order, so the cheap infeasible solves come first.
-    """
-    for lam in radii:
-        frac = check_feasible(build_polytope(inst, lam, restricted))
-        if frac is not None:
-            return lam, frac
-    return None

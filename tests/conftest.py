@@ -1,9 +1,24 @@
 import random
+from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from cappedkc import BipartiteSeed, FractionalSolution, Instance, make_instance, sorted_adjacency
+from cappedkc import (
+    CAP_TOL,
+    BipartiteSeed,
+    ClusteringSolution,
+    FractionalSolution,
+    InfeasibleInstance,
+    InputError,
+    Instance,
+    build_polytope,
+    check_feasible,
+    make_instance,
+    sorted_adjacency,
+)
+from cappedkc.core import ceil_inv_alpha
 
 
 def random_capped_instance(
@@ -74,6 +89,138 @@ def tiny_seeds() -> list[BipartiteSeed]:
             BipartiteSeed(3, 3, ((0, 0), (1, 0), (2, 1)), t),
         ]
     return seeds
+
+
+@lru_cache(maxsize=32)
+def _assignments(m: int, n: int) -> np.ndarray:
+    """All m^n assignment vectors in lexicographic order, one row each."""
+    return np.array(list(product(range(m), repeat=n)), dtype=np.int8)
+
+
+def brute_force_capped_opt(inst: Instance) -> tuple[float, ClusteringSolution]:
+    """Exact capped optimum by enumerating center subsets and all assignments.
+
+    The reference for `capped_opt`.  Guarded to 10 points and k <= 3.  Subsets are scanned by size then
+    lexicographically, assignments lexicographically, and only strict cost
+    improvements displace the incumbent, so ties resolve to the
+    lexicographically first solution.
+    """
+    n, k = inst.n, inst.k
+    if n > 10 or k > 3:
+        raise InputError("oracle limits: at most 10 points and k <= 3")
+    dm = inst.pairwise()
+    onehot = np.eye(inst.n_colors, dtype=np.int64)[inst.colors()]
+    rows = np.arange(n)
+
+    best_cost = np.inf
+    best: tuple[tuple[int, ...], np.ndarray] | None = None
+    for size in range(1, min(k, n) + 1):
+        A = _assignments(size, n)
+        for S in combinations(range(n), size):
+            dsub = dm[:, S]
+            costs = dsub[rows[None, :], A].max(axis=1)
+            ok = np.ones(len(A), dtype=bool)
+            for s in range(size):
+                mask = A == s
+                tot = mask.sum(axis=1)
+                cnts = mask.astype(np.int64) @ onehot
+                ok &= (cnts <= inst.alpha * tot[:, None] + CAP_TOL).all(axis=1)
+            costs = np.where(ok, costs, np.inf)
+            q = int(costs.argmin())
+            if costs[q] < best_cost:
+                best_cost = float(costs[q])
+                best = (S, A[q].copy())
+    if best is None or not np.isfinite(best_cost):
+        raise InfeasibleInstance("no capped assignment exists for any center subset")
+    S, digits = best
+    centers = tuple(sorted(inst.id_at(p) for p in S))
+    assign = {inst.id_at(j): inst.id_at(S[digits[j]]) for j in range(n)}
+    return best_cost, ClusteringSolution(centers, assign)
+
+
+def brute_force_kcenter_opt(inst: Instance) -> float:
+    """Exact unconstrained k-center optimum via subset enumeration (n <= 12, k <= 3)."""
+    n, k = inst.n, inst.k
+    if n > 12 or k > 3:
+        raise InputError("oracle limits: at most 12 points and k <= 3")
+    dm = inst.pairwise()
+    best = np.inf
+    for size in range(1, min(k, n) + 1):
+        for S in combinations(range(n), size):
+            best = min(best, float(dm[:, S].min(axis=1).max()))
+    return best
+
+
+_PARTITION_GUARD = 14
+
+
+def capped_partition_exists_bruteforce(inst: Instance, radius: float) -> bool:
+    """Enumeration cross-check for capped_cost_at_most on small instances.
+
+    Recursively carves off a capped cluster containing the lowest remaining
+    point from some center's radius ball, memoizing on the remaining set.
+    It counts any number of clusters, so it matches the 0/1 program only
+    where k = n leaves the budget row slack, as on the gadgets.
+    """
+    n = inst.n
+    if n > _PARTITION_GUARD:
+        raise InputError(f"exhaustive search is limited to {_PARTITION_GUARD} points")
+    dm = inst.pairwise()
+    colors = inst.colors()
+    balls = [frozenset(np.flatnonzero(dm[v] <= radius).tolist()) for v in range(n)]
+    min_size = ceil_inv_alpha(inst.alpha)
+    memo: dict[frozenset, bool] = {}
+
+    def capped(members: tuple[int, ...]) -> bool:
+        counts: dict[int, int] = {}
+        for v in members:
+            counts[colors[v]] = counts.get(colors[v], 0) + 1
+        bound = inst.alpha * len(members) + 1e-9
+        return all(cnt <= bound for cnt in counts.values())
+
+    def feasible(remaining: frozenset) -> bool:
+        if not remaining:
+            return True
+        if remaining in memo:
+            return memo[remaining]
+        first = min(remaining)
+        out = False
+        for center in range(n):
+            pool = sorted((balls[center] & remaining) - {first})
+            if first not in balls[center]:
+                continue
+            for r in range(min_size - 1, len(pool) + 1):
+                for extra in combinations(pool, r):
+                    cluster = (first, *extra)
+                    if capped(cluster) and feasible(remaining - set(cluster)):
+                        out = True
+                        break
+                if out:
+                    break
+            if out:
+                break
+        memo[remaining] = out
+        return out
+
+    return feasible(frozenset(range(n)))
+
+
+def min_feasible_radius(inst: Instance, radii, restricted=None):
+    """First of the ascending `radii` whose polytope is non-empty, with a point in it.
+
+    A bisection: the polytope only grows with the radius, so the verdicts
+    are monotone and the point comes from the solve at that first radius.
+    None when no radius gives a non-empty polytope.
+    """
+    lo, hi, found = 0, len(radii), None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        frac = check_feasible(build_polytope(inst, radii[mid], restricted))
+        if frac is None:
+            lo = mid + 1
+        else:
+            hi, found = mid, (radii[mid], frac)
+    return found
 
 
 @pytest.fixture

@@ -7,11 +7,10 @@ import time
 from cappedkc import (
     InfeasibleInstance,
     RunConfig,
-    brute_force_capped_opt,
-    brute_force_kcenter_opt,
     build_assignment_network,
     build_polytope,
     candidate_radii,
+    capped_opt,
     check_capped,
     check_feasible,
     evaluate,
@@ -23,8 +22,6 @@ from cappedkc import (
     make_instance,
     max_additive_violation,
     max_flow_lower_bounds,
-    min_capped_cost_unbounded,
-    min_feasible_radius,
     non_dominant_k_center,
     reroute_fractional,
     select_separated_facilities,
@@ -33,7 +30,12 @@ from cappedkc import (
 )
 from cappedkc.flow import _snap
 from cappedkc.harness import report_to_dict
-from conftest import random_capped_instance, tiny_seeds
+from conftest import (
+    brute_force_kcenter_opt,
+    min_feasible_radius,
+    random_capped_instance,
+    tiny_seeds,
+)
 
 
 def _verdict(criterion: str, ok: bool, detail: str):
@@ -45,7 +47,7 @@ def _integer_inverse(alpha: float) -> bool:
     return abs(round(1 / alpha) - 1 / alpha) < 1e-9
 
 
-def _feasible_pool(seed: int, count: int, alphas, max_n: int = 9):
+def _feasible_pool(seed: int, count: int, alphas, n_range=(4, 9), k_range=(1, 3)):
     """Random oracle-solved instances: (instance, optimal cost, optimal solution)."""
     rng = random.Random(seed)
     pool = []
@@ -54,21 +56,20 @@ def _feasible_pool(seed: int, count: int, alphas, max_n: int = 9):
         attempts += 1
         alpha = rng.choice(alphas)
         n_colors = 2 if (alpha == 0.5 and rng.random() < 0.5) else 3
-        n = rng.randint(4, max_n)
-        k = rng.randint(1, 3)
+        n = rng.randint(*n_range)
+        k = rng.randint(*k_range)
         inst = random_capped_instance(rng, n=n, n_colors=n_colors, k=k, alpha=alpha)
         try:
-            cost, sol = brute_force_capped_opt(inst)
+            cost, sol = capped_opt(inst)
         except InfeasibleInstance:
             continue
         pool.append((inst, cost, sol))
+    assert len(pool) == count
     return pool
 
 
-def test_criterion_1_lp_route_vs_oracle():
-    t0 = time.monotonic()
-    pool = _feasible_pool(seed=10_001, count=200, alphas=[0.5, 1 / 3, 0.4])
-    assert len(pool) >= 200
+def _lp_route_at_optimum(pool):
+    """The LP route at each oracle optimum: (worst cost ratio, delta counts)."""
     worst_ratio = 0.0
     deltas = {0: 0, 1: 0, 2: 0}
     for inst, opt_cost, _ in pool:
@@ -83,19 +84,28 @@ def test_criterion_1_lp_route_vs_oracle():
         deltas[delta] += 1
         if opt_cost > 0:
             worst_ratio = max(worst_ratio, cost / opt_cost)
+    return worst_ratio, deltas
+
+
+def test_criterion_1_lp_route_vs_oracle():
+    t0 = time.monotonic()
+    alphas = [0.5, 1 / 3, 0.4]
+    worst, deltas = _lp_route_at_optimum(_feasible_pool(seed=10_001, count=200, alphas=alphas))
+    # the first seed from 10_002 up whose pool has more than one delta-1 instance
+    large = _feasible_pool(seed=10_008, count=12, alphas=alphas, n_range=(20, 40), k_range=(2, 4))
+    large_worst, large_deltas = _lp_route_at_optimum(large)
     elapsed = time.monotonic() - t0
     _verdict(
         "criterion-1 (3x cost, additive violation <= 2/1)",
-        elapsed < 300,
-        f"{len(pool)} instances, worst cost ratio {worst_ratio:.3f}, "
-        f"delta counts {deltas}, {elapsed:.1f}s",
+        elapsed < 300 and large_deltas[1] > 0,
+        f"200 instances, worst cost ratio {worst:.3f}, delta counts {deltas}; "
+        f"n=20-40: 12 instances, worst cost ratio {large_worst:.3f}, "
+        f"delta counts {large_deltas}; {elapsed:.1f}s",
     )
 
 
-def test_criterion_2_half_cap_route_vs_oracle():
-    t0 = time.monotonic()
-    pool = _feasible_pool(seed=20_002, count=200, alphas=[0.5])
-    assert len(pool) >= 200
+def _half_route_at_optimum(pool) -> float:
+    """The half-cap route on each pool instance: the worst cost ratio to the optimum."""
     worst_ratio = 0.0
     for inst, opt_cost, _ in pool:
         sol = non_dominant_k_center(inst)
@@ -104,11 +114,20 @@ def test_criterion_2_half_cap_route_vs_oracle():
         assert cost <= 12 * opt_cost + 1e-9
         if opt_cost > 0:
             worst_ratio = max(worst_ratio, cost / opt_cost)
+    return worst_ratio
+
+
+def test_criterion_2_half_cap_route_vs_oracle():
+    t0 = time.monotonic()
+    worst = _half_route_at_optimum(_feasible_pool(seed=20_002, count=200, alphas=[0.5]))
+    large = _feasible_pool(seed=20_003, count=12, alphas=[0.5], n_range=(20, 40), k_range=(2, 4))
+    large_worst = _half_route_at_optimum(large)
     elapsed = time.monotonic() - t0
     _verdict(
         "criterion-2 (exact cap, 12x cost)",
         elapsed < 300,
-        f"{len(pool)} instances, worst cost ratio {worst_ratio:.3f}, {elapsed:.1f}s",
+        f"200 instances, worst cost ratio {worst:.3f}; "
+        f"n=20-40: 12 instances, worst cost ratio {large_worst:.3f}; {elapsed:.1f}s",
     )
 
 
@@ -198,7 +217,11 @@ def test_criterion_5_hardness_gadget_oracle():
     for seed in seeds:
         inst = hardness_instance(seed)
         exists = t_star_decomposition_exists(seed, 3)
-        cost = min_capped_cost_unbounded(inst)
+        assert inst.k == inst.n  # so the oracle's budget row is slack
+        try:
+            cost, _ = capped_opt(inst)
+        except InfeasibleInstance:
+            cost = math.inf
         if exists:
             yes_count += 1
             assert cost <= 1 + 1e-9, f"decomposable seed {seed} priced at {cost}"

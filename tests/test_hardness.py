@@ -8,15 +8,27 @@ from scipy.sparse.csgraph import shortest_path
 
 from cappedkc import (
     BipartiteSeed,
+    InfeasibleInstance,
     InputError,
     capped_cost_at_most,
+    capped_opt,
+    check_capped,
+    fair_k_center,
     hardness_instance,
-    min_capped_cost_unbounded,
+    make_instance,
+    solution_cost,
     t_star_decomposition_exists,
 )
 from cappedkc import hardness
-from cappedkc.hardness import _capped_system, _star_counts, capped_partition_exists_bruteforce
-from conftest import tiny_seeds
+from cappedkc.hardness import _capped_system, _star_counts
+from conftest import (
+    brute_force_capped_opt,
+    brute_force_kcenter_opt,
+    capped_partition_exists_bruteforce,
+    line_instance,
+    random_capped_instance,
+    tiny_seeds,
+)
 
 
 def seed_21(edges, t=0):
@@ -36,7 +48,8 @@ def test_unsolvable_system_gives_trivial_instance():
     inst = hardness_instance(BipartiteSeed(1, 0, (), 0))
     assert inst.n == 1
     assert inst.color_labels[inst.points[0].color] == "red"
-    assert min_capped_cost_unbounded(inst) == float("inf")
+    with pytest.raises(InfeasibleInstance):
+        capped_opt(inst)
 
 
 def test_gadget_layer_sizes():
@@ -72,7 +85,7 @@ def test_full_star_seed_costs_one():
     assert t_star_decomposition_exists(seed, 3)
     inst = hardness_instance(seed)
     assert capped_cost_at_most(inst, 1)
-    assert min_capped_cost_unbounded(inst) == 1.0
+    assert capped_opt(inst)[0] == 1.0
 
 
 def test_single_edge_seed_cost_is_exactly_two():
@@ -82,7 +95,7 @@ def test_single_edge_seed_cost_is_exactly_two():
     assert not t_star_decomposition_exists(seed, 3)
     inst = hardness_instance(seed)
     assert not capped_cost_at_most(inst, 1)
-    assert min_capped_cost_unbounded(inst) == 2.0
+    assert capped_opt(inst)[0] == 2.0
 
 
 def test_full_star_seed_with_extra_color_costs_one():
@@ -95,7 +108,7 @@ def test_full_star_seed_with_extra_color_costs_one():
 def test_single_edge_seed_with_extra_color_stays_hard():
     seed = seed_21([(0, 0)], t=1)
     inst = hardness_instance(seed)
-    assert min_capped_cost_unbounded(inst) >= 2.0
+    assert capped_opt(inst)[0] >= 2.0
 
 
 def test_milp_oracle_agrees_with_exhaustive_search():
@@ -168,7 +181,7 @@ def _reference_capped_system(inst, radius):
     """The 0/1 program's rows, pair by pair and row by row: the specification."""
     n = inst.n
     dm = inst.pairwise()
-    pairs = [(i, j) for i in range(n) for j in range(n) if dm[i, j] <= radius + 1e-9]
+    pairs = [(i, j) for i in range(n) for j in range(n) if dm[i, j] <= radius]
     by_client = {j: [] for j in range(n)}
     for col, (i, j) in enumerate(pairs):
         by_client[j].append(col)
@@ -205,6 +218,13 @@ def _reference_capped_system(inst, radius):
             lb.append(-np.inf)
             ub.append(0.0)
             r += 1
+    for i in range(n):
+        rows.append(r)
+        cols.append(i)
+        data.append(1.0)
+    lb.append(-np.inf)
+    ub.append(float(inst.k))
+    r += 1
     A = sp.csc_matrix((data, (rows, cols)), shape=(r, n + len(pairs)))
     return A, np.array(lb), np.array(ub)
 
@@ -226,3 +246,57 @@ def test_capped_system_matches_loop_reference():
             assert np.array_equal(lb, ref_lb) and np.array_equal(ub, ref_ub)
             compared += 1
     assert compared >= 60
+
+
+def _check_opt_solution(inst, cost, sol):
+    assert check_capped(inst, sol)
+    assert len(sol.centers) <= inst.k
+    assert solution_cost(inst, sol) == cost
+
+
+def test_capped_opt_matches_enumeration():
+    rng = random.Random(71)
+    verdicts = {"feasible": 0, "infeasible": 0}
+    for _ in range(40):
+        alpha = rng.choice([0.5, 1 / 3, 0.4])
+        n_colors = 2 if alpha == 0.5 and rng.random() < 0.5 else 3
+        inst = random_capped_instance(
+            rng, n=rng.randint(3, 9), n_colors=n_colors, k=rng.randint(1, 3), alpha=alpha
+        )
+        try:
+            ref_cost, _ = brute_force_capped_opt(inst)
+        except InfeasibleInstance:
+            with pytest.raises(InfeasibleInstance):
+                capped_opt(inst)
+            verdicts["infeasible"] += 1
+            continue
+        cost, sol = capped_opt(inst)
+        assert cost == ref_cost
+        _check_opt_solution(inst, cost, sol)
+        verdicts["feasible"] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+
+
+def test_capped_opt_at_alpha_one_is_the_k_center_optimum():
+    rng = random.Random(73)
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        inst = make_instance(
+            [(rng.random(), rng.random()) for _ in range(n)], [0] * n, k=rng.randint(1, 3), alpha=1.0
+        )
+        cost, sol = capped_opt(inst)
+        assert cost == brute_force_kcenter_opt(inst)
+        _check_opt_solution(inst, cost, sol)
+
+
+def test_capped_opt_separates_distances_closer_than_1e9():
+    # each far pair is 5e-10 longer than the near pair; only the far length
+    # lets both pairs form balanced clusters, so it is the optimum
+    inst = line_instance([0.0, 1.0, 10.0, 11.0 + 5e-10], ["r", "b", "r", "b"], k=2, alpha=0.5)
+    near, far = inst.dist_pos(0, 1), inst.dist_pos(2, 3)
+    assert 0 < far - near < 1e-9
+    assert not capped_cost_at_most(inst, near)
+    cost, sol = capped_opt(inst)
+    assert cost == far
+    _check_opt_solution(inst, cost, sol)
+    assert fair_k_center(inst, cost) is not None

@@ -11,9 +11,8 @@ from cappedkc import (
     Instance,
     Point,
     RunConfig,
-    brute_force_capped_opt,
-    brute_force_kcenter_opt,
     build_polytope,
+    capped_opt,
     check_capped,
     evaluate,
     fair_k_center,
@@ -32,7 +31,12 @@ from cappedkc import harness
 from cappedkc.harness import lambda_grid, report_to_dict
 from cappedkc.lp_feasibility import passes_prechecks
 from cappedkc.lp_rounding import one_center_stop
-from conftest import line_instance, random_capped_instance
+from conftest import (
+    brute_force_capped_opt,
+    brute_force_kcenter_opt,
+    line_instance,
+    random_capped_instance,
+)
 
 
 def test_delta_balanced_even_clusters_zero(unit_square):
@@ -52,24 +56,27 @@ def test_delta_formula_direct():
 
 
 def test_brute_capped_unit_square(unit_square):
-    cost, sol = brute_force_capped_opt(unit_square)
-    assert cost == 1.0
-    assert check_capped(unit_square, sol)
-    assert solution_cost(unit_square, sol) == 1.0
+    for oracle in (brute_force_capped_opt, capped_opt):
+        cost, sol = oracle(unit_square)
+        assert cost == 1.0
+        assert check_capped(unit_square, sol)
+        assert solution_cost(unit_square, sol) == 1.0
 
 
 def test_brute_capped_infeasible_ratio():
     inst = make_instance([(0.0,)] * 4, ["r", "r", "r", "b"], k=2, alpha=0.5)
-    with pytest.raises(InfeasibleInstance):
-        brute_force_capped_opt(inst)
+    for oracle in (brute_force_capped_opt, capped_opt):
+        with pytest.raises(InfeasibleInstance):
+            oracle(inst)
 
 
 def test_brute_capped_coincident_pairs_zero():
     inst = make_instance(
         [(0.0,), (0.0,), (1.0,), (1.0,)], ["r", "b", "r", "b"], k=2, alpha=0.5
     )
-    cost, _ = brute_force_capped_opt(inst)
-    assert cost == 0.0
+    for oracle in (brute_force_capped_opt, capped_opt):
+        cost, _ = oracle(inst)
+        assert cost == 0.0
 
 
 def test_brute_capped_guards():
@@ -79,13 +86,22 @@ def test_brute_capped_guards():
     wide = make_instance([(float(i),) for i in range(4)], [0] * 4, k=4, alpha=1.0)
     with pytest.raises(InputError):
         brute_force_capped_opt(wide)
+    # the exact 0/1 program has no such limits
+    assert capped_opt(big)[0] == 3.0
+    assert capped_opt(wide)[0] == 0.0
 
 
 def test_brute_kcenter_line():
-    assert brute_force_kcenter_opt(line_instance([0, 1, 10, 11], k=2)) == 1.0
-    assert brute_force_kcenter_opt(line_instance([0, 1, 10, 11], k=1)) == 10.0
-    assert brute_force_kcenter_opt(line_instance([0, 1, 10, 11], k=3)) == 1.0
-    assert brute_force_kcenter_opt(line_instance([0, 1], k=2)) == 0.0
+    cases = [
+        ([0, 1, 10, 11], 2, 1.0),
+        ([0, 1, 10, 11], 1, 10.0),
+        ([0, 1, 10, 11], 3, 1.0),
+        ([0, 1], 2, 0.0),
+    ]
+    for xs, k, want in cases:
+        inst = line_instance(xs, k=k)
+        assert brute_force_kcenter_opt(inst) == want
+        assert capped_opt(inst)[0] == want
 
 
 def test_greedy_two_approx_sample():

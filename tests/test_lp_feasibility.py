@@ -9,14 +9,13 @@ import scipy.optimize
 from cappedkc import (
     InfeasibleInstance,
     SolverError,
-    brute_force_capped_opt,
     build_polytope,
+    capped_opt,
     candidate_radii,
     check_feasible,
     greedy_k_center,
     make_balanced_instance,
     make_instance,
-    min_feasible_radius,
     validate_point,
 )
 from cappedkc.core import ceil_inv_alpha
@@ -28,7 +27,7 @@ from cappedkc.lp_feasibility import (
     LinearSystem,
     _solve_highs,
 )
-from conftest import random_capped_instance
+from conftest import min_feasible_radius, random_capped_instance
 
 
 def test_ceil_inv_alpha():
@@ -186,7 +185,7 @@ def test_integral_optimum_lies_in_polytope():
             alpha=rng.choice([0.5, 1 / 3, 0.6]),
         )
         try:
-            cost, sol = brute_force_capped_opt(inst)
+            cost, sol = capped_opt(inst)
         except InfeasibleInstance:
             continue
         sys = build_polytope(inst, cost)

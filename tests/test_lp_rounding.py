@@ -17,7 +17,6 @@ from cappedkc import (
     fair_k_center,
     make_instance,
     max_additive_violation,
-    min_feasible_radius,
     reroute_fractional,
     select_separated_facilities,
     solution_cost,
@@ -26,7 +25,13 @@ from cappedkc import lp_rounding
 from cappedkc.flow import build_assignment_network
 from cappedkc.lp_feasibility import _solve_highs
 from cappedkc.lp_rounding import validate_rerouted
-from conftest import fractional_point, line_instance, pair_masses, random_capped_instance
+from conftest import (
+    fractional_point,
+    line_instance,
+    min_feasible_radius,
+    pair_masses,
+    random_capped_instance,
+)
 
 
 def test_select_all_when_far_apart():
