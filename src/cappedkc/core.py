@@ -9,6 +9,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 CAP_TOL = 1e-9
+# Instance.one_center computes the rows of a distance block in batches of
+# ONE_CENTER_BATCH rows, or of as many as fit in ONE_CENTER_FLOATS floats
+ONE_CENTER_BATCH = 16
+ONE_CENTER_FLOATS = 1 << 14
 
 
 class InputError(ValueError):
@@ -99,6 +103,16 @@ class Instance:
         self.alpha = alpha
         self.color_labels = tuple(color_labels)
         self._pos = {p.id: idx for idx, p in enumerate(points)}
+        self._ids = np.array(ids, dtype=np.int64)
+        # id -> position by table lookup over the id range when that range is
+        # short (ids 0..n-1 and the like), else by binary search
+        self._id_lo = int(self._ids.min())
+        self._pos_table = None
+        if self._ids.max() - self._id_lo < 4 * len(ids):
+            self._pos_table = np.full(int(self._ids.max()) - self._id_lo + 1, -1)
+            self._pos_table[self._ids - self._id_lo] = np.arange(len(ids))
+        self._id_order = np.argsort(self._ids)
+        self._id_sorted = self._ids[self._id_order]
         self._coords = np.array([p.coords for p in points], dtype=float)
         if not np.isfinite(self._coords).all():
             raise InputError("coordinates must be finite")
@@ -125,13 +139,26 @@ class Instance:
         return len(self.color_labels)
 
     def ids(self) -> list[int]:
-        return [p.id for p in self.points]
+        return self._ids.tolist()
 
     def pos(self, point_id: int) -> int:
         return self._pos[point_id]
 
+    def positions(self, point_ids) -> np.ndarray:
+        """Position of each of `point_ids`, -1 for an id that names no point."""
+        point_ids = np.asarray(point_ids, dtype=np.int64)
+        if self._pos_table is None:
+            at = self._id_order.take(np.searchsorted(self._id_sorted, point_ids), mode="clip")
+        else:
+            at = self._pos_table.take(point_ids - self._id_lo, mode="clip")
+        return np.where(self._ids[at] == point_ids, at, -1)
+
     def id_at(self, pos: int) -> int:
         return self.points[pos].id
+
+    def ids_at(self, pos) -> np.ndarray:
+        """Ids of the points at the positions `pos`."""
+        return self._ids[pos]
 
     def color_at(self, pos: int) -> int:
         return int(self._colors[pos])
@@ -167,6 +194,44 @@ class Instance:
             return self._dist[np.ix_(pos, pos)]
         sub = self._coords[pos]
         return _norm(sub[:, None, :] - sub[None, :, :])
+
+    def one_center(self, pos: Sequence[int]) -> int:
+        """Index in `pos` of the point whose largest distance to the others is least.
+
+        The answer of `dist_block(pos).max(axis=1).argmin()`, first of ties,
+        without the |pos| x |pos| block when that block is large.  Its rows
+        are computed in batches, with dist_block's bits.  A row gives its
+        point's eccentricity exactly and bounds every other point's from
+        below (by the distance between the two).  The search ends once every
+        point without a row is bounded above the best eccentricity found, so
+        none of them can tie it.  Each batch takes the open points with the
+        lowest bounds, plus the farthest point of each row of the previous
+        batch, whose own row tends to raise the bounds most.  A block of at
+        most ONE_CENTER_FLOATS floats, or of at most ONE_CENTER_BATCH rows, is
+        computed whole.
+        """
+        pos = np.asarray(pos, dtype=np.int64)
+        sub = None if self._dist is not None else self._coords[pos]
+        width = pos.size * (1 if sub is None else max(sub.shape[1], 1))
+        size = max(ONE_CENTER_BATCH, ONE_CENTER_FLOATS // width)
+        if pos.size <= size:
+            return int(self.dist_block(pos).max(axis=1).argmin())
+        ecc = np.full(pos.size, np.inf)  # inf until the point's row is computed
+        bound = np.zeros(pos.size)
+        batch = np.arange(size)
+        while True:
+            if sub is None:
+                rows = self._dist[np.ix_(pos[batch], pos)]
+            else:
+                rows = _norm(sub[batch][:, None, :] - sub[None, :, :])
+            ecc[batch] = rows.max(axis=1)
+            np.maximum(bound, rows.max(axis=0), out=bound)
+            open_ = np.flatnonzero(np.isinf(ecc) & (bound <= ecc.min()))
+            if not open_.size:
+                return int(ecc.argmin())
+            lowest = open_[np.argsort(bound[open_], kind="stable")[:size]]
+            far = rows.argmax(axis=1)
+            batch = np.union1d(lowest, far[np.isinf(ecc[far])])
 
     def pairwise(self) -> np.ndarray:
         """Full distance matrix by position (cached)."""
@@ -224,28 +289,56 @@ def ceil_inv_alpha(alpha: float) -> int:
     return int(math.ceil(1.0 / alpha - CAP_TOL))
 
 
+def center_positions(inst: Instance, sol: ClusteringSolution) -> np.ndarray:
+    """Each point's assigned center position, indexed by point position.
+
+    Raises ContractViolation for the first point, by position, that has no
+    assignment or is assigned to a center outside `sol.centers`.
+    """
+    count = len(sol.assign)
+    clients = inst.positions(np.fromiter(sol.assign.keys(), dtype=np.int64, count=count))
+    centers = inst.positions(np.fromiter(sol.assign.values(), dtype=np.int64, count=count))
+    # one extra slot for position -1: it takes the clients that name no
+    # point, and it is never an opened center
+    cpos = np.full(inst.n + 1, -1)
+    cpos[clients] = centers
+    cpos = cpos[:-1]
+    opened = np.zeros(inst.n + 1, dtype=bool)
+    opened[inst.positions(sol.centers)] = True
+    opened[-1] = False
+    served = opened[cpos]
+    if not served.all():
+        j = inst.id_at(int(np.argmin(served)))
+        if j not in sol.assign:
+            raise ContractViolation(f"point {j} has no assignment")
+        raise ContractViolation(f"point {j} assigned to unopened center {sol.assign[j]}")
+    return cpos
+
+
 def solution_cost(inst: Instance, sol: ClusteringSolution) -> float:
     """Maximum distance from any point to its assigned center."""
-    centers = set(sol.centers)
-    members: dict[int, list[int]] = {}
-    for pos, p in enumerate(inst.points):
-        i = sol.assign.get(p.id)
-        if i is None:
-            raise ContractViolation(f"point {p.id} has no assignment")
-        if i not in centers:
-            raise ContractViolation(f"point {p.id} assigned to unopened center {i}")
-        members.setdefault(i, []).append(pos)
-    return max(float(inst.dist_row(inst.pos(i))[pos].max()) for i, pos in members.items())
+    cpos = center_positions(inst, sol)
+    if inst._dist is not None:
+        return float(inst._dist[np.arange(inst.n), cpos].max())
+    coords = inst.coords()
+    return float(_norm(coords - coords[cpos]).max())
+
+
+def cluster_color_counts(inst: Instance, sol: ClusteringSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The served center positions, ascending, and one row of member counts per color for each."""
+    cpos = center_positions(inst, sol)
+    served = np.flatnonzero(np.bincount(cpos, minlength=inst.n))
+    cluster = np.zeros(inst.n, dtype=np.int64)
+    cluster[served] = np.arange(served.size)
+    cluster = cluster[cpos]
+    nc = inst.n_colors
+    counts = np.bincount(cluster * nc + inst.colors(), minlength=served.size * nc)
+    return served, counts.reshape(served.size, nc)
 
 
 def cluster_color_peaks(inst: Instance, sol: ClusteringSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Size and largest single-color count of each served cluster."""
-    centers = np.fromiter(sol.assign.values(), dtype=np.int64, count=len(sol.assign))
-    _, cluster = np.unique(centers, return_inverse=True)
-    colors = inst.colors()[[inst.pos(j) for j in sol.assign]]
-    n_clusters = int(cluster.max(initial=-1)) + 1
-    counts = np.bincount(cluster * inst.n_colors + colors, minlength=n_clusters * inst.n_colors)
-    counts = counts.reshape(n_clusters, inst.n_colors)
+    """Size and largest single-color count of each served cluster, by center position."""
+    _, counts = cluster_color_counts(inst, sol)
     return counts.sum(axis=1), counts.max(axis=1)
 
 
@@ -276,7 +369,7 @@ def nearest_assignment(inst: Instance, centers: Sequence[int]) -> ClusteringSolu
     if not centers:
         raise InputError("need at least one center")
     order = sorted(centers, key=inst.pos)
-    cols = np.stack([inst.dist_row(inst.pos(c)) for c in order], axis=1)
-    choice = cols.argmin(axis=1)  # argmin takes the first of ties
-    assign = {inst.id_at(j): order[choice[j]] for j in range(inst.n)}
+    rows = np.stack([inst.dist_row(inst.pos(c)) for c in order])
+    choice = rows.argmin(axis=0)  # argmin takes the first of ties
+    assign = dict(zip(inst.ids(), np.array(order)[choice].tolist()))
     return ClusteringSolution(tuple(sorted(centers)), assign)

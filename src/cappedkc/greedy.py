@@ -7,7 +7,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClusteringSolution, InputError, Instance, nearest_assignment, solution_cost
+from .core import (
+    ClusteringSolution,
+    InputError,
+    Instance,
+    center_positions,
+    nearest_assignment,
+    solution_cost,
+)
 
 
 def greedy_k_center(
@@ -50,14 +57,14 @@ def greedy_k_center(
     center_ids = [inst.id_at(p) for p in centers]
     # min_dist holds each point's distance to its nearest center, which is
     # the center _nearest_on_subset assigns it to
-    return _nearest_on_subset(inst, center_ids, pos_list), float(min_dist.max())
+    return _nearest_on_subset(inst, center_ids, pos_arr), float(min_dist.max())
 
 
-def _nearest_on_subset(inst: Instance, center_ids: list[int], pos_list: list[int]) -> ClusteringSolution:
+def _nearest_on_subset(inst: Instance, center_ids: list[int], pos_arr: np.ndarray) -> ClusteringSolution:
     order = sorted(center_ids, key=inst.pos)
-    cols = np.stack([inst.dist_row(inst.pos(c)) for c in order], axis=1)[pos_list]
-    choice = cols.argmin(axis=1)
-    assign = {inst.id_at(p): order[choice[idx]] for idx, p in enumerate(pos_list)}
+    rows = np.stack([inst.dist_row(inst.pos(c))[pos_arr] for c in order])
+    choice = rows.argmin(axis=0)
+    assign = dict(zip(inst.ids_at(pos_arr).tolist(), np.array(order)[choice].tolist()))
     return ClusteringSolution(tuple(sorted(center_ids)), assign)
 
 
@@ -65,21 +72,17 @@ def lloyd_kcenter_round(inst: Instance, sol: ClusteringSolution) -> ClusteringSo
     """One refinement round with k-center cost.
 
     Each cluster's center moves to the member minimizing the maximum
-    intra-cluster distance (discrete 1-center, ties to lowest position),
+    intra-cluster distance (discrete 1-center, ties to the lowest id),
     then all points are reassigned to their nearest new center.
     """
-    new_centers = []
-    for _, members in sorted(sol.clusters().items(), key=lambda kv: inst.pos(kv[0])):
-        pos = [inst.pos(j) for j in members]
-        sub = inst.dist_block(pos)
-        best = int(sub.max(axis=1).argmin())
-        new_centers.append(members[best])
-    # dedupe (two clusters can elect the same point), keep first occurrence
-    seen: list[int] = []
-    for c in new_centers:
-        if c not in seen:
-            seen.append(c)
-    refined = nearest_assignment(inst, seen)
+    cpos = center_positions(inst, sol)
+    ids = inst.ids_at(np.arange(inst.n))
+    # positions grouped by cluster, each group in member id order
+    order = np.lexsort((ids, cpos))
+    groups = np.split(order, np.flatnonzero(np.diff(cpos[order])) + 1)
+    # a set: two clusters can elect the same point
+    new_centers = {int(ids[g[inst.one_center(g)]]) for g in groups}
+    refined = nearest_assignment(inst, list(new_centers))
     # an input center outside its own cluster can make the 1-center step
     # regress; the round must never cost more than the input's nearest rebind
     rebind = nearest_assignment(inst, list(sol.centers))

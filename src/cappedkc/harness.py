@@ -15,6 +15,7 @@ from .core import (
     InfeasibleInstance,
     InputError,
     Instance,
+    cluster_color_counts,
     cluster_color_peaks,
     make_instance,
     solution_cost,
@@ -177,12 +178,13 @@ def _ratio(cost: float, base: float) -> float | None:
 
 
 def _histograms(inst: Instance, sol: ClusteringSolution) -> dict[int, dict[str, int]]:
+    served, counts = cluster_color_counts(inst, sol)
     out: dict[int, dict[str, int]] = {}
-    for center, members in sorted(sol.clusters().items()):
+    for center, row in sorted(zip(inst.ids_at(served).tolist(), counts.tolist())):
         hist: dict[str, int] = {}
-        for j in members:
-            label = inst.color_labels[inst.color_at(inst.pos(j))]
-            hist[label] = hist.get(label, 0) + 1
+        for label, count in zip(inst.color_labels, row):
+            if count:  # two raw labels can print alike, so add up
+                hist[label] = hist.get(label, 0) + count
         out[center] = dict(sorted(hist.items()))
     return out
 

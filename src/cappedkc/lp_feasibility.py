@@ -38,16 +38,12 @@ class Block:
 
 
 @dataclass
-class LinearSystem:
-    """The polytope at a fixed radius: y and a load L per facility, x per in-radius pair.
+class RadiusPairs:
+    """The (facility, client) pairs within radius lam, by point position.
 
-    Column order is all y variables (facility position order), then all x
-    variables ordered by (facility, client) position, then one load column
-    L_i per facility in the y order.  `lower`/`upper` hold the per-column
-    bounds: [0, 1] for y and x, [0, inf) for L.  Pairs farther than the
-    radius simply have no column.  Columns are described by point positions:
-    `facility_pos` for the y (and L) columns, and `pair_facility`,
-    `pair_client` and `pair_color` for the x columns.
+    `facility_pos` holds the facility set in ascending position.  The pairs
+    are sorted by (facility, client) position: `pair_facility` and
+    `pair_client` are their positions, `pair_color` the client's color.
     """
 
     lam: float
@@ -57,6 +53,20 @@ class LinearSystem:
     pair_facility: np.ndarray
     pair_client: np.ndarray
     pair_color: np.ndarray
+
+
+@dataclass
+class LinearSystem(RadiusPairs):
+    """The polytope at a fixed radius: y and a load L per facility, x per in-radius pair.
+
+    Column order is all y variables (facility position order), then all x
+    variables in pair order, then one load column L_i per facility in the y
+    order.  `lower`/`upper` hold the per-column bounds: [0, 1] for y and x,
+    [0, inf) for L.  Pairs farther than the radius simply have no column.
+    Columns are described by point positions: `facility_pos` for the y (and
+    L) columns, and the pair arrays for the x columns.
+    """
+
     blocks: list[Block]
     lower: np.ndarray
     upper: np.ndarray
@@ -111,14 +121,44 @@ class FractionalSolution:
     y: np.ndarray
 
 
+def radius_pairs(
+    inst: Instance, lam: float, restricted_facilities: Sequence[int] | None = None
+) -> RadiusPairs:
+    """The in-radius pairs of the radius-lam polytope, without its constraint rows.
+
+    `restricted_facilities` are point ids; the facility set is their
+    positions, or every point.  A pair is in radius when its distance is at
+    most lam * (1 + RADIUS_SLACK).
+    """
+    if lam < 0:
+        raise InputError("lambda must be non-negative")
+    if restricted_facilities is None:
+        fac_pos = np.arange(inst.n)
+    else:
+        fac_pos = np.unique(np.array([inst.pos(i) for i in restricted_facilities], dtype=int))
+        if not fac_pos.size:
+            raise InputError("restricted facility set must be non-empty")
+    rows = np.stack([inst.dist_row(fi) for fi in fac_pos.tolist()])
+    # row-major: the pairs come out in (facility, client) order
+    pf, pj = np.divmod(np.flatnonzero(rows <= lam * (1.0 + RADIUS_SLACK)), inst.n)
+    return RadiusPairs(lam, inst.alpha, inst.n, fac_pos, fac_pos[pf], pj, inst.colors()[pj])
+
+
 def build_polytope(
     inst: Instance, lam: float, restricted_facilities: Sequence[int] | None = None
 ) -> LinearSystem:
     """Assemble the radius-lam system, optionally restricting facilities to a coreset.
 
-    `restricted_facilities` are point ids; from here on the facility set is
-    their positions in ascending order (`facility_pos`), which is also the
-    order in which `fair_k_center` scans them for separation.
+    The pairs come from `radius_pairs`, the rows from `polytope_on`.
+    """
+    return polytope_on(inst, radius_pairs(inst, lam, restricted_facilities))
+
+
+def polytope_on(inst: Instance, pairs: RadiusPairs) -> LinearSystem:
+    """The system on the given in-radius pairs of `inst`.
+
+    The facility set is `pairs.facility_pos`, which is also the order in
+    which `fair_k_center` scans them for separation.
 
     Families: per-client coverage held at exactly one unit (`cover`),
     openings dominating assignments (`open`), the load definition
@@ -131,23 +171,10 @@ def build_polytope(
     (x, y) is the polytope with L_i substituted out.  Column bounds are in
     `lower`/`upper`.
     """
-    if lam < 0:
-        raise InputError("lambda must be non-negative")
-    if restricted_facilities is None:
-        fac_pos = np.arange(inst.n)
-    else:
-        fac_pos = np.unique(np.array([inst.pos(i) for i in restricted_facilities], dtype=int))
-        if not fac_pos.size:
-            raise InputError("restricted facility set must be non-empty")
+    fac_pos, pj, pc = pairs.facility_pos, pairs.pair_client, pairs.pair_color
     n, nf = inst.n, len(fac_pos)
-    radius = lam * (1.0 + RADIUS_SLACK)
-
-    # pairs sorted by (facility, client) position: pf is the facility's
-    # local index (its y column), pj the client position
-    clients = [np.flatnonzero(inst.dist_row(fi) <= radius) for fi in fac_pos.tolist()]
-    deg = np.array([c.size for c in clients], dtype=int)
-    pj = np.concatenate(clients)
-    pf = np.repeat(np.arange(nf), deg)
+    # pf is the pair facility's local index (its y column)
+    pf = np.searchsorted(fac_pos, pairs.pair_facility)
     n_pairs = pj.size
     fac = np.arange(nf)
     xcols = nf + np.arange(n_pairs)
@@ -156,8 +183,6 @@ def build_polytope(
 
     # per-facility color caps: sum_{j in color c} x_ij - alpha * L_i <= 0,
     # one row per (facility, color) pair with an in-radius client of color c
-    colors = inst.colors()
-    pc = colors[pj]
     keys, cap_rows = np.unique(pf * inst.n_colors + pc, return_inverse=True)
     n_cap = keys.size
     cap_fac = keys // inst.n_colors
@@ -212,17 +237,17 @@ def build_polytope(
     covered = np.zeros(n, dtype=bool)
     covered[pj] = True
     return LinearSystem(
-        lam=lam,
-        alpha=inst.alpha,
+        lam=pairs.lam,
+        alpha=pairs.alpha,
         n_points=n,
         facility_pos=fac_pos,
-        pair_facility=fac_pos[pf],
+        pair_facility=pairs.pair_facility,
         pair_client=pj,
         pair_color=pc,
         blocks=blocks,
         lower=np.zeros(nf + n_pairs + nf),
         upper=np.concatenate([np.ones(nf + n_pairs), np.full(nf, np.inf)]),
-        uncovered_clients=np.array(inst.ids())[~covered].tolist(),
+        uncovered_clients=inst.ids_at(np.flatnonzero(~covered)).tolist(),
     )
 
 
@@ -315,8 +340,11 @@ def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
     return np.asarray(res.x)
 
 
-def passes_prechecks(sys: LinearSystem) -> bool:
-    """False when one of two solve-free tests shows the polytope empty.
+def passes_prechecks(pairs: RadiusPairs) -> bool:
+    """False when one of two solve-free tests shows the pairs' polytope empty.
+
+    They read the pairs alone, so a `RadiusPairs` is checked before any
+    constraint row is built (a `LinearSystem` is one too).
 
     The first: a client with no facility in radius.  The second: a client
     whose in-radius facilities each see fewer than ceil(1/alpha) colors
@@ -327,13 +355,13 @@ def passes_prechecks(sys: LinearSystem) -> bool:
     weakens the test).  With y_i = 0 the `open` rows hold all its x_ij at 0,
     so a client reaching no other facility cannot be covered.
     """
-    if sys.uncovered_clients:
+    if not np.bincount(pairs.pair_client, minlength=pairs.n_points).all():
         return False
-    n_colors = int(sys.pair_color.max()) + 1
-    seen = np.unique(sys.pair_facility * n_colors + sys.pair_color)
-    n_seen = np.bincount(seen // n_colors, minlength=sys.n_points)
-    servable = n_seen[sys.pair_facility] >= ceil_inv_alpha(sys.alpha)
-    return bool(np.bincount(sys.pair_client[servable], minlength=sys.n_points).all())
+    n_colors = int(pairs.pair_color.max()) + 1
+    seen = np.unique(pairs.pair_facility * n_colors + pairs.pair_color)
+    n_seen = np.bincount(seen // n_colors, minlength=pairs.n_points)
+    servable = n_seen[pairs.pair_facility] >= ceil_inv_alpha(pairs.alpha)
+    return bool(np.bincount(pairs.pair_client[servable], minlength=pairs.n_points).all())
 
 
 def check_feasible(sys: LinearSystem) -> FractionalSolution | None:

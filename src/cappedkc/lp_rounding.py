@@ -12,9 +12,10 @@ from .flow import build_assignment_network, extract_assignment, max_flow_lower_b
 from .lp_feasibility import (
     RADIUS_SLACK,
     FractionalSolution,
-    build_polytope,
     check_feasible,
     passes_prechecks,
+    polytope_on,
+    radius_pairs,
 )
 
 SEP_TOL = 1e-7
@@ -141,14 +142,17 @@ def fair_k_center(
     center and each cluster's color counts exceed the cap by at most two
     clients (one when 1/alpha is an integer).  A radius whose maximal
     separated facility set exceeds k is rejected the same way as an empty
-    polytope so grid drivers simply advance.
+    polytope so grid drivers simply advance.  The constraint rows are built
+    only for in-radius pairs that pass `passes_prechecks`.
     """
-    sys = build_polytope(inst, lam, restricted)
-    frac = check_feasible(sys)
+    pairs = radius_pairs(inst, lam, restricted)
+    if not passes_prechecks(pairs):
+        return None
+    frac = check_feasible(polytope_on(inst, pairs))
     if frac is None:
         return None
 
-    fmap = select_separated_facilities(inst, lam, sys.facility_pos)
+    fmap = select_separated_facilities(inst, lam, pairs.facility_pos)
     if len(fmap.opened) > inst.k:
         return None
 
@@ -185,15 +189,16 @@ def one_center_stop(inst: Instance, restricted: Sequence[int], lam: float, top: 
     non-empty rung, the top one at the latest, and the merged point there is
     x_oj = 1 for every client: one cluster at o, within 3*lam.
     """
-    fac = [inst.pos(i) for i in restricted]
-    o = min(fac)
-    reach = float(inst.dist_row(o).max())
+    fac = np.array([inst.pos(i) for i in restricted])
+    o = int(fac.min())
+    row = inst.dist_row(o)
+    reach = float(row.max())
     if not (
-        max(float(inst.dist_row(p)[o]) for p in fac) <= 2.0 * lam
+        row[fac].max() <= 2.0 * lam
         and reach <= 3.0 * lam
         and reach <= top * (1.0 + RADIUS_SLACK)
         and inst.n >= ceil_inv_alpha(inst.alpha)
         and np.bincount(inst.colors()).max() <= inst.alpha * inst.n
     ):
         return None
-    return o if passes_prechecks(build_polytope(inst, lam, restricted)) else None
+    return o if passes_prechecks(radius_pairs(inst, lam, restricted)) else None
