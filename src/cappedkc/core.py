@@ -107,12 +107,14 @@ class Instance:
         # id -> position by table lookup over the id range when that range is
         # short (ids 0..n-1 and the like), else by binary search
         self._id_lo = int(self._ids.min())
-        self._pos_table = None
-        if self._ids.max() - self._id_lo < 4 * len(ids):
-            self._pos_table = np.full(int(self._ids.max()) - self._id_lo + 1, -1)
+        span = int(self._ids.max()) - self._id_lo + 1
+        if span <= 4 * len(ids):
+            self._pos_table = np.full(span, -1)
             self._pos_table[self._ids - self._id_lo] = np.arange(len(ids))
-        self._id_order = np.argsort(self._ids)
-        self._id_sorted = self._ids[self._id_order]
+        else:
+            self._pos_table = None
+            self._id_order = np.argsort(self._ids)
+            self._id_sorted = self._ids[self._id_order]
         self._coords = np.array([p.coords for p in points], dtype=float)
         if not np.isfinite(self._coords).all():
             raise InputError("coordinates must be finite")
@@ -187,6 +189,12 @@ class Instance:
             row = _norm(self._coords - self._coords[pos])
             self._row_cache[pos] = row
         return row
+
+    def dist_paired(self, pos: np.ndarray) -> np.ndarray:
+        """Distance from the point at each position j to the point at position pos[j]."""
+        if self._dist is not None:
+            return self._dist[np.arange(self.n), pos]
+        return _norm(self._coords - self._coords[pos])
 
     def dist_block(self, pos: Sequence[int]) -> np.ndarray:
         """Distances among the points at positions `pos`, without the full matrix."""
@@ -317,11 +325,7 @@ def center_positions(inst: Instance, sol: ClusteringSolution) -> np.ndarray:
 
 def solution_cost(inst: Instance, sol: ClusteringSolution) -> float:
     """Maximum distance from any point to its assigned center."""
-    cpos = center_positions(inst, sol)
-    if inst._dist is not None:
-        return float(inst._dist[np.arange(inst.n), cpos].max())
-    coords = inst.coords()
-    return float(_norm(coords - coords[cpos]).max())
+    return float(inst.dist_paired(center_positions(inst, sol)).max())
 
 
 def cluster_color_counts(inst: Instance, sol: ClusteringSolution) -> tuple[np.ndarray, np.ndarray]:

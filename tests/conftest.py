@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -9,16 +10,19 @@ from cappedkc import (
     CAP_TOL,
     BipartiteSeed,
     ClusteringSolution,
+    ContractViolation,
     FractionalSolution,
     InfeasibleInstance,
     InputError,
     Instance,
+    Point,
     build_polytope,
     check_feasible,
     make_instance,
     sorted_adjacency,
 )
 from cappedkc.core import ceil_inv_alpha
+from cappedkc.lp_feasibility import RADIUS_SLACK, passes_prechecks
 
 
 def random_capped_instance(
@@ -221,6 +225,90 @@ def min_feasible_radius(inst: Instance, radii, restricted=None):
         else:
             hi, found = mid, (radii[mid], frac)
     return found
+
+
+def reference_solution_cost(inst: Instance, sol: ClusteringSolution) -> float:
+    """`solution_cost` as a loop over the points, one cached row per center."""
+    centers = set(sol.centers)
+    members: dict[int, list[int]] = {}
+    for pos, p in enumerate(inst.points):
+        i = sol.assign.get(p.id)
+        if i is None:
+            raise ContractViolation(f"point {p.id} has no assignment")
+        if i not in centers:
+            raise ContractViolation(f"point {p.id} assigned to unopened center {i}")
+        members.setdefault(i, []).append(pos)
+    return max(float(inst.dist_row(inst.pos(i))[pos].max()) for i, pos in members.items())
+
+
+def reference_cluster_color_peaks(inst: Instance, sol: ClusteringSolution):
+    """`cluster_color_peaks` from per-cluster color counters, by center position."""
+    counts: dict[int, Counter] = {}
+    for j, i in sol.assign.items():
+        counts.setdefault(inst.pos(i), Counter())[inst.color_at(inst.pos(j))] += 1
+    served = sorted(counts)
+    return (
+        np.array([sum(counts[c].values()) for c in served], dtype=np.int64),
+        np.array([max(counts[c].values()) for c in served], dtype=np.int64),
+    )
+
+
+def reference_nearest_assignment(inst: Instance, centers) -> ClusteringSolution:
+    """`nearest_assignment` with one dict entry per point, ties to the lowest-position center."""
+    order = sorted(centers, key=inst.pos)
+    cols = np.stack([inst.dist_row(inst.pos(c)) for c in order], axis=1)
+    choice = cols.argmin(axis=1)
+    return ClusteringSolution(
+        tuple(sorted(centers)), {inst.id_at(j): order[choice[j]] for j in range(inst.n)}
+    )
+
+
+def reference_one_center(inst: Instance, pos) -> int:
+    """`Instance.one_center` from the whole distance block among `pos`."""
+    return int(inst.dist_block(pos).max(axis=1).argmin())
+
+
+def reference_one_center_stop(inst: Instance, restricted, lam: float, top: float):
+    """`one_center_stop` with the separation test over one row per facility and a full polytope."""
+    fac = [inst.pos(i) for i in restricted]
+    o = min(fac)
+    reach = float(inst.dist_row(o).max())
+    if not (
+        max(float(inst.dist_row(p)[o]) for p in fac) <= 2.0 * lam
+        and reach <= 3.0 * lam
+        and reach <= top * (1.0 + RADIUS_SLACK)
+        and inst.n >= ceil_inv_alpha(inst.alpha)
+        and np.bincount(inst.colors()).max() <= inst.alpha * inst.n
+    ):
+        return None
+    return o if passes_prechecks(build_polytope(inst, lam, restricted)) else None
+
+
+def exactness_pool(seed: int = 0) -> list[Instance]:
+    """Seeded instances on which the array metrics must equal the loop references.
+
+    Integer grids (many tied distances) and Gaussian points in dimensions 1,
+    3 and 10, ids that are neither contiguous nor in position order (a
+    short id range and a wide one), and an integer matrix metric.
+    """
+    rng = np.random.default_rng(seed)
+    pool = []
+    for dim in (1, 3, 10):
+        for n in (9, 60, 240):
+            grid = rng.integers(0, 4, size=(n, dim)).astype(float)
+            gauss = rng.standard_normal((n, dim))
+            colors = rng.integers(0, 4, size=n).tolist()
+            pool.append(make_instance(grid, colors, k=3, alpha=0.5))
+            pool.append(make_instance(gauss, colors, k=3, alpha=0.5))
+            short = (rng.permutation(n) * 3 + 7).tolist()  # ids within 3n, shuffled
+            wide = rng.choice(10**9, size=n, replace=False).tolist()
+            pool.append(make_instance(grid, colors, k=3, alpha=0.5, ids=short))
+            pool.append(make_instance(gauss, colors, k=3, alpha=0.5, ids=wide))
+    for n in (9, 60, 240):
+        upper = np.triu(rng.integers(1, 6, size=(n, n)).astype(float), k=1)
+        points = [Point(int(j), (), int(c)) for j, c in zip(rng.permutation(n) + 5, rng.integers(0, 3, n))]
+        pool.append(Instance(points, k=3, alpha=0.5, dist_matrix=upper + upper.T))
+    return pool
 
 
 @pytest.fixture

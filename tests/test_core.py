@@ -15,10 +15,21 @@ from cappedkc import (
     candidate_radii,
     check_capped,
     make_instance,
+    max_additive_violation,
     nearest_assignment,
+    random_baseline,
     solution_cost,
 )
-from conftest import line_instance
+from cappedkc import core
+from cappedkc.core import center_positions, cluster_color_peaks
+from conftest import (
+    exactness_pool,
+    line_instance,
+    reference_cluster_color_peaks,
+    reference_nearest_assignment,
+    reference_one_center,
+    reference_solution_cost,
+)
 
 
 def test_distance_identity():
@@ -69,12 +80,16 @@ def test_distance_methods_agree_bit_for_bit(dim):
     before = np.array([[inst.dist_pos(a, b) for b in range(n)] for a in range(n)])
     rows = np.array([inst.dist_row(a) for a in range(n)])
     block = inst.dist_block(pos)
+    pairs = rng.permutation(n)
+    paired = inst.dist_paired(pairs)
     assert np.array_equal(before, rows)
+    assert np.array_equal(paired, rows[np.arange(n), pairs])
     matrix = inst.pairwise()
     after = np.array([[inst.dist_pos(a, b) for b in range(n)] for a in range(n)])
     assert np.array_equal(matrix, rows) and np.array_equal(after, before)
     assert np.array_equal(block, matrix[np.ix_(pos, pos)])
     assert np.array_equal(inst.dist_block(pos), block)
+    assert np.array_equal(inst.dist_paired(pairs), paired)
 
 
 def test_solution_cost_matches_per_point_maximum():
@@ -110,6 +125,69 @@ def test_solution_cost_unassigned_is_contract_violation():
     inst = line_instance([0, 1], k=1)
     with pytest.raises(ContractViolation):
         solution_cost(inst, ClusteringSolution((0,), {0: 0}))
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        solution_cost,
+        check_capped,
+        lambda inst, sol: max_additive_violation(inst, sol, 0.5),
+    ],
+    ids=["solution_cost", "check_capped", "max_additive_violation"],
+)
+def test_partial_or_unopened_assignment_is_contract_violation(metric):
+    inst = make_instance([(0.0,), (1.0,), (2.0,)], ["r", "b", "r"], k=2, alpha=0.5)
+    for centers in [(0,), (0, 99)]:  # 99 names no point
+        with pytest.raises(ContractViolation, match="point 2 has no assignment"):
+            metric(inst, ClusteringSolution(centers, {0: 0, 1: 0}))
+    with pytest.raises(ContractViolation, match="point 1 assigned to unopened center 2"):
+        metric(inst, ClusteringSolution((0,), {0: 0, 1: 2, 2: 0}))
+
+
+def test_positions_map_ids_and_flag_unknown_ones():
+    for ids in ([4, 2, 9, 0], [10**12, -5, 77, 3]):  # a short id range and a wide one
+        inst = make_instance([(float(j),) for j in range(4)], [0] * 4, k=1, alpha=1.0, ids=ids)
+        assert inst.positions(ids[::-1]).tolist() == [3, 2, 1, 0]
+        assert inst.positions([1, 10, -6, 10**13]).tolist() == [-1, -1, -1, -1]
+        assert inst.ids_at(np.array([2, 0])).tolist() == [ids[2], ids[0]]
+
+
+def _center_sets(inst: Instance, rng: np.random.Generator):
+    """Random center id sets of a few sizes, plus the random baseline's."""
+    ids = inst.ids()
+    out = [rng.choice(ids, size=size, replace=False).tolist() for size in (1, 2, min(5, inst.n))]
+    return out + [list(random_baseline(inst, 0).centers)]
+
+
+def test_array_metrics_equal_the_loop_references():
+    rng = np.random.default_rng(5)
+    for inst in exactness_pool():
+        for centers in _center_sets(inst, rng):
+            sol = nearest_assignment(inst, centers)
+            ref = reference_nearest_assignment(inst, centers)
+            assert sol == ref
+            assert list(sol.assign) == list(ref.assign)
+            assert center_positions(inst, sol).tolist() == [
+                inst.pos(sol.assign[j]) for j in inst.ids()
+            ]
+            assert solution_cost(inst, sol) == reference_solution_cost(inst, sol)
+            sizes, peaks = cluster_color_peaks(inst, sol)
+            ref_sizes, ref_peaks = reference_cluster_color_peaks(inst, sol)
+            assert sizes.tolist() == ref_sizes.tolist() and peaks.tolist() == ref_peaks.tolist()
+
+
+@pytest.mark.parametrize("batch, floats", [(None, None), (1, 1), (3, 50)])
+def test_one_center_equals_the_block_argmin(monkeypatch, batch, floats):
+    # small batches drive the bound search through many rounds
+    if batch is not None:
+        monkeypatch.setattr(core, "ONE_CENTER_BATCH", batch)
+        monkeypatch.setattr(core, "ONE_CENTER_FLOATS", floats)
+    rng = np.random.default_rng(11)
+    for inst in exactness_pool(1):
+        for size in (1, 2, inst.n // 3, inst.n):
+            pos = rng.permutation(inst.n)[:size].tolist()
+            assert inst.one_center(pos) == reference_one_center(inst, pos)
 
 
 def test_check_capped_examples():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cappedkc import (
@@ -12,7 +13,7 @@ from cappedkc import (
     random_baseline,
     solution_cost,
 )
-from conftest import line_instance
+from conftest import line_instance, reference_one_center
 
 
 def test_greedy_line_k2():
@@ -114,6 +115,23 @@ def test_lloyd_round_works_without_the_distance_matrix(monkeypatch):
         assert out == expected
         greedy_sol, greedy_cost = greedy_k_center(inst)
         assert greedy_cost == solution_cost(inst, greedy_sol)
+
+
+def test_lloyd_round_builds_no_block_for_a_large_cluster(monkeypatch):
+    # one cluster of 400 points: its whole distance block would be 400 x 400 x 10
+    rng = np.random.default_rng(23)
+    inst = make_instance(rng.standard_normal((400, 10)), [0] * 400, k=1, alpha=1.0)
+    sol = nearest_assignment(inst, [0])
+    expected = lloyd_kcenter_round(inst, sol)
+    assert expected.centers == (reference_one_center(inst, list(range(400))),)
+
+    def no_block(self, *args):
+        raise AssertionError("the Lloyd round must not build a cluster's distance block")
+
+    monkeypatch.setattr(Instance, "dist_block", no_block)
+    monkeypatch.setattr(Instance, "pairwise", no_block)
+    out = lloyd_kcenter_round(inst, sol)
+    assert out == expected
 
 
 def test_random_baseline_deterministic():

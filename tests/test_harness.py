@@ -27,7 +27,7 @@ from cappedkc import (
     select_separated_facilities,
     solution_cost,
 )
-from cappedkc import harness
+from cappedkc import harness, lp_feasibility, lp_rounding
 from cappedkc.harness import lambda_grid, report_to_dict
 from cappedkc.lp_feasibility import passes_prechecks
 from cappedkc.lp_rounding import one_center_stop
@@ -36,6 +36,7 @@ from conftest import (
     brute_force_kcenter_opt,
     line_instance,
     random_capped_instance,
+    reference_one_center_stop,
 )
 
 
@@ -386,6 +387,49 @@ def test_one_center_stop_is_sound_for_any_facility_set():
             fired += 1
             break
     assert fired > 20
+
+
+def _stop_rungs(inst, cfg, stop):
+    """`stop`'s verdict on every rung of faster_algorithm's ladder for (inst, cfg)."""
+    work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
+    _, lam_greedy = greedy_k_center(work, k=cfg.k)
+    coreset = list(greedy_k_center(work, k=cfg.m * cfg.k)[0].centers)
+    grid = lambda_grid(work, lam_greedy, float(work.dist_row(0).max()), cfg.epsilon)
+    return [stop(work, coreset, lam, grid[-1]) for lam in grid]
+
+
+def test_one_center_stop_separation_reads_the_row_of_o():
+    # max over facilities p of d(p, o), read from o's row, against one row per p
+    fired = 0
+    balanced = make_balanced_instance(50, 20, dim=10, k=25, alpha=0.1, seed=0)
+    cases = _stop_pool() + [(balanced, RunConfig(k=25, alpha=0.1))]
+    for inst, cfg in cases:
+        got = _stop_rungs(inst, cfg, one_center_stop)
+        assert got == _stop_rungs(inst, cfg, reference_one_center_stop), (inst.n, cfg)
+        fired += any(o is not None for o in got)
+    assert any(o is not None for o in got)  # the balanced instance stops on its ladder
+    assert fired > 100
+
+
+def test_rungs_the_prechecks_reject_build_no_rows(monkeypatch):
+    # at this size every rung below the stop fails a pre-check, so the walk
+    # never needs a constraint row
+    inst = make_balanced_instance(50, 20, dim=10, k=25, alpha=0.1, seed=0)
+    cfg = RunConfig(k=25, alpha=0.1)
+    expected = faster_algorithm(inst, cfg)
+
+    def no_rows(*args):
+        raise AssertionError("constraint rows built for a rung without a solve")
+
+    monkeypatch.setattr(lp_feasibility, "polytope_on", no_rows)
+    monkeypatch.setattr(lp_rounding, "polytope_on", no_rows)
+    assert faster_algorithm(inst, cfg) == expected
+
+
+def test_histograms_add_up_labels_that_print_alike():
+    inst = make_instance([(0.0,), (1.0,), (5.0,)], [1, "1", "b"], k=2, alpha=1.0)
+    sol = nearest_assignment(inst, [0, 2])
+    assert harness._histograms(inst, sol) == {0: {"1": 2}, 2: {"b": 1}}
 
 
 def test_with_params_keeps_the_instance_when_nothing_changes(unit_square):
