@@ -220,7 +220,7 @@ class Instance:
         """
         pos = np.asarray(pos, dtype=np.int64)
         sub = None if self._dist is not None else self._coords[pos]
-        width = pos.size * (1 if sub is None else max(sub.shape[1], 1))
+        width = max(pos.size * (1 if sub is None else sub.shape[1]), 1)  # floats per row
         size = max(ONE_CENTER_BATCH, ONE_CENTER_FLOATS // width)
         if pos.size <= size:
             return int(self.dist_block(pos).max(axis=1).argmin())
