@@ -9,9 +9,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 CAP_TOL = 1e-9
-# Instance.one_center computes the rows of a distance block in batches of
-# ONE_CENTER_BATCH rows, or of as many as fit in ONE_CENTER_FLOATS floats
-ONE_CENTER_BATCH = 16
+# Instance.one_center computes the rows of a distance block in batches of as
+# many rows as fit in ONE_CENTER_FLOATS floats, at least one
 ONE_CENTER_FLOATS = 1 << 14
 
 
@@ -97,6 +96,9 @@ class Instance:
         ids = [p.id for p in points]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate point ids")
+        wide = [i for i in ids if not -(1 << 63) <= i < 1 << 63]
+        if wide:
+            raise InputError(f"point id {wide[0]} does not fit in a signed 64-bit integer")
 
         self.points = tuple(points)
         self.k = k
@@ -104,17 +106,8 @@ class Instance:
         self.color_labels = tuple(color_labels)
         self._pos = {p.id: idx for idx, p in enumerate(points)}
         self._ids = np.array(ids, dtype=np.int64)
-        # id -> position by table lookup over the id range when that range is
-        # short (ids 0..n-1 and the like), else by binary search
-        self._id_lo = int(self._ids.min())
-        span = int(self._ids.max()) - self._id_lo + 1
-        if span <= 4 * len(ids):
-            self._pos_table = np.full(span, -1)
-            self._pos_table[self._ids - self._id_lo] = np.arange(len(ids))
-        else:
-            self._pos_table = None
-            self._id_order = np.argsort(self._ids)
-            self._id_sorted = self._ids[self._id_order]
+        self._id_order = np.argsort(self._ids)
+        self._id_sorted = self._ids[self._id_order]
         self._coords = np.array([p.coords for p in points], dtype=float)
         if not np.isfinite(self._coords).all():
             raise InputError("coordinates must be finite")
@@ -149,10 +142,7 @@ class Instance:
     def positions(self, point_ids) -> np.ndarray:
         """Position of each of `point_ids`, -1 for an id that names no point."""
         point_ids = np.asarray(point_ids, dtype=np.int64)
-        if self._pos_table is None:
-            at = self._id_order.take(np.searchsorted(self._id_sorted, point_ids), mode="clip")
-        else:
-            at = self._pos_table.take(point_ids - self._id_lo, mode="clip")
+        at = self._id_order.take(np.searchsorted(self._id_sorted, point_ids), mode="clip")
         return np.where(self._ids[at] == point_ids, at, -1)
 
     def id_at(self, pos: int) -> int:
@@ -208,25 +198,22 @@ class Instance:
 
         The answer of `dist_block(pos).max(axis=1).argmin()`, first of ties,
         without the |pos| x |pos| block when that block is large.  Its rows
-        are computed in batches, with dist_block's bits.  A row gives its
-        point's eccentricity exactly and bounds every other point's from
-        below (by the distance between the two).  The search ends once every
-        point without a row is bounded above the best eccentricity found, so
-        none of them can tie it.  Each batch takes the open points with the
-        lowest bounds, plus the farthest point of each row of the previous
-        batch, whose own row tends to raise the bounds most.  A block of at
-        most ONE_CENTER_FLOATS floats, or of at most ONE_CENTER_BATCH rows, is
-        computed whole.
+        are computed in batches of as many rows as fit in ONE_CENTER_FLOATS
+        floats, with dist_block's bits.  A row gives its point's eccentricity
+        exactly and bounds every other point's from below (by the distance
+        between the two).  The search ends once every point without a row is
+        bounded above the best eccentricity found, so none of them can tie
+        it.  Each batch after the first takes the open points with the lowest
+        bounds, plus the farthest point of each row of the previous batch,
+        whose own row tends to raise the bounds most.
         """
         pos = np.asarray(pos, dtype=np.int64)
         sub = None if self._dist is not None else self._coords[pos]
-        width = max(pos.size * (1 if sub is None else sub.shape[1]), 1)  # floats per row
-        size = max(ONE_CENTER_BATCH, ONE_CENTER_FLOATS // width)
-        if pos.size <= size:
-            return int(self.dist_block(pos).max(axis=1).argmin())
+        width = pos.size * (1 if sub is None else sub.shape[1])  # floats per row
+        size = max(ONE_CENTER_FLOATS // max(width, 1), 1)
         ecc = np.full(pos.size, np.inf)  # inf until the point's row is computed
         bound = np.zeros(pos.size)
-        batch = np.arange(size)
+        batch = np.arange(min(size, pos.size))
         while True:
             if sub is None:
                 rows = self._dist[np.ix_(pos[batch], pos)]

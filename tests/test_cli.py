@@ -154,6 +154,17 @@ def test_main_non_finite_coordinate_is_error(tmp_path, capsys, value, algo):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("pid", [2**63, -(2**63) - 1])
+def test_main_id_outside_64_bits_is_error(tmp_path, capsys, pid):
+    path = write(tmp_path, "wide.csv", f"id,color,x0\n{pid},r,0.0\n{2**63 - 1},b,1.0\n")
+    assert main(["--input", str(path), "--k", "1", "--alpha", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: point id {pid} does not fit in a signed 64-bit integer\n"
+    edge = write(tmp_path, "edge.csv", f"id,color,x0\n{-(2**63)},r,0.0\n{2**63 - 1},b,1.0\n")
+    assert load_csv(edge).ids() == [-(2**63), 2**63 - 1]
+
+
 @pytest.mark.parametrize(
     "flag",
     [

@@ -177,11 +177,10 @@ def test_array_metrics_equal_the_loop_references():
             assert sizes.tolist() == ref_sizes.tolist() and peaks.tolist() == ref_peaks.tolist()
 
 
-@pytest.mark.parametrize("batch, floats", [(None, None), (1, 1), (3, 50)])
-def test_one_center_equals_the_block_argmin(monkeypatch, batch, floats):
+@pytest.mark.parametrize("floats", [None, 1, 100])
+def test_one_center_equals_the_block_argmin(monkeypatch, floats):
     # small batches drive the bound search through many rounds
-    if batch is not None:
-        monkeypatch.setattr(core, "ONE_CENTER_BATCH", batch)
+    if floats is not None:
         monkeypatch.setattr(core, "ONE_CENTER_FLOATS", floats)
     rng = np.random.default_rng(11)
     for inst in exactness_pool(1):
