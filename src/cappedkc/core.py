@@ -124,6 +124,8 @@ class Instance:
                 raise InputError("distance matrix must have a zero diagonal")
         self._dist = dist_matrix
         self._row_cache: dict[int, np.ndarray] = {}
+        # (positions, their stacked rows) of the last dist_rows call
+        self._block: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -144,6 +146,18 @@ class Instance:
         point_ids = np.asarray(point_ids, dtype=np.int64)
         at = self._id_order.take(np.searchsorted(self._id_sorted, point_ids), mode="clip")
         return np.where(self._ids[at] == point_ids, at, -1)
+
+    def require_positions(self, point_ids) -> np.ndarray:
+        """Position of each of `point_ids`; InputError for an id that names no point."""
+        given = np.asarray(point_ids)
+        if given.size and not (
+            given.dtype.kind == "i" or (given.dtype.kind == "u" and given.max() < 1 << 63)
+        ):
+            raise InputError(f"point ids must be 64-bit integers, got {given.tolist()!r}")
+        pos = self.positions(given)
+        if (pos < 0).any():
+            raise InputError(f"point id {given.flat[np.argmin(pos)]} names no point")
+        return pos
 
     def id_at(self, pos: int) -> int:
         return self.points[pos].id
@@ -179,6 +193,19 @@ class Instance:
             row = _norm(self._coords - self._coords[pos])
             self._row_cache[pos] = row
         return row
+
+    def dist_rows(self, pos: np.ndarray) -> np.ndarray:
+        """The distance rows of the points at positions `pos`, stacked, read-only.
+
+        The last block is kept, so a radius ladder over one facility set
+        stacks its rows once.
+        """
+        block = self._block
+        if block is None or not np.array_equal(block[0], pos):
+            rows = np.stack([self.dist_row(p) for p in pos.tolist()])
+            rows.flags.writeable = False
+            block = self._block = (np.array(pos), rows)
+        return block[1]
 
     def dist_paired(self, pos: np.ndarray) -> np.ndarray:
         """Distance from the point at each position j to the point at position pos[j]."""
@@ -315,21 +342,21 @@ def solution_cost(inst: Instance, sol: ClusteringSolution) -> float:
     return float(inst.dist_paired(center_positions(inst, sol)).max())
 
 
-def cluster_color_counts(inst: Instance, sol: ClusteringSolution) -> tuple[np.ndarray, np.ndarray]:
-    """The served center positions, ascending, and one row of member counts per color for each."""
-    cpos = center_positions(inst, sol)
-    served = np.flatnonzero(np.bincount(cpos, minlength=inst.n))
-    cluster = np.zeros(inst.n, dtype=np.int64)
-    cluster[served] = np.arange(served.size)
-    cluster = cluster[cpos]
+def color_counts(inst: Instance, cpos: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Member counts by color of each cluster of the assignment `cpos`.
+
+    `centers` are ascending positions that include every position in
+    `cpos`; the counts have one row per center, in that order.
+    """
     nc = inst.n_colors
-    counts = np.bincount(cluster * nc + inst.colors(), minlength=served.size * nc)
-    return served, counts.reshape(served.size, nc)
+    cluster = np.searchsorted(centers, cpos)
+    return np.bincount(cluster * nc + inst.colors(), minlength=centers.size * nc).reshape(-1, nc)
 
 
 def cluster_color_peaks(inst: Instance, sol: ClusteringSolution) -> tuple[np.ndarray, np.ndarray]:
     """Size and largest single-color count of each served cluster, by center position."""
-    _, counts = cluster_color_counts(inst, sol)
+    cpos = center_positions(inst, sol)
+    counts = color_counts(inst, cpos, np.unique(cpos))
     return counts.sum(axis=1), counts.max(axis=1)
 
 
@@ -355,12 +382,39 @@ def candidate_radii(inst: Instance) -> list[float]:
     return vals.tolist()
 
 
+def nearest_positions(
+    inst: Instance, centers: np.ndarray, clients: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each client's nearest center position and its distance to it.
+
+    `centers` are positions in ascending order, so ties go to the lowest
+    position; `clients` are positions, every point by default.  The distances
+    have the bits of `dist_paired`.
+    """
+    rows = np.stack([inst.dist_row(c) for c in centers.tolist()])
+    if clients is not None:
+        rows = rows[:, clients]
+    choice = rows.argmin(axis=0)  # argmin takes the first of ties
+    return centers[choice], rows[choice, np.arange(rows.shape[1])]
+
+
+def solution_at(
+    inst: Instance, centers: np.ndarray, cpos: np.ndarray, clients: np.ndarray | None = None
+) -> ClusteringSolution:
+    """The solution opening the points at positions `centers`, client j served by cpos[j].
+
+    `clients` are the positions that `cpos` assigns, every point by default.
+    """
+    client_ids = inst.ids() if clients is None else inst.ids_at(clients).tolist()
+    return ClusteringSolution(
+        tuple(sorted(inst.ids_at(centers).tolist())),
+        dict(zip(client_ids, inst.ids_at(cpos).tolist())),
+    )
+
+
 def nearest_assignment(inst: Instance, centers: Sequence[int]) -> ClusteringSolution:
     """Assign every point to its nearest center, ties to the lowest-position center."""
-    if not centers:
+    if not len(centers):
         raise InputError("need at least one center")
-    order = sorted(centers, key=inst.pos)
-    rows = np.stack([inst.dist_row(inst.pos(c)) for c in order])
-    choice = rows.argmin(axis=0)  # argmin takes the first of ties
-    assign = dict(zip(inst.ids(), np.array(order)[choice].tolist()))
-    return ClusteringSolution(tuple(sorted(centers)), assign)
+    pos = np.sort(inst.require_positions(centers))
+    return solution_at(inst, pos, nearest_positions(inst, pos)[0])

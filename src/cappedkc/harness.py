@@ -15,12 +15,13 @@ from .core import (
     InfeasibleInstance,
     InputError,
     Instance,
-    cluster_color_counts,
-    cluster_color_peaks,
+    center_positions,
+    color_counts,
     make_instance,
-    solution_cost,
+    nearest_positions,
+    solution_at,
 )
-from .greedy import greedy_k_center, lloyd_kcenter_round, random_baseline
+from .greedy import farthest_first, lloyd_round, random_centers
 from .halfcap import non_dominant_k_center
 from .lp_rounding import fair_k_center, one_center_stop
 
@@ -68,9 +69,15 @@ class CappedInstanceReport:
 
 def max_additive_violation(inst: Instance, sol: ClusteringSolution, alpha: float) -> int:
     """Worst excess of any cluster's color count over the floored cap floor(|C|*alpha)."""
-    sizes, peaks = cluster_color_peaks(inst, sol)
-    allowed = np.floor(sizes * alpha + CAP_TOL).astype(np.int64)
-    return int((peaks - allowed).max(initial=0))
+    cpos = center_positions(inst, sol)
+    return _violation(inst, cpos, np.unique(cpos), alpha)
+
+
+def _violation(inst: Instance, cpos: np.ndarray, centers: np.ndarray, alpha: float) -> int:
+    """`max_additive_violation` of the assignment `cpos` onto the ascending positions `centers`."""
+    counts = color_counts(inst, cpos, centers)
+    allowed = np.floor(counts.sum(axis=1) * alpha + CAP_TOL).astype(np.int64)
+    return int((counts.max(axis=1) - allowed).max(initial=0))
 
 
 def _grid(start: float, stop: float, epsilon: float) -> list[float]:
@@ -124,9 +131,8 @@ def faster_algorithm(inst: Instance, cfg: RunConfig, return_info: bool = False):
             "alpha is below the largest color fraction"
         )
     lam_anchor = float(work.dist_row(0).max())
-    _, lam_greedy = greedy_k_center(work, k=cfg.k)
-    coreset_sol, _ = greedy_k_center(work, k=cfg.m * cfg.k)
-    coreset = list(coreset_sol.centers)
+    lam_greedy = float(farthest_first(work, cfg.k)[1].max())
+    coreset = sorted(work.ids_at(farthest_first(work, cfg.m * cfg.k)[0]).tolist())
     grid = lambda_grid(work, lam_greedy, lam_anchor, cfg.epsilon)
 
     for lam in grid:
@@ -166,9 +172,14 @@ def make_balanced_instance(
 
 def greedy_gold(inst: Instance) -> tuple[ClusteringSolution, float]:
     """The gold-standard baseline: greedy centers refined by one Lloyd round."""
-    sol, _ = greedy_k_center(inst)
-    refined = lloyd_kcenter_round(inst, sol)
-    return refined, solution_cost(inst, refined)
+    centers, cpos, dist = _gold(inst)
+    return solution_at(inst, centers, cpos), float(dist.max())
+
+
+def _gold(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`greedy_gold` on positions: the centers, each point's center and its distance."""
+    centers, _ = farthest_first(inst, inst.k)
+    return lloyd_round(inst, centers, nearest_positions(inst, centers)[0])
 
 
 def _ratio(cost: float, base: float) -> float | None:
@@ -177,8 +188,9 @@ def _ratio(cost: float, base: float) -> float | None:
     return cost / base
 
 
-def _histograms(inst: Instance, sol: ClusteringSolution) -> dict[int, dict[str, int]]:
-    served, counts = cluster_color_counts(inst, sol)
+def _histograms(inst: Instance, cpos: np.ndarray, served: np.ndarray) -> dict[int, dict[str, int]]:
+    """Color label counts per served center id; `served` are the ascending positions in `cpos`."""
+    counts = color_counts(inst, cpos, served)
     out: dict[int, dict[str, int]] = {}
     for center, row in sorted(zip(inst.ids_at(served).tolist(), counts.tolist())):
         hist: dict[str, int] = {}
@@ -208,29 +220,37 @@ def evaluate(inst: Instance, cfg: RunConfig) -> CappedInstanceReport:
         "n_colors": work.n_colors,
     }
 
-    gold_sol, gold_cost = greedy_gold(work)
-    delta_greedy = max_additive_violation(work, gold_sol, cfg.alpha)
+    # the baselines stay in position arrays; only a reported one becomes a solution
+    gold_centers, gold_cpos, gold_dist = _gold(work)
+    gold_cost = float(gold_dist.max())
+    delta_greedy = _violation(work, gold_cpos, gold_centers, cfg.alpha)
 
-    rand_sols = [random_baseline(work, cfg.seed + r) for r in range(RANDOM_RERUNS)]
-    rand_costs = [solution_cost(work, s) for s in rand_sols]
-    rand_deltas = [max_additive_violation(work, s, cfg.alpha) for s in rand_sols]
-    rand_cost = float(np.mean(rand_costs))
+    rand = []  # (centers, cpos, dist) per seed
+    for r in range(RANDOM_RERUNS):
+        centers = random_centers(work, cfg.seed + r)
+        rand.append((centers, *nearest_positions(work, centers)))
+    rand_cost = float(np.mean([float(dist.max()) for _, _, dist in rand]))
+    rand_deltas = [_violation(work, cpos, centers, cfg.alpha) for centers, cpos, _ in rand]
     delta_random = int(round(float(np.mean(rand_deltas))))
 
     t0 = time.perf_counter()
     try:
         if cfg.algorithm == "greedy":
-            sol, cost = gold_sol, gold_cost
+            sol = solution_at(work, gold_centers, gold_cpos)
+            cpos, cost = gold_cpos, gold_cost
         elif cfg.algorithm == "random":
-            sol, cost = rand_sols[0], rand_cost
-        elif cfg.algorithm == "half":
-            if abs(cfg.alpha - 0.5) > 1e-12:
-                raise InputError("algorithm 'half' requires alpha = 1/2")
-            sol = non_dominant_k_center(work)
-            cost = solution_cost(work, sol)
+            centers, cpos, _ = rand[0]
+            sol = solution_at(work, centers, cpos)
+            cost = rand_cost
         else:
-            sol = faster_algorithm(work, cfg)
-            cost = solution_cost(work, sol)
+            if cfg.algorithm == "half":
+                if abs(cfg.alpha - 0.5) > 1e-12:
+                    raise InputError("algorithm 'half' requires alpha = 1/2")
+                sol = non_dominant_k_center(work)
+            else:
+                sol = faster_algorithm(work, cfg)
+            cpos = center_positions(work, sol)
+            cost = float(work.dist_paired(cpos).max())
     except InfeasibleInstance:
         wall = (time.perf_counter() - t0) * 1000.0
         return CappedInstanceReport(
@@ -248,9 +268,8 @@ def evaluate(inst: Instance, cfg: RunConfig) -> CappedInstanceReport:
     wall = (time.perf_counter() - t0) * 1000.0
 
     # the random row reports the averaged violation, like its averaged cost
-    delta = delta_random if cfg.algorithm == "random" else max_additive_violation(
-        work, sol, cfg.alpha
-    )
+    served = np.unique(cpos)
+    delta = delta_random if cfg.algorithm == "random" else _violation(work, cpos, served, cfg.alpha)
     return CappedInstanceReport(
         algorithm=cfg.algorithm,
         params=params,
@@ -263,7 +282,7 @@ def evaluate(inst: Instance, cfg: RunConfig) -> CappedInstanceReport:
         delta_random=delta_random,
         centers=list(sol.centers),
         assignment=dict(sorted(sol.assign.items())),
-        histograms=_histograms(work, sol),
+        histograms=_histograms(work, cpos, served),
         wall_ms=wall,
     )
 

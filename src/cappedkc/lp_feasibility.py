@@ -128,17 +128,18 @@ def radius_pairs(
 
     `restricted_facilities` are point ids; the facility set is their
     positions, or every point.  A pair is in radius when its distance is at
-    most lam * (1 + RADIUS_SLACK).
+    most lam * (1 + RADIUS_SLACK).  The facility rows come from
+    `Instance.dist_rows`, so a ladder over one set stacks them once.
     """
     if lam < 0:
         raise InputError("lambda must be non-negative")
     if restricted_facilities is None:
         fac_pos = np.arange(inst.n)
     else:
-        fac_pos = np.unique(np.array([inst.pos(i) for i in restricted_facilities], dtype=int))
+        fac_pos = np.unique(inst.require_positions(restricted_facilities))
         if not fac_pos.size:
             raise InputError("restricted facility set must be non-empty")
-    rows = np.stack([inst.dist_row(fi) for fi in fac_pos.tolist()])
+    rows = inst.dist_rows(fac_pos)
     # row-major: the pairs come out in (facility, client) order
     pf, pj = np.divmod(np.flatnonzero(rows <= lam * (1.0 + RADIUS_SLACK)), inst.n)
     return RadiusPairs(lam, inst.alpha, inst.n, fac_pos, fac_pos[pf], pj, inst.colors()[pj])

@@ -189,7 +189,9 @@ def one_center_stop(inst: Instance, restricted: Sequence[int], lam: float, top: 
     non-empty rung, the top one at the latest, and the merged point there is
     x_oj = 1 for every client: one cluster at o, within 3*lam.
     """
-    fac = np.array([inst.pos(i) for i in restricted])
+    fac = inst.require_positions(restricted)
+    if not fac.size:
+        raise InputError("restricted facility set must be non-empty")
     o = int(fac.min())
     row = inst.dist_row(o)
     reach = float(row.max())

@@ -12,8 +12,11 @@ from cappedkc import (
     InputError,
     Instance,
     Point,
+    build_polytope,
     candidate_radii,
     check_capped,
+    fair_k_center,
+    greedy_k_center,
     make_instance,
     max_additive_violation,
     nearest_assignment,
@@ -22,6 +25,8 @@ from cappedkc import (
 )
 from cappedkc import core
 from cappedkc.core import center_positions, cluster_color_peaks
+from cappedkc.lp_feasibility import radius_pairs
+from cappedkc.lp_rounding import one_center_stop
 from conftest import (
     exactness_pool,
     line_instance,
@@ -151,6 +156,25 @@ def test_positions_map_ids_and_flag_unknown_ones():
         assert inst.positions(ids[::-1]).tolist() == [3, 2, 1, 0]
         assert inst.positions([1, 10, -6, 10**13]).tolist() == [-1, -1, -1, -1]
         assert inst.ids_at(np.array([2, 0])).tolist() == [ids[2], ids[0]]
+
+
+UNKNOWN_ID_CALLS = {
+    "fair_k_center": lambda inst, ids: fair_k_center(inst, 1.0, restricted=ids),
+    "build_polytope": lambda inst, ids: build_polytope(inst, 1.0, ids),
+    "radius_pairs": lambda inst, ids: radius_pairs(inst, 1.0, ids),
+    "one_center_stop": lambda inst, ids: one_center_stop(inst, ids, 1.0, 2.0),
+    "greedy_k_center": lambda inst, ids: greedy_k_center(inst, subset=ids),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_ID_CALLS))
+def test_unknown_ids_are_input_errors(entry):
+    inst = make_instance([(0.0,), (1.0,), (2.0,)], ["r", "b", "r"], k=2, alpha=0.5, ids=[4, -1, 9])
+    call = UNKNOWN_ID_CALLS[entry]
+    call(inst, [9, 4])  # known ids pass
+    for ids in ([7], [4, 7], [-2], [2**63], [1.5]):
+        with pytest.raises(InputError):
+            call(inst, ids)
 
 
 def _center_sets(inst: Instance, rng: np.random.Generator):

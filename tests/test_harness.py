@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -17,26 +18,31 @@ from cappedkc import (
     evaluate,
     fair_k_center,
     faster_algorithm,
+    greedy_gold,
     greedy_k_center,
     make_balanced_instance,
     make_instance,
     max_additive_violation,
     nearest_assignment,
+    random_baseline,
     report_to_json,
     reports_to_csv,
     select_separated_facilities,
     solution_cost,
 )
 from cappedkc import harness, lp_feasibility, lp_rounding
+from cappedkc.core import center_positions
 from cappedkc.harness import lambda_grid, report_to_dict
 from cappedkc.lp_feasibility import passes_prechecks
 from cappedkc.lp_rounding import one_center_stop
 from conftest import (
     brute_force_capped_opt,
     brute_force_kcenter_opt,
+    exactness_pool,
     line_instance,
     random_capped_instance,
     reference_one_center_stop,
+    reference_solution_cost,
 )
 
 
@@ -429,7 +435,8 @@ def test_rungs_the_prechecks_reject_build_no_rows(monkeypatch):
 def test_histograms_add_up_labels_that_print_alike():
     inst = make_instance([(0.0,), (1.0,), (5.0,)], [1, "1", "b"], k=2, alpha=1.0)
     sol = nearest_assignment(inst, [0, 2])
-    assert harness._histograms(inst, sol) == {0: {"1": 2}, 2: {"b": 1}}
+    cpos = center_positions(inst, sol)
+    assert harness._histograms(inst, cpos, np.unique(cpos)) == {0: {"1": 2}, 2: {"b": 1}}
 
 
 def test_with_params_keeps_the_instance_when_nothing_changes(unit_square):
@@ -484,3 +491,61 @@ def test_report_json_and_csv(unit_square):
     header, row = csv_text.strip().split("\n")
     assert header.startswith("dataset,algorithm,k,alpha")
     assert row.startswith("square,lp,2,0.5")
+
+
+def _baseline_pool() -> list[Instance]:
+    """exactness_pool plus negative ids, coincident points and k = n variants."""
+    rng = np.random.default_rng(13)
+    pool = exactness_pool(2)
+    for n in (7, 30):
+        coords = rng.integers(0, 2, size=(n, 2)).astype(float)  # many coincident points
+        colors = rng.integers(0, 3, size=n).tolist()
+        ids = (rng.permutation(n) * 4 - 3 * n).tolist()  # shuffled, gapped, mostly negative
+        pool.append(make_instance(coords, colors, k=3, alpha=0.5, ids=ids))
+        pool.append(make_instance(np.zeros((n, 1)), colors, k=2, alpha=0.5, ids=ids))
+    return pool + [inst.with_params(k=inst.n) for inst in pool[:: len(pool) // 8]]
+
+
+def test_evaluate_baselines_equal_the_public_solutions():
+    for inst in _baseline_pool():
+        for algorithm, seed in (("greedy", 0), ("random", 17)):
+            cfg = RunConfig(k=inst.k, alpha=inst.alpha, algorithm=algorithm, seed=seed)
+            rep = evaluate(inst, cfg)
+            gold_sol, gold_cost = greedy_gold(inst)
+            assert gold_cost == reference_solution_cost(inst, gold_sol)
+            rand_sols = [random_baseline(inst, seed + r) for r in range(harness.RANDOM_RERUNS)]
+            rand_cost = float(np.mean([reference_solution_cost(inst, s) for s in rand_sols]))
+            rand_deltas = [max_additive_violation(inst, s, inst.alpha) for s in rand_sols]
+            assert rep.delta_greedy == max_additive_violation(inst, gold_sol, inst.alpha)
+            assert rep.delta_random == int(round(float(np.mean(rand_deltas))))
+            assert rep.cost_vs_greedy == harness._ratio(rep.cost, gold_cost)
+            assert rep.cost_vs_random == harness._ratio(rep.cost, rand_cost)
+            sol = gold_sol if algorithm == "greedy" else rand_sols[0]
+            assert rep.centers == list(sol.centers)
+            assert rep.assignment == dict(sorted(sol.assign.items()))
+            assert rep.cost == (gold_cost if algorithm == "greedy" else rand_cost)
+
+
+# sha256 of report_to_json(..., include_wall=False) for each algorithm on
+# _pinned_instance(), seed 4
+PINNED_REPORTS = {
+    "greedy": "f25748f70d98284550f690876ab5f6c9dcb77e8f6c68797d26159f603d970ca9",
+    "random": "8a8a84845843bc4c654f0aea08cfeee7f577a9fe0bd8398f3cb0b05cc6b7ae14",
+    "lp": "b4bfd441c08fa834dc11bdd780f6b4ddb54720ddad4a344309635897917568d1",
+    "half": "58dbc5b843bd58de4b80bec9f2d5e9393db5841849629acd3b8b7dd879aa0486",
+}
+
+
+def _pinned_instance() -> Instance:
+    rng = np.random.default_rng(31)
+    coords = rng.integers(0, 5, size=(14, 2)).astype(float)
+    ids = (rng.permutation(14) * 5 - 30).tolist()
+    return make_instance(coords, ["r", "b"] * 7, k=3, alpha=0.5, ids=ids)
+
+
+@pytest.mark.parametrize("algorithm", sorted(PINNED_REPORTS))
+def test_report_json_is_pinned(algorithm):
+    rep = evaluate(_pinned_instance(), RunConfig(k=3, alpha=0.5, algorithm=algorithm, seed=4))
+    assert rep.status == "ok"
+    text = report_to_json(rep, include_wall=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[algorithm], text

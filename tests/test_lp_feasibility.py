@@ -8,18 +8,20 @@ import scipy.optimize
 
 from cappedkc import (
     InfeasibleInstance,
+    RunConfig,
     SolverError,
     build_polytope,
     capped_opt,
     candidate_radii,
     check_feasible,
+    faster_algorithm,
     greedy_k_center,
     make_balanced_instance,
     make_instance,
     validate_point,
 )
 from cappedkc.core import ceil_inv_alpha
-from cappedkc import lp_feasibility
+from cappedkc import lp_feasibility, lp_rounding
 from cappedkc.lp_feasibility import (
     IPM_MIN_COLUMNS,
     RADIUS_SLACK,
@@ -548,3 +550,53 @@ def test_color_precheck_rejects_only_empty_polytopes(monkeypatch):
                 assert _solve_highs(sys) is None
                 rejected += 1
     assert rejected >= 300
+
+
+def _stacked_pairs(inst, lam, restricted):
+    """radius_pairs' arrays from a freshly stacked facility block."""
+    fac = np.arange(inst.n) if restricted is None else np.unique([inst.pos(i) for i in restricted])
+    rows = np.stack([inst.dist_row(p) for p in fac.tolist()])
+    pf, pj = np.divmod(np.flatnonzero(rows <= lam * (1.0 + RADIUS_SLACK)), inst.n)
+    return fac, fac[pf], pj
+
+
+def test_radius_pairs_equal_a_fresh_stack_as_the_facility_set_changes():
+    rng = np.random.default_rng(8)
+    inst = make_instance(rng.standard_normal((40, 3)), rng.integers(0, 3, 40).tolist(), k=4, alpha=0.5)
+    ids = inst.ids()
+    a, b = [ids[j] for j in (3, 0, 17, 9)], [ids[j] for j in (5, 38, 21)]
+    radii = (0.0, 0.5, 1.2, 3.0)
+    for work in (inst, inst, inst.with_params(k=6), inst.with_params(alpha=1 / 3)):
+        for restricted in (a, b, a, None, b, None, a, list(reversed(a))):
+            for lam in radii:
+                got = lp_feasibility.radius_pairs(work, lam, restricted)
+                fac, pf, pj = _stacked_pairs(work, lam, restricted)
+                assert np.array_equal(got.facility_pos, fac)
+                assert np.array_equal(got.pair_facility, pf)
+                assert np.array_equal(got.pair_client, pj)
+                assert np.array_equal(got.pair_color, work.colors()[pj])
+    fac = np.unique(inst.positions(a))
+    block = inst.dist_rows(fac)
+    assert inst.dist_rows(fac) is block and not block.flags.writeable
+
+
+def test_ladder_stacks_the_coreset_rows_once(monkeypatch):
+    inst = make_balanced_instance(50, 20, dim=10, k=25, alpha=0.1, seed=0)
+    cfg = RunConfig(k=25, alpha=0.1)
+    shapes, pair_calls = [], []
+    stack, pairs = np.stack, lp_rounding.radius_pairs
+
+    def counting_stack(arrays, *args, **kwargs):
+        out = stack(arrays, *args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    def counting_pairs(*args, **kwargs):
+        pair_calls.append(args[1])
+        return pairs(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counting_stack)
+    monkeypatch.setattr(lp_rounding, "radius_pairs", counting_pairs)
+    _, info = faster_algorithm(inst, cfg, return_info=True)
+    assert len(pair_calls) == 11  # 7 rungs rejected by the pre-checks, 4 one-center stop checks
+    assert shapes.count((len(info["coreset"]), inst.n)) == 1
