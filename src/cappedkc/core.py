@@ -153,7 +153,7 @@ class Instance:
         if given.size and not (
             given.dtype.kind == "i" or (given.dtype.kind == "u" and given.max() < 1 << 63)
         ):
-            raise InputError(f"point ids must be 64-bit integers, got {given.tolist()!r}")
+            raise InputError(f"point ids must be 64-bit integers, got dtype {given.dtype}")
         pos = self.positions(given)
         if (pos < 0).any():
             raise InputError(f"point id {given.flat[np.argmin(pos)]} names no point")
