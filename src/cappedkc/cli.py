@@ -168,10 +168,7 @@ def main(argv: list[str] | None = None) -> int:
                 results = list(pool.map(_run_cell, tasks))
         else:
             results = [_run_cell(t) for t in tasks]
-    except (InputError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

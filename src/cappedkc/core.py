@@ -63,9 +63,10 @@ class Instance:
     """A capped k-center instance: the facility set is exactly the point set.
 
     Points are immutable after construction; all derived data (coordinate
-    array, distance cache) is safe for concurrent reads.  The metric is
-    Euclidean on coords unless an explicit all-pairs matrix is supplied
-    (used by graph-metric instances, e.g. hardness gadgets).
+    and color arrays, distance cache) is read-only and safe for concurrent
+    reads.  The metric is Euclidean on coords unless an explicit all-pairs
+    matrix is supplied (used by graph-metric instances, e.g. hardness
+    gadgets); the instance keeps its own copy of it.
     """
 
     def __init__(
@@ -112,8 +113,10 @@ class Instance:
         if not np.isfinite(self._coords).all():
             raise InputError("coordinates must be finite")
         self._colors = np.array([p.color for p in points], dtype=int)
+        self._coords.flags.writeable = self._colors.flags.writeable = False
         if dist_matrix is not None:
-            dist_matrix = np.asarray(dist_matrix, dtype=float)
+            dist_matrix = np.array(dist_matrix, dtype=float)
+            dist_matrix.flags.writeable = False
             if dist_matrix.shape != (len(points), len(points)):
                 raise InputError("distance matrix shape mismatch")
             if not np.isfinite(dist_matrix).all():
@@ -185,12 +188,13 @@ class Instance:
         return self.dist_pos(self._pos[a_id], self._pos[b_id])
 
     def dist_row(self, pos: int) -> np.ndarray:
-        """Distances from the point at `pos` to every point, by position."""
+        """Distances from the point at `pos` to every point, by position, read-only."""
         if self._dist is not None:
             return self._dist[pos]
         row = self._row_cache.get(pos)
         if row is None:
             row = _norm(self._coords - self._coords[pos])
+            row.flags.writeable = False
             self._row_cache[pos] = row
         return row
 
@@ -256,9 +260,10 @@ class Instance:
             batch = np.union1d(lowest, far[np.isinf(ecc[far])])
 
     def pairwise(self) -> np.ndarray:
-        """Full distance matrix by position (cached)."""
+        """Full distance matrix by position (cached, read-only)."""
         if self._dist is None:
             self._dist = self.dist_block(np.arange(self.n))
+            self._dist.flags.writeable = False
         return self._dist
 
     def with_params(self, k: int | None = None, alpha: float | None = None) -> "Instance":

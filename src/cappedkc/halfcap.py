@@ -148,7 +148,7 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
     result is the one a fresh computation at every radius gives.
     """
     if abs(inst.alpha - 0.5) > 1e-12:
-        raise InputError("this algorithm handles alpha = 1/2 only")
+        raise InputError("algorithm 'half' requires alpha = 1/2")
     pa, pb, pd = _colored_pairs(inst)
     order = np.argsort(pd, kind="stable")
     pa, pb, pd = pa[order], pb[order], pd[order]

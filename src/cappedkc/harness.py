@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,17 +50,20 @@ class RunConfig:
 
 @dataclass
 class CappedInstanceReport:
-    """Metrics of one run in the overview-table layout."""
+    """Metrics of one run in the overview-table layout, the one field list of its JSON and CSV.
+
+    An infeasible run leaves the fields after `delta_random` at their defaults.
+    """
 
     algorithm: str
     params: dict
     status: str
-    cost: float | None
-    cost_vs_greedy: float | None
-    cost_vs_random: float | None
-    delta: int | None
     delta_greedy: int
     delta_random: int
+    cost: float | None = None
+    cost_vs_greedy: float | None = None
+    cost_vs_random: float | None = None
+    delta: int | None = None
     centers: list[int] = field(default_factory=list)
     assignment: dict[int, int] = field(default_factory=dict)
     histograms: dict[int, dict[str, int]] = field(default_factory=dict)
@@ -210,15 +213,9 @@ def evaluate(inst: Instance, cfg: RunConfig) -> CappedInstanceReport:
     as a structured report, never an exception.
     """
     work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
-    params = {
-        "k": cfg.k,
-        "alpha": cfg.alpha,
-        "epsilon": cfg.epsilon,
-        "m": cfg.m,
-        "seed": cfg.seed,
-        "n": work.n,
-        "n_colors": work.n_colors,
-    }
+    params = asdict(cfg)
+    del params["algorithm"]
+    params.update(n=work.n, n_colors=work.n_colors)
 
     # the baselines stay in position arrays; only a reported one becomes a solution
     gold_centers, gold_cpos, gold_dist = _gold(work)
@@ -243,68 +240,40 @@ def evaluate(inst: Instance, cfg: RunConfig) -> CappedInstanceReport:
             sol = solution_at(work, centers, cpos)
             cost = rand_cost
         else:
-            if cfg.algorithm == "half":
-                if abs(cfg.alpha - 0.5) > 1e-12:
-                    raise InputError("algorithm 'half' requires alpha = 1/2")
-                sol = non_dominant_k_center(work)
-            else:
-                sol = faster_algorithm(work, cfg)
+            sol = non_dominant_k_center(work) if cfg.algorithm == "half" else faster_algorithm(work, cfg)
             cpos = center_positions(work, sol)
             cost = float(work.dist_paired(cpos).max())
     except InfeasibleInstance:
-        wall = (time.perf_counter() - t0) * 1000.0
-        return CappedInstanceReport(
-            algorithm=cfg.algorithm,
-            params=params,
-            status="infeasible",
-            cost=None,
-            cost_vs_greedy=None,
-            cost_vs_random=None,
-            delta=None,
-            delta_greedy=delta_greedy,
-            delta_random=delta_random,
-            wall_ms=wall,
-        )
-    wall = (time.perf_counter() - t0) * 1000.0
+        sol = None
+    wall_ms = (time.perf_counter() - t0) * 1000.0
 
-    # the random row reports the averaged violation, like its averaged cost
-    served = np.unique(cpos)
-    delta = delta_random if cfg.algorithm == "random" else _violation(work, cpos, served, cfg.alpha)
+    ok = {}
+    if sol is not None:
+        served = np.unique(cpos)
+        # the random row reports the averaged violation, like its averaged cost
+        delta = delta_random if cfg.algorithm == "random" else _violation(work, cpos, served, cfg.alpha)
+        ok = dict(
+            cost=cost,
+            cost_vs_greedy=_ratio(cost, gold_cost),
+            cost_vs_random=_ratio(cost, rand_cost),
+            delta=delta,
+            centers=list(sol.centers),
+            assignment=dict(sorted(sol.assign.items())),
+            histograms=_histograms(work, cpos, served),
+        )
+    status = "ok" if ok else "infeasible"
     return CappedInstanceReport(
-        algorithm=cfg.algorithm,
-        params=params,
-        status="ok",
-        cost=cost,
-        cost_vs_greedy=_ratio(cost, gold_cost),
-        cost_vs_random=_ratio(cost, rand_cost),
-        delta=delta,
-        delta_greedy=delta_greedy,
-        delta_random=delta_random,
-        centers=list(sol.centers),
-        assignment=dict(sorted(sol.assign.items())),
-        histograms=_histograms(work, cpos, served),
-        wall_ms=wall,
+        cfg.algorithm, params, status, delta_greedy, delta_random, wall_ms=wall_ms, **ok
     )
 
 
 def report_to_dict(report: CappedInstanceReport, include_wall: bool = True) -> dict:
-    """JSON-ready view with a fixed key set across algorithms."""
-    out = {
-        "algorithm": report.algorithm,
-        "params": report.params,
-        "status": report.status,
-        "cost": report.cost,
-        "cost_vs_greedy": report.cost_vs_greedy,
-        "cost_vs_random": report.cost_vs_random,
-        "delta": report.delta,
-        "delta_greedy": report.delta_greedy,
-        "delta_random": report.delta_random,
-        "centers": report.centers,
-        "assignment": {str(j): i for j, i in report.assignment.items()},
-        "histograms": {str(c): h for c, h in report.histograms.items()},
-    }
-    if include_wall:
-        out["wall_ms"] = report.wall_ms
+    """JSON-ready view of every report field, with a fixed key set across algorithms."""
+    out = asdict(report)
+    out["assignment"] = {str(j): i for j, i in report.assignment.items()}
+    out["histograms"] = {str(c): h for c, h in report.histograms.items()}
+    if not include_wall:
+        del out["wall_ms"]
     return out
 
 
@@ -329,7 +298,7 @@ CSV_COLUMNS = [
 
 
 def reports_to_csv(rows: list[tuple[str, CappedInstanceReport]]) -> str:
-    """Overview-table CSV: one row per (dataset, run)."""
+    """Overview-table CSV: one row per (dataset, run), its cells looked up by column name."""
     def cell(v) -> str:
         if v is None:
             return ""
@@ -339,23 +308,6 @@ def reports_to_csv(rows: list[tuple[str, CappedInstanceReport]]) -> str:
 
     lines = [",".join(CSV_COLUMNS)]
     for dataset, r in rows:
-        lines.append(
-            ",".join(
-                cell(v)
-                for v in [
-                    dataset,
-                    r.algorithm,
-                    r.params["k"],
-                    r.params["alpha"],
-                    r.params["epsilon"],
-                    r.params["m"],
-                    r.cost,
-                    r.cost_vs_greedy,
-                    r.cost_vs_random,
-                    r.delta,
-                    r.delta_greedy,
-                    r.delta_random,
-                ]
-            )
-        )
+        fields = {"dataset": dataset, **r.params, **vars(r)}
+        lines.append(",".join(cell(fields[name]) for name in CSV_COLUMNS))
     return "\n".join(lines) + "\n"

@@ -262,15 +262,13 @@ def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
     bad: list[str] = []
     if (vec < sys.lower - ROW_TOL).any() or (vec > sys.upper + ROW_TOL).any():
         bad.append("variable bound violated")
-    mat, rhs = _stack(sys.blocks, sys.n_vars)
-    gap = mat @ vec - rhs
-    start = 0
     for blk in sys.blocks:
-        rows = gap[start : start + blk.n_rows]
-        start += blk.n_rows
-        if blk.relation == "==":
-            rows = np.abs(rows)
-        worst = rows.max(initial=0.0)
+        gap = np.bincount(blk.rows, weights=blk.data * vec[blk.cols], minlength=blk.n_rows) - blk.rhs
+        if blk.relation == ">=":
+            gap = -gap
+        elif blk.relation == "==":
+            gap = np.abs(gap)
+        worst = gap.max(initial=0.0)
         if worst > ROW_TOL:
             bad.append(f"{blk.family}: violation {worst:.3e}")
     nf, n_pairs = sys.facility_pos.size, sys.pair_client.size

@@ -90,7 +90,10 @@ def validate_rerouted(inst: Instance, lam: float, frac: FractionalSolution):
     and the opening budget.  The minimum-load family is deliberately not enforced:
     merging columns onto a maximal separated subset can leave an opened
     facility with less than ceil(1/alpha) mass, and nothing downstream
-    relies on it.
+    relies on it.  A pair (i, j) beyond 3*lam is an InputError when some
+    point v lies within 2*lam of i and lam of j, as the merge of an
+    in-radius pair (v, j) onto i does: then d(i, j) > d(i, v) + d(v, j),
+    and the distances break the triangle inequality.
     """
     fac, client, x = frac.facility, frac.client, frac.x
     bad = np.flatnonzero((x < -SEP_TOL) | (x > 1.0 + SEP_TOL))
@@ -110,9 +113,14 @@ def validate_rerouted(inst: Instance, lam: float, frac: FractionalSolution):
         mine = client[fac == i]
         far = mine[inst.dist_row(i)[mine] > 3.0 * lam * (1 + 1e-12) + SEP_TOL]
         if far.size:
-            raise ContractViolation(
-                f"pair ({inst.id_at(i)},{inst.id_at(far[0])}) farther than 3*lambda"
-            )
+            j = far[0]
+            via = (inst.dist_row(i) <= 2.0 * lam) & (inst.dist_row(j) <= lam * (1.0 + RADIUS_SLACK))
+            if via.any():
+                i, v, j = inst.ids_at([i, np.argmax(via), j]).tolist()
+                raise InputError(
+                    f"distances break the triangle inequality: d({i},{j}) > d({i},{v}) + d({v},{j})"
+                )
+            raise ContractViolation(f"pair ({inst.id_at(i)},{inst.id_at(j)}) farther than 3*lambda")
     cover = np.bincount(client, weights=x, minlength=inst.n)
     bad = np.flatnonzero(np.abs(cover - 1.0) > SEP_TOL)
     if bad.size:
@@ -143,7 +151,9 @@ def fair_k_center(
     clients (one when 1/alpha is an integer).  A radius whose maximal
     separated facility set exceeds k is rejected the same way as an empty
     polytope so grid drivers simply advance.  The constraint rows are built
-    only for in-radius pairs that pass `passes_prechecks`.
+    only for in-radius pairs that pass `passes_prechecks`.  Distances that
+    break the triangle inequality where the merge relies on it raise
+    InputError (see `validate_rerouted`).
     """
     pairs = radius_pairs(inst, lam, restricted)
     if not passes_prechecks(pairs):
@@ -172,22 +182,23 @@ def fair_k_center(
 
 
 def one_center_stop(inst: Instance, restricted: Sequence[int], lam: float, top: float) -> int | None:
-    """The position o all clients round onto at every rung from lam to top, or None.
+    """The position o all clients round onto from lam on, or None.
 
     `restricted` are the facility ids of every rung, o the lowest of their
     positions.  From lam on the ascending walk over `fair_k_center` rungs up
     to `top` can only merge every client onto o, and accepts some rung, when:
     - the >2*lam-separated set is {o}: max d(o, facilities) <= 2*lam, the
-      predicate of `select_separated_facilities`, so it stays {o} at every
-      larger rung;
-    - the pre-checks of `passes_prechecks` pass at lam;
+      predicate of `select_separated_facilities`;
     - the one-center point (y_o = 1, x_oj = 1 for every client, L_o = n)
       lies in the radius-top polytope: every color count <= alpha*n,
       n >= ceil(1/alpha), and every d(o, j) within the radius top;
     - every d(o, j) <= 3*lam, as the merged point's check demands.
-    The polytopes grow with the radius, so the walk accepts its first
-    non-empty rung, the top one at the latest, and the merged point there is
-    x_oj = 1 for every client: one cluster at o, within 3*lam.
+    These only get easier as the radius grows, so they hold at every later
+    rung.  There, `fair_k_center` rejects a rung that fails its pre-checks,
+    and the top rung passes them, as its polytope holds the one-center
+    point.  So the walk accepts a rung, the top one at the latest, and the
+    merged point there is x_oj = 1 for every client: one cluster at o,
+    within 3*lam.
     """
     fac = inst.require_positions(restricted)
     if not fac.size:
@@ -203,4 +214,4 @@ def one_center_stop(inst: Instance, restricted: Sequence[int], lam: float, top: 
         and np.bincount(inst.colors()).max() <= inst.alpha * inst.n
     ):
         return None
-    return o if passes_prechecks(radius_pairs(inst, lam, restricted)) else None
+    return o

@@ -22,7 +22,7 @@ from cappedkc import (
     sorted_adjacency,
 )
 from cappedkc.core import ceil_inv_alpha
-from cappedkc.lp_feasibility import RADIUS_SLACK, passes_prechecks
+from cappedkc.lp_feasibility import RADIUS_SLACK
 
 
 def random_capped_instance(
@@ -269,7 +269,7 @@ def reference_one_center(inst: Instance, pos) -> int:
 
 
 def reference_one_center_stop(inst: Instance, restricted, lam: float, top: float):
-    """`one_center_stop` with the separation test over one row per facility and a full polytope."""
+    """`one_center_stop` with the separation test over one row per facility."""
     fac = [inst.pos(i) for i in restricted]
     o = min(fac)
     reach = float(inst.dist_row(o).max())
@@ -281,7 +281,7 @@ def reference_one_center_stop(inst: Instance, restricted, lam: float, top: float
         and np.bincount(inst.colors()).max() <= inst.alpha * inst.n
     ):
         return None
-    return o if passes_prechecks(build_polytope(inst, lam, restricted)) else None
+    return o
 
 
 def exactness_pool(seed: int = 0) -> list[Instance]:

@@ -313,3 +313,16 @@ def test_instance_rejects_bad_dist_matrix():
     for reason, matrix in bad.items():
         with pytest.raises(InputError, match=reason):
             Instance(pts, k=1, alpha=0.5, dist_matrix=np.array(matrix))
+
+
+def test_instance_keeps_its_own_read_only_arrays():
+    dm = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    inst = Instance([Point(p, (), 0) for p in range(3)], k=1, alpha=1.0, dist_matrix=dm)
+    dm[0, 2] = dm[2, 0] = 99.0  # the caller's array, after validation
+    assert inst.dist_pos(0, 2) == 2.0 and inst.dist_row(0)[2] == 2.0
+    euclid = make_instance([(0.0,), (1.0,), (3.0,)], ["r", "b", "r"], k=1, alpha=0.5)
+    for view in (inst.dist_row(0), inst.pairwise(), euclid.dist_row(0), euclid.pairwise(),
+                 euclid.coords(), euclid.colors()):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 5
+    assert euclid.dist_row(0)[0] == 0.0 and euclid.dist_pos(0, 2) == euclid.dist_row(0)[2] == 3.0

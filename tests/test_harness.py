@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -6,7 +7,6 @@ import pytest
 import scipy.optimize
 
 from cappedkc import (
-    ContractViolation,
     InfeasibleInstance,
     InputError,
     Instance,
@@ -33,7 +33,6 @@ from cappedkc import (
 from cappedkc import harness, lp_feasibility, lp_rounding
 from cappedkc.core import center_positions
 from cappedkc.harness import lambda_grid, report_to_dict
-from cappedkc.lp_feasibility import passes_prechecks
 from cappedkc.lp_rounding import one_center_stop
 from conftest import (
     brute_force_capped_opt,
@@ -278,7 +277,7 @@ def test_one_center_stop_matches_ladder_walk(monkeypatch):
         try:
             ref_sol, ref_lam = _reference_faster_algorithm(inst, cfg)
             expect = ("ok", ref_sol.centers, ref_sol.assign)
-        except (InfeasibleInstance, ContractViolation) as exc:
+        except (InfeasibleInstance, InputError) as exc:
             expect, ref_lam = (type(exc).__name__,), None
 
         accepted.clear()
@@ -289,7 +288,7 @@ def test_one_center_stop_matches_ladder_walk(monkeypatch):
             try:
                 sol, info = faster_algorithm(inst, cfg, return_info=True)
                 got = ("ok", sol.centers, sol.assign)
-            except (InfeasibleInstance, ContractViolation) as exc:
+            except (InfeasibleInstance, InputError) as exc:
                 got = (type(exc).__name__,)
         assert got == expect, (inst.n, cfg)
         if got[0] == "InfeasibleInstance":
@@ -297,8 +296,8 @@ def test_one_center_stop_matches_ladder_walk(monkeypatch):
             assert not solves, (inst.n, cfg)
             paths["infeasible"] += 1
             continue
-        if got[0] == "ContractViolation":
-            # off a metric, both walks can merge a client beyond 3*lam
+        if got[0] == "InputError":
+            # off a metric, both walks can meet a merge beyond 3*lam
             paths["error"] += 1
             continue
         paths["ladder" if any(accepted) else "stop"] += 1
@@ -317,7 +316,6 @@ def test_one_center_stop_matches_ladder_walk(monkeypatch):
                 and fits
                 and len(select_separated_facilities(work, lam, core_pos).opened) == 1
                 and (work.dist_row(core_pos[0]) <= 3.0 * lam).all()
-                and passes_prechecks(build_polytope(work, lam, coreset))
             ),
             ref_lam,
         )
@@ -359,11 +357,19 @@ def test_one_center_stop_conditions_against_the_walk():
     # a non-metric matrix: q is 1 from o and from j, but j is 5 from o
     dm = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     far = Instance([Point(p, (), 0) for p in range(3)], k=1, alpha=1.0, dist_matrix=dm)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(InputError, match=r"d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
         _walk_from(far, [0, 1], [1.0])  # merging j onto o breaks 3*lam
     assert one_center_stop(far, [0, 1], 1.0, 5.0) is None
     assert one_center_stop(far, [0, 1], 2.0, 5.0) == 0
     assert _walk_from(far, [0, 1], [2.0]).centers == (0,)
+
+
+def test_evaluate_off_a_metric_names_the_broken_triangle():
+    # a non-metric matrix accepted by Instance: the lp route meets it in the merge
+    dm = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    far = Instance([Point(p, (), 0) for p in range(3)], k=2, alpha=1.0, dist_matrix=dm)
+    with pytest.raises(InputError, match=r"triangle inequality: d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
+        evaluate(far, RunConfig(k=2, alpha=1.0, algorithm="lp"))
 
 
 def test_one_center_stop_is_sound_for_any_facility_set():
@@ -475,6 +481,20 @@ def test_evaluate_infeasible_is_structured():
     assert rep.status == "infeasible"
     assert rep.cost is None and rep.delta is None
     assert "delta_greedy" in report_to_dict(rep)
+    ok = evaluate(inst, RunConfig(k=2, alpha=1.0, algorithm="lp"))
+    assert report_to_dict(rep).keys() == report_to_dict(ok).keys()
+    assert reports_to_csv([("pair", rep)]).splitlines()[1] == "pair,lp,2,0.4,0.1,2,,,,,1,1"
+
+
+def test_report_views_carry_every_field(unit_square):
+    rep = evaluate(unit_square, RunConfig(k=2, alpha=0.5, algorithm="lp", seed=3))
+    names = {f.name for f in dataclasses.fields(rep)}
+    assert report_to_dict(rep).keys() == names
+    assert report_to_dict(rep, include_wall=False).keys() == names - {"wall_ms"}
+    assert rep.params == {"k": 2, "alpha": 0.5, "epsilon": 0.1, "m": 2, "seed": 3, "n": 4, "n_colors": 2}
+    header, row = reports_to_csv([("square", rep)]).splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["delta"] == str(rep.delta) and fields["m"] == "2"
 
 
 def test_evaluate_greedy_ratio_is_one(unit_square):

@@ -411,6 +411,39 @@ def test_validate_point_rechecks_caps_on_x(unit_square):
     assert any(msg.startswith("color cap on x") for msg in problems)
 
 
+def test_validate_point_block_residuals_match_the_stacked_rows():
+    # each block's residual from its own triplets equals the stacked matrix's
+    rng = np.random.default_rng(3)
+    for seed in range(20):
+        inst = random_capped_instance(random.Random(seed), n=7, n_colors=3, k=2, alpha=0.5)
+        sys = build_polytope(inst, float(rng.choice(candidate_radii(inst))))
+        mat, rhs = lp_feasibility._stack(sys.blocks, sys.n_vars)
+        for vec in (rng.random(sys.n_vars), np.round(rng.random(sys.n_vars))):
+            gap = mat @ vec - rhs
+            bounds = np.cumsum([0] + [blk.n_rows for blk in sys.blocks])
+            expect = []
+            for blk, lo, hi in zip(sys.blocks, bounds, bounds[1:]):
+                rows = np.abs(gap[lo:hi]) if blk.relation == "==" else gap[lo:hi]
+                if rows.max(initial=0.0) > 1e-7:
+                    expect.append(f"{blk.family}: violation {rows.max():.3e}")
+            got = [msg for msg in validate_point(sys, vec) if ": violation" in msg]
+            assert [m for m in got if not m.startswith("color cap on x")] == expect
+
+
+def test_one_solve_stacks_its_rows_twice(unit_square, monkeypatch):
+    # the equality and the inequality rows for HiGHS; the point check reads the blocks
+    calls = []
+    stack = lp_feasibility._stack
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(lp_feasibility, "_stack", counting)
+    assert check_feasible(build_polytope(unit_square, 1.0)) is not None
+    assert len(calls) == 2
+
+
 def test_solver_failure_raises(unit_square, monkeypatch):
     def failing(*args, **kwargs):
         return SimpleNamespace(status=4, message="numerical difficulties", x=None)
@@ -598,5 +631,5 @@ def test_ladder_stacks_the_coreset_rows_once(monkeypatch):
     monkeypatch.setattr(np, "stack", counting_stack)
     monkeypatch.setattr(lp_rounding, "radius_pairs", counting_pairs)
     _, info = faster_algorithm(inst, cfg, return_info=True)
-    assert len(pair_calls) == 11  # 7 rungs rejected by the pre-checks, 4 one-center stop checks
+    assert len(pair_calls) == 4  # the rungs before the one-center stop, each rejected by the pre-checks
     assert shapes.count((len(info["coreset"]), inst.n)) == 1
