@@ -11,7 +11,6 @@ from .core import (
     candidate_radii,
     check_capped,
     make_instance,
-    nearest_assignment,
     solution_cost,
 )
 from .flow import (
@@ -19,9 +18,8 @@ from .flow import (
     build_assignment_network,
     extract_assignment,
     max_flow_lower_bounds,
-    network_to_dot,
 )
-from .greedy import greedy_k_center, lloyd_kcenter_round, random_baseline
+from .greedy import greedy_k_center
 from .halfcap import (
     Caplet,
     caplet_decompose,
@@ -93,16 +91,12 @@ __all__ = [
     "greedy_gold",
     "greedy_k_center",
     "hardness_instance",
-    "lloyd_kcenter_round",
     "make_balanced_instance",
     "make_instance",
     "max_additive_violation",
     "max_flow_lower_bounds",
     "max_matching",
-    "nearest_assignment",
-    "network_to_dot",
     "non_dominant_k_center",
-    "random_baseline",
     "report_to_json",
     "reports_to_csv",
     "reroute_fractional",

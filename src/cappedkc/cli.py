@@ -168,30 +168,28 @@ def main(argv: list[str] | None = None) -> int:
                 results = list(pool.map(_run_cell, tasks))
         else:
             results = [_run_cell(t) for t in tasks]
+
+        if args.format == "csv":
+            text = reports_to_csv(results)
+        else:
+            dicts = [report_to_dict(r, not args.no_wall) for _, r in results]
+            payload = dicts[0] if len(dicts) == 1 else {"runs": dicts}
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # the scatter goes first, so a path that cannot be written leaves stdout empty
+        if args.svg is not None:
+            pts = [
+                (r.params["alpha"], r.cost)
+                for _, r in results
+                if r.status == "ok" and r.cost is not None
+            ]
+            Path(args.svg).write_text(cost_alpha_svg(pts))
+        if args.output == "-":
+            sys.stdout.write(text)
+        else:
+            Path(args.output).write_text(text)
     except (InputError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    include_wall = not args.no_wall
-    if args.format == "csv":
-        text = reports_to_csv(results)
-    else:
-        dicts = [report_to_dict(r, include_wall) for _, r in results]
-        payload = dicts[0] if len(dicts) == 1 else {"runs": dicts}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text)
-
-    if args.svg is not None:
-        pts = [
-            (r.params["alpha"], r.cost)
-            for _, r in results
-            if r.status == "ok" and r.cost is not None
-        ]
-        Path(args.svg).write_text(cost_alpha_svg(pts))
 
     if any(r.status == "infeasible" for _, r in results):
         return 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -50,6 +51,13 @@ class ClusteringSolution:
         return {c: sorted(members) for c, members in out.items() if members}
 
 
+def _check_params(k: int, alpha: float) -> None:
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if not (0.0 < alpha <= 1.0):
+        raise InputError("alpha must lie in (0, 1]")
+
+
 def _norm(diff: np.ndarray) -> np.ndarray:
     """Euclidean length along the last axis.
 
@@ -79,10 +87,7 @@ class Instance:
     ):
         if len(points) < 1:
             raise InputError("instance needs at least one point")
-        if k < 1:
-            raise InputError("k must be >= 1")
-        if not (0.0 < alpha <= 1.0):
-            raise InputError("alpha must lie in (0, 1]")
+        _check_params(k, alpha)
         dims = {len(p.coords) for p in points}
         if len(dims) > 1:
             raise InputError("all points must share one dimensionality")
@@ -169,23 +174,11 @@ class Instance:
         """Ids of the points at the positions `pos`."""
         return self._ids[pos]
 
-    def color_at(self, pos: int) -> int:
-        return int(self._colors[pos])
-
     def colors(self) -> np.ndarray:
         return self._colors
 
     def coords(self) -> np.ndarray:
         return self._coords
-
-    def dist_pos(self, a: int, b: int) -> float:
-        """Distance between the points at positions a and b."""
-        if self._dist is not None:
-            return float(self._dist[a, b])
-        return float(_norm(self._coords[a] - self._coords[b]))
-
-    def dist(self, a_id: int, b_id: int) -> float:
-        return self.dist_pos(self._pos[a_id], self._pos[b_id])
 
     def dist_row(self, pos: int) -> np.ndarray:
         """Distances from the point at `pos` to every point, by position, read-only."""
@@ -269,17 +262,16 @@ class Instance:
     def with_params(self, k: int | None = None, alpha: float | None = None) -> "Instance":
         """Same points and metric under different k / alpha; self when neither changes.
 
-        Returning self keeps the distance rows already cached.
+        A changed instance is a shallow copy: it shares the read-only arrays
+        and the distance rows already cached, so nothing is validated again.
         """
         if (k is None or k == self.k) and (alpha is None or alpha == self.alpha):
             return self
-        return Instance(
-            self.points,
-            self.k if k is None else k,
-            self.alpha if alpha is None else alpha,
-            self.color_labels,
-            self._dist,
-        )
+        out = copy.copy(self)
+        out.k = self.k if k is None else k
+        out.alpha = self.alpha if alpha is None else alpha
+        _check_params(out.k, out.alpha)
+        return out
 
 
 def make_instance(
@@ -305,8 +297,9 @@ def make_instance(
             label_to_id[label] = len(labels)
             labels.append(str(label))
         dense.append(label_to_id[label])
-    if ids is None:
-        ids = range(len(coords))
+    ids = range(len(coords)) if ids is None else list(ids)
+    if len(ids) != len(coords):
+        raise InputError("coords and ids must have equal length")
     points = [Point(int(i), c, col) for i, c, col in zip(ids, coords, dense)]
     return Instance(points, k, alpha, labels)
 
@@ -415,11 +408,3 @@ def solution_at(
         tuple(sorted(inst.ids_at(centers).tolist())),
         dict(zip(client_ids, inst.ids_at(cpos).tolist())),
     )
-
-
-def nearest_assignment(inst: Instance, centers: Sequence[int]) -> ClusteringSolution:
-    """Assign every point to its nearest center, ties to the lowest-position center."""
-    if not len(centers):
-        raise InputError("need at least one center")
-    pos = np.sort(inst.require_positions(centers))
-    return solution_at(inst, pos, nearest_positions(inst, pos)[0])

@@ -160,17 +160,3 @@ def extract_assignment(net: FlowNetwork, flow: np.ndarray) -> dict[int, int]:
     if missing.size:
         raise ContractViolation(f"clients with no outgoing flow: {sorted(point[missing].tolist())}")
     return dict(zip(point[senders].tolist(), point[net.head[sent]].tolist()))
-
-
-def network_to_dot(net: FlowNetwork, flow: np.ndarray | None = None) -> str:
-    """DOT rendering of the network (debug aid): source s, sink t, other nodes by point."""
-    point = net.points()
-    names = ["s", "t"] + [f"{v}:{point[v]}" for v in range(2, net.n_nodes)]
-    lines = ["digraph assignment {"]
-    for k in net.arcs:
-        label = f"[{net.lower[k]},{net.cap[k]}]"
-        if flow is not None:
-            label = f"{flow[k]} {label}"
-        lines.append(f'  "{names[net.tail[k]]}" -> "{names[net.head[k]]}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 Each baseline works on point positions: center positions in ascending
 order, and per client the position of its center (`cpos`) and the distance
-to it.  The public functions build a ClusteringSolution from those arrays.
+to it.  Only `greedy_k_center` builds a ClusteringSolution from them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .core import (
     ClusteringSolution,
     InputError,
     Instance,
-    center_positions,
     nearest_positions,
     solution_at,
 )
@@ -78,7 +77,13 @@ def greedy_k_center(
 def lloyd_round(
     inst: Instance, centers: np.ndarray, cpos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`lloyd_kcenter_round` on positions: the new centers, cpos and distances."""
+    """One refinement round with k-center cost: the new centers, cpos and distances.
+
+    `centers` are ascending positions and `cpos` each point's center
+    position.  Each cluster's center moves to the member minimizing the
+    maximum intra-cluster distance (discrete 1-center, ties to the lowest
+    id), then all points go to their nearest new center.
+    """
     ids = inst.ids_at(np.arange(inst.n))
     # positions grouped by cluster, each group in member id order
     order = np.lexsort((ids, cpos))
@@ -94,26 +99,8 @@ def lloyd_round(
     return (centers, *rebind)
 
 
-def lloyd_kcenter_round(inst: Instance, sol: ClusteringSolution) -> ClusteringSolution:
-    """One refinement round with k-center cost.
-
-    Each cluster's center moves to the member minimizing the maximum
-    intra-cluster distance (discrete 1-center, ties to the lowest id),
-    then all points are reassigned to their nearest new center.
-    """
-    cpos = center_positions(inst, sol)
-    centers, cpos, _ = lloyd_round(inst, np.unique(inst.require_positions(sol.centers)), cpos)
-    return solution_at(inst, centers, cpos)
-
-
 def random_centers(inst: Instance, seed: int) -> np.ndarray:
     """k distinct uniformly random center positions, ascending, deterministic per seed."""
     if inst.k > inst.n:
         raise InputError("k exceeds the number of points")
     return np.array(sorted(random.Random(seed).sample(range(inst.n), inst.k)))
-
-
-def random_baseline(inst: Instance, seed: int) -> ClusteringSolution:
-    """k distinct uniformly random centers, nearest assignment, deterministic per seed."""
-    centers = random_centers(inst, seed)
-    return solution_at(inst, centers, nearest_positions(inst, centers)[0])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,40 +70,10 @@ class LinearSystem(RadiusPairs):
     blocks: list[Block]
     lower: np.ndarray
     upper: np.ndarray
-    uncovered_clients: list[int] = field(default_factory=list)
 
     @property
     def n_vars(self) -> int:
         return self.lower.size
-
-    def dump_lp(self) -> str:
-        """Human-readable LP text (debug aid); columns are named by point position."""
-        fac = self.facility_pos.tolist()
-        names = [f"y_{i}" for i in fac] + [
-            f"x_{i}_{j}" for i, j in zip(self.pair_facility.tolist(), self.pair_client.tolist())
-        ]
-        names += [f"L_{i}" for i in fac]
-        out = ["\\ feasibility system at radius %.12g" % self.lam, "Minimize", " obj: 0", "Subject To"]
-        r = 0
-        for blk in self.blocks:
-            mat = blk.matrix(self.n_vars).tocoo()
-            terms: dict[int, list[str]] = {i: [] for i in range(blk.n_rows)}
-            for i, j, v in zip(mat.row, mat.col, mat.data):
-                terms[i].append(f"{'+' if v >= 0 else '-'} {abs(v):.12g} {names[j]}")
-            relation = "=" if blk.relation == "==" else blk.relation
-            for i in range(blk.n_rows):
-                out.append(
-                    f" {blk.family}_{r + i}: {' '.join(terms[i]) or '0 ' + names[0]} "
-                    f"{relation} {blk.rhs[i]:.12g}"
-                )
-            r += blk.n_rows
-        out.append("Bounds")
-        out.extend(
-            f" {lo:.12g} <= {name} <= {hi:.12g}" if np.isfinite(hi) else f" {name} >= {lo:.12g}"
-            for name, lo, hi in zip(names, self.lower.tolist(), self.upper.tolist())
-        )
-        out.append("End")
-        return "\n".join(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +205,6 @@ def polytope_on(inst: Instance, pairs: RadiusPairs) -> LinearSystem:
         Block("budget", "<=", np.zeros(nf, int), fac, np.ones(nf), 1, np.array([float(inst.k)])),
     ]
 
-    covered = np.zeros(n, dtype=bool)
-    covered[pj] = True
     return LinearSystem(
         lam=pairs.lam,
         alpha=pairs.alpha,
@@ -248,7 +216,6 @@ def polytope_on(inst: Instance, pairs: RadiusPairs) -> LinearSystem:
         blocks=blocks,
         lower=np.zeros(nf + n_pairs + nf),
         upper=np.concatenate([np.ones(nf + n_pairs), np.full(nf, np.inf)]),
-        uncovered_clients=inst.ids_at(np.flatnonzero(~covered)).tolist(),
     )
 
 

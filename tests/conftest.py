@@ -245,7 +245,7 @@ def reference_cluster_color_peaks(inst: Instance, sol: ClusteringSolution):
     """`cluster_color_peaks` from per-cluster color counters, by center position."""
     counts: dict[int, Counter] = {}
     for j, i in sol.assign.items():
-        counts.setdefault(inst.pos(i), Counter())[inst.color_at(inst.pos(j))] += 1
+        counts.setdefault(inst.pos(i), Counter())[inst.colors()[inst.pos(j)]] += 1
     served = sorted(counts)
     return (
         np.array([sum(counts[c].values()) for c in served], dtype=np.int64),
@@ -254,7 +254,10 @@ def reference_cluster_color_peaks(inst: Instance, sol: ClusteringSolution):
 
 
 def reference_nearest_assignment(inst: Instance, centers) -> ClusteringSolution:
-    """`nearest_assignment` with one dict entry per point, ties to the lowest-position center."""
+    """Every point assigned to its nearest of the center ids `centers`, one dict entry per point.
+
+    Ties go to the lowest-position center, as in `nearest_positions`.
+    """
     order = sorted(centers, key=inst.pos)
     cols = np.stack([inst.dist_row(inst.pos(c)) for c in order], axis=1)
     choice = cols.argmin(axis=1)

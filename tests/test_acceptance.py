@@ -184,13 +184,13 @@ def test_criterion_4_flow_integrality_and_sandwich():
         col_sums: dict[tuple[int, int], float] = {}
         fac_sums: dict[int, float] = {}
         for i, j, v in zip(merged.facility.tolist(), merged.client.tolist(), merged.x.tolist()):
-            c = inst.color_at(j)
+            c = inst.colors()[j]
             col_sums[(i, c)] = col_sums.get((i, c), 0.0) + v
             fac_sums[i] = fac_sums.get(i, 0.0) + v
         got_color: dict[tuple[int, int], int] = {}
         got_fac: dict[int, int] = {}
         for j, i in assign.items():
-            c = inst.color_at(inst.pos(j))
+            c = inst.colors()[inst.pos(j)]
             key = (inst.pos(i), c)
             got_color[key] = got_color.get(key, 0) + 1
             got_fac[inst.pos(i)] = got_fac.get(inst.pos(i), 0) + 1

@@ -123,6 +123,16 @@ def test_main_error_exit_code(tmp_path, capsys):
     assert main(["--input", str(missing), "--k", "2"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--output", "--svg"])
+def test_main_unwritable_output_is_error(tmp_path, capsys, flag):
+    path = square_csv(tmp_path)
+    target = tmp_path / "no-such-dir" / "out"
+    assert main(["--input", str(path), "--k", "2", "--alpha", "0.5", flag, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+
+
 def test_main_solver_failure_is_error(tmp_path, capsys, monkeypatch):
     calls = []
 

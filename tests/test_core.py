@@ -19,12 +19,11 @@ from cappedkc import (
     greedy_k_center,
     make_instance,
     max_additive_violation,
-    nearest_assignment,
-    random_baseline,
     solution_cost,
 )
 from cappedkc import core
-from cappedkc.core import center_positions, cluster_color_peaks
+from cappedkc.core import center_positions, cluster_color_peaks, nearest_positions, solution_at
+from cappedkc.greedy import random_centers
 from cappedkc.lp_feasibility import radius_pairs
 from cappedkc.lp_rounding import one_center_stop
 from conftest import (
@@ -39,12 +38,12 @@ from conftest import (
 
 def test_distance_identity():
     inst = make_instance([(1.0, 2.0)], [0], k=1, alpha=1.0)
-    assert inst.dist_pos(0, 0) == 0.0
+    assert inst.dist_row(0)[0] == 0.0
 
 
 def test_distance_345():
     inst = make_instance([(0.0, 0.0), (3.0, 4.0)], [0, 0], k=1, alpha=1.0)
-    assert inst.dist_pos(0, 1) == 5.0
+    assert inst.dist_row(0)[1] == 5.0
 
 
 def test_distance_symmetry_random():
@@ -52,7 +51,7 @@ def test_distance_symmetry_random():
     for _ in range(50):
         coords = [(rng.random(), rng.random(), rng.random()) for _ in range(2)]
         inst = make_instance(coords, [0, 0], k=1, alpha=1.0)
-        assert inst.dist_pos(0, 1) == inst.dist_pos(1, 0)
+        assert inst.dist_row(0)[1] == inst.dist_row(1)[0]
 
 
 def test_distance_dimension_mismatch():
@@ -68,8 +67,8 @@ coords3 = st.tuples(*[st.floats(-100, 100) for _ in range(3)])
 @settings(max_examples=200, deadline=None)
 def test_triangle_inequality(a, b, c):
     inst = make_instance([a, b, c], [0, 0, 0], k=1, alpha=1.0)
-    lhs = inst.dist_pos(0, 2)
-    rhs = inst.dist_pos(0, 1) + inst.dist_pos(1, 2)
+    lhs = inst.dist_row(0)[2]
+    rhs = inst.dist_row(0)[1] + inst.dist_row(1)[2]
     assert lhs <= rhs * (1 + 1e-9) + 1e-9
 
 
@@ -82,16 +81,14 @@ def test_distance_methods_agree_bit_for_bit(dim):
     coords = rng.standard_normal((n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
     inst = make_instance(coords, [0] * n, k=1, alpha=1.0)
     pos = rng.permutation(n)[:15].tolist()
-    before = np.array([[inst.dist_pos(a, b) for b in range(n)] for a in range(n)])
     rows = np.array([inst.dist_row(a) for a in range(n)])
     block = inst.dist_block(pos)
     pairs = rng.permutation(n)
     paired = inst.dist_paired(pairs)
-    assert np.array_equal(before, rows)
+    assert np.array_equal(inst.dist_rows(np.array(pos)), rows[pos])
     assert np.array_equal(paired, rows[np.arange(n), pairs])
     matrix = inst.pairwise()
-    after = np.array([[inst.dist_pos(a, b) for b in range(n)] for a in range(n)])
-    assert np.array_equal(matrix, rows) and np.array_equal(after, before)
+    assert np.array_equal(matrix, rows)
     assert np.array_equal(block, matrix[np.ix_(pos, pos)])
     assert np.array_equal(inst.dist_block(pos), block)
     assert np.array_equal(inst.dist_paired(pairs), paired)
@@ -103,26 +100,26 @@ def test_solution_cost_matches_per_point_maximum():
         n = rng.randint(2, 15)
         coords = [(rng.random(), rng.random()) for _ in range(n)]
         inst = make_instance(coords, [0] * n, k=3, alpha=1.0)
-        sol = nearest_assignment(inst, rng.sample(inst.ids(), min(3, n)))
-        expected = max(inst.dist(j, i) for j, i in sol.assign.items())
+        sol = reference_nearest_assignment(inst, rng.sample(inst.ids(), min(3, n)))
+        expected = max(inst.dist_row(inst.pos(j))[inst.pos(i)] for j, i in sol.assign.items())
         assert solution_cost(inst, sol) == expected
 
 
 def test_solution_cost_coincident_zero():
     inst = line_instance([0, 0, 0], k=1)
-    sol = nearest_assignment(inst, [0])
+    sol = reference_nearest_assignment(inst, [0])
     assert solution_cost(inst, sol) == 0.0
 
 
 def test_solution_cost_line():
     inst = line_instance([0, 1, 10, 11], k=2)
-    sol = nearest_assignment(inst, [0, 3])
+    sol = reference_nearest_assignment(inst, [0, 3])
     assert solution_cost(inst, sol) == 1.0
 
 
 def test_solution_cost_singleton():
     inst = line_instance([5.0], k=1)
-    sol = nearest_assignment(inst, [0])
+    sol = reference_nearest_assignment(inst, [0])
     assert solution_cost(inst, sol) == 0.0
 
 
@@ -181,16 +178,19 @@ def _center_sets(inst: Instance, rng: np.random.Generator):
     """Random center id sets of a few sizes, plus the random baseline's."""
     ids = inst.ids()
     out = [rng.choice(ids, size=size, replace=False).tolist() for size in (1, 2, min(5, inst.n))]
-    return out + [list(random_baseline(inst, 0).centers)]
+    return out + [inst.ids_at(random_centers(inst, 0)).tolist()]
 
 
 def test_array_metrics_equal_the_loop_references():
     rng = np.random.default_rng(5)
     for inst in exactness_pool():
         for centers in _center_sets(inst, rng):
-            sol = nearest_assignment(inst, centers)
+            pos = np.sort(inst.require_positions(centers))
+            cpos, dist = nearest_positions(inst, pos)
+            sol = solution_at(inst, pos, cpos)
             ref = reference_nearest_assignment(inst, centers)
             assert sol == ref
+            assert dist.tolist() == inst.dist_paired(cpos).tolist()
             assert list(sol.assign) == list(ref.assign)
             assert center_positions(inst, sol).tolist() == [
                 inst.pos(sol.assign[j]) for j in inst.ids()
@@ -215,15 +215,15 @@ def test_one_center_equals_the_block_argmin(monkeypatch, floats):
 
 def test_check_capped_examples():
     inst = make_instance([(0.0,), (0.0,)], ["r", "b"], k=1, alpha=0.5)
-    sol = nearest_assignment(inst, [0])
+    sol = reference_nearest_assignment(inst, [0])
     assert check_capped(inst, sol)
 
     inst = make_instance([(0.0,)] * 3, ["r", "r", "b"], k=1, alpha=0.5)
-    sol = nearest_assignment(inst, [0])
+    sol = reference_nearest_assignment(inst, [0])
     assert not check_capped(inst, sol)
 
     inst = make_instance([(0.0,)] * 4, ["r", "r", "b", "g"], k=1, alpha=0.5)
-    sol = nearest_assignment(inst, [0])
+    sol = reference_nearest_assignment(inst, [0])
     assert check_capped(inst, sol)
 
 
@@ -233,7 +233,7 @@ def test_check_capped_monotone_in_alpha(n, alpha, bump, seed):
     rng = random.Random(seed)
     colors = [rng.randrange(3) for _ in range(n)]
     inst = make_instance([(float(i),) for i in range(n)], colors, k=1, alpha=alpha)
-    sol = nearest_assignment(inst, [0])
+    sol = reference_nearest_assignment(inst, [0])
     higher = min(1.0, alpha + bump)
     if check_capped(inst, sol, alpha):
         assert check_capped(inst, sol, higher)
@@ -271,10 +271,10 @@ def test_cost_never_improves_when_center_removed():
             [(rng.random(), rng.random()) for _ in range(n)], [0] * n, k=3, alpha=1.0
         )
         centers = rng.sample(range(n), 3)
-        full = solution_cost(inst, nearest_assignment(inst, centers))
+        full = solution_cost(inst, reference_nearest_assignment(inst, centers))
         for drop in centers:
             remaining = [c for c in centers if c != drop]
-            reduced = solution_cost(inst, nearest_assignment(inst, remaining))
+            reduced = solution_cost(inst, reference_nearest_assignment(inst, remaining))
             assert reduced >= full - 1e-12
 
 
@@ -299,12 +299,15 @@ def test_instance_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(InputError, match="finite"):
             make_instance([(0.0,), (bad,)], ["r", "b"], k=1, alpha=0.5)
+    for ids in ([5, 6], [5, 6, 7, 8]):  # one id short, one id over
+        with pytest.raises(InputError, match="ids must have equal length"):
+            make_instance([(0.0,), (1.0,), (2.0,)], ["r", "b", "r"], k=1, alpha=0.5, ids=ids)
 
 
 def test_instance_rejects_bad_dist_matrix():
     pts = [Point(0, (), 0), Point(1, (), 1)]
     good = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert Instance(pts, k=1, alpha=0.5, dist_matrix=good).dist(0, 1) == 1.0
+    assert Instance(pts, k=1, alpha=0.5, dist_matrix=good).dist_row(0)[1] == 1.0
     bad = {
         "finite": [[0.0, np.inf], [np.inf, 0.0]],
         "symmetric": [[0.0, 1.0], [2.0, 0.0]],
@@ -319,10 +322,10 @@ def test_instance_keeps_its_own_read_only_arrays():
     dm = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     inst = Instance([Point(p, (), 0) for p in range(3)], k=1, alpha=1.0, dist_matrix=dm)
     dm[0, 2] = dm[2, 0] = 99.0  # the caller's array, after validation
-    assert inst.dist_pos(0, 2) == 2.0 and inst.dist_row(0)[2] == 2.0
+    assert inst.dist_row(0)[2] == inst.dist_row(2)[0] == 2.0
     euclid = make_instance([(0.0,), (1.0,), (3.0,)], ["r", "b", "r"], k=1, alpha=0.5)
     for view in (inst.dist_row(0), inst.pairwise(), euclid.dist_row(0), euclid.pairwise(),
                  euclid.coords(), euclid.colors()):
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 5
-    assert euclid.dist_row(0)[0] == 0.0 and euclid.dist_pos(0, 2) == euclid.dist_row(0)[2] == 3.0
+    assert euclid.dist_row(0)[0] == 0.0 and euclid.dist_row(0)[2] == euclid.dist_row(2)[0] == 3.0

@@ -12,7 +12,6 @@ from cappedkc import (
     extract_assignment,
     make_instance,
     max_flow_lower_bounds,
-    network_to_dot,
 )
 from cappedkc.flow import SINK, SOURCE
 from conftest import fractional_point
@@ -225,10 +224,3 @@ def test_extract_client_sending_twice_is_contract_violation():
     assert flow is not None
     with pytest.raises(ContractViolation, match="more than one unit"):
         extract_assignment(net, flow)
-
-
-def test_dot_dump_smoke():
-    net = single_path_network()
-    text = network_to_dot(net, max_flow_lower_bounds(net, 1))
-    assert text.startswith("digraph")
-    assert '"s" -> "2:0" [label="1 [1,1]"];' in text

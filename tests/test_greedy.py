@@ -3,16 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from cappedkc import (
-    InputError,
-    Instance,
-    greedy_k_center,
-    lloyd_kcenter_round,
-    make_instance,
-    nearest_assignment,
-    random_baseline,
-    solution_cost,
-)
+from cappedkc import InputError, Instance, greedy_k_center, make_instance, solution_cost
+from cappedkc.core import nearest_positions
+from cappedkc.greedy import lloyd_round, random_centers
 from conftest import line_instance, reference_one_center
 
 
@@ -53,30 +46,34 @@ def test_greedy_centers_spread_beyond_cost():
         centers = list(sol.centers)
         for a in range(len(centers)):
             for b in range(a + 1, len(centers)):
-                assert inst.dist(centers[a], centers[b]) >= cost - 1e-9
+                assert inst.dist_row(centers[a])[centers[b]] >= cost - 1e-9
+
+
+def _nearest(inst: Instance, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The center positions `centers`, ascending, with each point's nearest one and its distance."""
+    centers = np.array(sorted(centers))
+    return (centers, *nearest_positions(inst, centers))
 
 
 def test_lloyd_moves_line_center():
     inst = line_instance([0, 1, 2], k=1)
-    sol = nearest_assignment(inst, [0])
-    out = lloyd_kcenter_round(inst, sol)
-    assert out.centers == (1,)
-    assert solution_cost(inst, out) == 1.0
+    centers, cpos, _ = _nearest(inst, [0])
+    moved, moved_cpos, dist = lloyd_round(inst, centers, cpos)
+    assert moved.tolist() == [1] and moved_cpos.tolist() == [1, 1, 1]
+    assert dist.max() == 1.0
 
 
 def test_lloyd_fixed_point():
     inst = line_instance([0, 1, 10, 11], k=2)
-    sol = nearest_assignment(inst, [0, 3])
-    out = lloyd_kcenter_round(inst, sol)
+    centers, cpos, dist = _nearest(inst, [0, 3])
     # centers {0,11} are already discrete 1-centers of their clusters up to ties
-    assert solution_cost(inst, out) == solution_cost(inst, sol)
+    assert lloyd_round(inst, centers, cpos)[2].max() == dist.max()
 
 
 def test_lloyd_singletons_unchanged():
     inst = line_instance([0, 5, 9], k=3)
-    sol = nearest_assignment(inst, [0, 1, 2])
-    out = lloyd_kcenter_round(inst, sol)
-    assert out.centers == sol.centers
+    centers, cpos, _ = _nearest(inst, [0, 1, 2])
+    assert lloyd_round(inst, centers, cpos)[0].tolist() == [0, 1, 2]
 
 
 def test_lloyd_never_increases_cost():
@@ -86,11 +83,11 @@ def test_lloyd_never_increases_cost():
         inst = make_instance(
             [(rng.random(), rng.random()) for _ in range(n)], [0] * n, k=3, alpha=1.0
         )
-        centers = rng.sample(range(n), min(3, n))
-        sol = nearest_assignment(inst, centers)
-        before = solution_cost(inst, sol)
-        after = solution_cost(inst, lloyd_kcenter_round(inst, sol))
-        assert after <= before + 1e-12
+        centers, cpos, before = _nearest(inst, rng.sample(range(n), min(3, n)))
+        moved, moved_cpos, after = lloyd_round(inst, centers, cpos)
+        assert np.isin(moved_cpos, moved).all()
+        assert after.tolist() == inst.dist_paired(moved_cpos).tolist()
+        assert after.max() <= before.max() + 1e-12
 
 
 def test_lloyd_round_works_without_the_distance_matrix(monkeypatch):
@@ -101,18 +98,18 @@ def test_lloyd_round_works_without_the_distance_matrix(monkeypatch):
         inst = make_instance(
             [(rng.random(), rng.random(), rng.random()) for _ in range(n)], [0] * n, k=3, alpha=1.0
         )
-        sol = nearest_assignment(inst, rng.sample(range(n), 3))
+        centers, cpos, _ = _nearest(inst, rng.sample(range(n), 3))
         full = make_instance([p.coords for p in inst.points], [0] * n, k=3, alpha=1.0)
         full.pairwise()
-        cases.append((inst, sol, lloyd_kcenter_round(full, sol)))
+        cases.append((inst, centers, cpos, lloyd_round(full, centers, cpos)))
 
     def no_matrix(self):
         raise AssertionError("the Lloyd round must not build the full distance matrix")
 
     monkeypatch.setattr(Instance, "pairwise", no_matrix)
-    for inst, sol, expected in cases:
-        out = lloyd_kcenter_round(inst, sol)
-        assert out == expected
+    for inst, centers, cpos, expected in cases:
+        out = lloyd_round(inst, centers, cpos)
+        assert all(np.array_equal(a, b) for a, b in zip(out, expected))
         greedy_sol, greedy_cost = greedy_k_center(inst)
         assert greedy_cost == solution_cost(inst, greedy_sol)
 
@@ -121,33 +118,30 @@ def test_lloyd_round_builds_no_block_for_a_large_cluster(monkeypatch):
     # one cluster of 400 points: its whole distance block would be 400 x 400 x 10
     rng = np.random.default_rng(23)
     inst = make_instance(rng.standard_normal((400, 10)), [0] * 400, k=1, alpha=1.0)
-    sol = nearest_assignment(inst, [0])
-    expected = lloyd_kcenter_round(inst, sol)
-    assert expected.centers == (reference_one_center(inst, list(range(400))),)
+    centers, cpos, _ = _nearest(inst, [0])
+    expected = lloyd_round(inst, centers, cpos)
+    assert expected[0].tolist() == [reference_one_center(inst, list(range(400)))]
 
     def no_block(self, *args):
         raise AssertionError("the Lloyd round must not build a cluster's distance block")
 
     monkeypatch.setattr(Instance, "dist_block", no_block)
     monkeypatch.setattr(Instance, "pairwise", no_block)
-    out = lloyd_kcenter_round(inst, sol)
-    assert out == expected
+    out = lloyd_round(inst, centers, cpos)
+    assert all(np.array_equal(a, b) for a, b in zip(out, expected))
 
 
 def test_random_baseline_deterministic():
     inst = line_instance([0, 1, 2, 3, 4], k=2)
-    a = random_baseline(inst, 123)
-    b = random_baseline(inst, 123)
-    assert a.centers == b.centers and a.assign == b.assign
+    assert random_centers(inst, 123).tolist() == random_centers(inst, 123).tolist()
 
 
 def test_random_baseline_full_k():
     inst = line_instance([0, 1, 2], k=3)
-    sol = random_baseline(inst, 0)
-    assert solution_cost(inst, sol) == 0.0
+    assert random_centers(inst, 0).tolist() == [0, 1, 2]
 
 
 def test_random_baseline_k_too_large():
     inst = line_instance([0, 1], k=2)
     with pytest.raises(InputError):
-        random_baseline(inst.with_params(k=3), 0)
+        random_centers(inst.with_params(k=3), 0)

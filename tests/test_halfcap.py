@@ -144,7 +144,7 @@ def test_random_instances_exact_caps_and_structure():
             assert len(anchors) == 1
             for a in members:
                 for b in members:
-                    assert inst.dist(a, b) <= 10 * lam + 1e-9
+                    assert inst.dist_row(inst.pos(a))[inst.pos(b)] <= 10 * lam + 1e-9
         # accepted radius gives the 12x envelope
         assert solution_cost(inst, sol) <= 12 * lam + 1e-9
         assert len(sol.centers) <= inst.k

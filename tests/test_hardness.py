@@ -214,7 +214,7 @@ def _reference_capped_system(inst, radius):
             for j, col in served:
                 rows.append(r)
                 cols.append(n + col)
-                data.append(scale - 1.0 if inst.color_at(j) == c else -1.0)
+                data.append(scale - 1.0 if inst.colors()[j] == c else -1.0)
             lb.append(-np.inf)
             ub.append(0.0)
             r += 1
@@ -293,7 +293,7 @@ def test_capped_opt_separates_distances_closer_than_1e9():
     # each far pair is 5e-10 longer than the near pair; only the far length
     # lets both pairs form balanced clusters, so it is the optimum
     inst = line_instance([0.0, 1.0, 10.0, 11.0 + 5e-10], ["r", "b", "r", "b"], k=2, alpha=0.5)
-    near, far = inst.dist_pos(0, 1), inst.dist_pos(2, 3)
+    near, far = inst.dist_row(0)[1], inst.dist_row(2)[3]
     assert 0 < far - near < 1e-9
     assert not capped_cost_at_most(inst, near)
     cost, sol = capped_opt(inst)

@@ -23,8 +23,6 @@ from cappedkc import (
     make_balanced_instance,
     make_instance,
     max_additive_violation,
-    nearest_assignment,
-    random_baseline,
     report_to_json,
     reports_to_csv,
     select_separated_facilities,
@@ -32,6 +30,7 @@ from cappedkc import (
 )
 from cappedkc import harness, lp_feasibility, lp_rounding
 from cappedkc.core import center_positions
+from cappedkc.greedy import random_centers
 from cappedkc.harness import lambda_grid, report_to_dict
 from cappedkc.lp_rounding import one_center_stop
 from conftest import (
@@ -40,23 +39,24 @@ from conftest import (
     exactness_pool,
     line_instance,
     random_capped_instance,
+    reference_nearest_assignment,
     reference_one_center_stop,
     reference_solution_cost,
 )
 
 
 def test_delta_balanced_even_clusters_zero(unit_square):
-    sol = nearest_assignment(unit_square, [0, 2])
+    sol = reference_nearest_assignment(unit_square, [0, 2])
     assert max_additive_violation(unit_square, sol, 0.5) == 0
 
 
 def test_delta_formula_direct():
     inst = make_instance([(0.0,)] * 3, ["r", "r", "b"], k=1, alpha=0.5)
-    sol = nearest_assignment(inst, [0])
+    sol = reference_nearest_assignment(inst, [0])
     assert max_additive_violation(inst, sol, 0.5) == 1
     # 100 * 0.29 is 28.999999999999996 in floats; the tolerance floors it to 29
     inst = make_instance([(0.0,)] * 100, ["r"] * 29 + ["b"] * 71, k=1, alpha=0.29)
-    sol = nearest_assignment(inst, [0])
+    sol = reference_nearest_assignment(inst, [0])
     assert max_additive_violation(inst, sol, 0.29) == 71 - 29
     assert check_capped(inst.with_params(alpha=0.71), sol) and not check_capped(inst, sol)
 
@@ -440,7 +440,7 @@ def test_rungs_the_prechecks_reject_build_no_rows(monkeypatch):
 
 def test_histograms_add_up_labels_that_print_alike():
     inst = make_instance([(0.0,), (1.0,), (5.0,)], [1, "1", "b"], k=2, alpha=1.0)
-    sol = nearest_assignment(inst, [0, 2])
+    sol = reference_nearest_assignment(inst, [0, 2])
     cpos = center_positions(inst, sol)
     assert harness._histograms(inst, cpos, np.unique(cpos)) == {0: {"1": 2}, 2: {"b": 1}}
 
@@ -451,6 +451,17 @@ def test_with_params_keeps_the_instance_when_nothing_changes(unit_square):
     other = unit_square.with_params(k=3)
     assert other is not unit_square and other.k == 3 and other.alpha == 0.5
     assert unit_square.k == 2
+
+
+def test_with_params_shares_the_validated_arrays(unit_square):
+    matrix = unit_square.pairwise()
+    other = unit_square.with_params(k=3, alpha=1.0)
+    assert other.pairwise() is matrix and other.coords() is unit_square.coords()
+    assert (unit_square.k, unit_square.alpha) == (2, 0.5)
+    with pytest.raises(InputError, match="k must be"):
+        unit_square.with_params(k=0)
+    with pytest.raises(InputError, match="alpha must"):
+        unit_square.with_params(alpha=0)
 
 
 def test_make_balanced_instance_shape():
@@ -533,7 +544,10 @@ def test_evaluate_baselines_equal_the_public_solutions():
             rep = evaluate(inst, cfg)
             gold_sol, gold_cost = greedy_gold(inst)
             assert gold_cost == reference_solution_cost(inst, gold_sol)
-            rand_sols = [random_baseline(inst, seed + r) for r in range(harness.RANDOM_RERUNS)]
+            rand_sols = [
+                reference_nearest_assignment(inst, inst.ids_at(random_centers(inst, seed + r)).tolist())
+                for r in range(harness.RANDOM_RERUNS)
+            ]
             rand_cost = float(np.mean([reference_solution_cost(inst, s) for s in rand_sols]))
             rand_deltas = [max_additive_violation(inst, s, inst.alpha) for s in rand_sols]
             assert rep.delta_greedy == max_additive_violation(inst, gold_sol, inst.alpha)

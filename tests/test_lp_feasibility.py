@@ -1,5 +1,4 @@
 import random
-import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -139,21 +138,6 @@ def test_validate_point_flags_corruption(unit_square):
     assert "variable bound violated" in validate_point(sys, vec)
 
 
-def test_dump_lp_smoke(unit_square):
-    text = build_polytope(unit_square, 1.0).dump_lp()
-    assert "Subject To" in text and "colorcap" in text and "Bounds" in text
-    cover = [line for line in text.splitlines() if line.startswith(" cover_")]
-    assert len(cover) == 4 and all(line.endswith(" = 1") for line in cover)
-
-
-def test_dump_lp_names_columns_by_position():
-    # ids 7 and 3 sit at positions 0 and 1; the text names columns by position
-    inst = make_instance([(0.0,), (1.0,)], ["r", "b"], k=1, alpha=0.5, ids=[7, 3])
-    text = build_polytope(inst, 1.0, [3]).dump_lp()
-    names = set(re.findall(r"\b[yxL]_[0-9_]+", text))
-    assert names == {"y_1", "x_1_0", "x_1_1", "L_1"}
-
-
 def test_check_feasible_slices_the_solver_point():
     # restricted facilities and ids out of position order: the point is the
     # solver vector's x support in column order, with y zero off the facility set
@@ -215,9 +199,8 @@ def test_polytope_row_counts():
         assert list(by_family) == ["cover", "open", "load", "colorcap", "minload", "budget"]
         cover = by_family["cover"]
         assert cover.relation == "==" and cover.n_rows == inst.n
-        assert set(cover.rows.tolist()) == {
-            inst.pos(j) for j in inst.ids() if j not in sys.uncovered_clients
-        }
+        covered = np.bincount(sys.pair_client, minlength=inst.n) > 0
+        assert set(cover.rows.tolist()) == set(np.flatnonzero(covered).tolist())
         load = by_family["load"]
         assert load.relation == "==" and load.n_rows == sys.facility_pos.size
         cap = by_family["colorcap"]
@@ -242,7 +225,7 @@ def test_colorcap_rows_match_loop_reference():
         expected = []
         for f, i in enumerate(sys.facility_pos.tolist()):
             pairs = zip(sys.pair_facility.tolist(), sys.pair_client.tolist())
-            members = [(nf + c, inst.color_at(j)) for c, (fac, j) in enumerate(pairs) if fac == i]
+            members = [(nf + c, inst.colors()[j]) for c, (fac, j) in enumerate(pairs) if fac == i]
             for color in range(inst.n_colors):
                 if all(mc != color for _, mc in members):
                     continue
@@ -272,7 +255,7 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
     radius = lam * (1.0 + RADIUS_SLACK)
     pairs = [
         (f, j) for f, fp in enumerate(fac_pos) for j in range(inst.n)
-        if inst.dist_pos(fp, j) <= radius
+        if inst.dist_row(fp)[j] <= radius
     ]
     n_vars = nf + len(pairs)
     rows: dict[str, list[tuple[dict[int, float], float]]] = {
@@ -283,7 +266,7 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
     for c, (f, _) in enumerate(pairs):
         rows["open"].append(({nf + c: 1.0, f: -1.0}, 0.0))
     for f in range(nf):
-        own = [(nf + c, inst.color_at(j)) for c, (g, j) in enumerate(pairs) if g == f]
+        own = [(nf + c, inst.colors()[j]) for c, (g, j) in enumerate(pairs) if g == f]
         for color in sorted({mc for _, mc in own}):
             coeffs = {col: (1.0 - inst.alpha if mc == color else -inst.alpha) for col, mc in own}
             rows["colorcap"].append((coeffs, 0.0))
@@ -307,7 +290,6 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
             Block(family, relation[family], np.array(r, int), np.array(c, int), np.array(v),
                   len(family_rows), rhs)
         )
-    covered = {j for _, j in pairs}
     return LinearSystem(
         lam=lam,
         alpha=inst.alpha,
@@ -315,11 +297,10 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
         facility_pos=np.array(fac_pos, dtype=int),
         pair_facility=np.array([fac_pos[f] for f, _ in pairs], dtype=int),
         pair_client=np.array([j for _, j in pairs], dtype=int),
-        pair_color=np.array([inst.color_at(j) for _, j in pairs], dtype=int),
+        pair_color=np.array([inst.colors()[j] for _, j in pairs], dtype=int),
         blocks=blocks,
         lower=np.zeros(n_vars),
         upper=np.ones(n_vars),
-        uncovered_clients=[inst.id_at(j) for j in range(inst.n) if j not in covered],
     )
 
 
@@ -358,8 +339,7 @@ def test_compact_system_matches_dense_reference():
         ref = _reference_build_polytope(inst, lam, restricted)
         for name in ("facility_pos", "pair_facility", "pair_client", "pair_color"):
             assert np.array_equal(getattr(sys, name), getattr(ref, name)), name
-        assert sys.uncovered_clients == ref.uncovered_clients
-        if sys.uncovered_clients:
+        if not np.bincount(sys.pair_client, minlength=inst.n).all():
             continue
         vec = _solve_highs(sys)
         ref_vec = _solve_highs(ref)
@@ -538,7 +518,7 @@ def test_color_starved_rung_rejected_without_a_solve(monkeypatch):
     )
     calls = _counting_solves(monkeypatch)
     sys = build_polytope(inst, 0.0)
-    assert sys.uncovered_clients == []
+    assert np.bincount(sys.pair_client, minlength=inst.n).all()
     assert check_feasible(sys) is None
     assert calls[0] == 0
     assert candidate_radii(inst)[1] == 10.0
@@ -574,7 +554,7 @@ def test_color_precheck_rejects_only_empty_polytopes(monkeypatch):
         radii = candidate_radii(inst)
         for lam in sorted(rng.sample(radii, min(4, len(radii)))):
             sys = build_polytope(inst, lam, restricted)
-            if sys.uncovered_clients:
+            if not np.bincount(sys.pair_client, minlength=inst.n).all():
                 continue
             before = calls[0]
             frac = check_feasible(sys)

@@ -184,7 +184,7 @@ def test_rounding_contracts_on_random_instances():
         centers = list(sol.centers)
         for a in range(len(centers)):
             for b in range(a + 1, len(centers)):
-                assert inst.dist(centers[a], centers[b]) > 2 * lam
+                assert inst.dist_row(inst.pos(centers[a]))[inst.pos(centers[b])] > 2 * lam
     assert checked >= 10
 
 
@@ -206,7 +206,7 @@ def test_multiplicative_bound_for_integer_inverse_alpha():
         for members in sol.clusters().values():
             counts = {}
             for j in members:
-                c = inst.color_at(inst.pos(j))
+                c = inst.colors()[inst.pos(j)]
                 counts[c] = counts.get(c, 0) + 1
             assert max(counts.values()) <= 2 * alpha * len(members) + 1e-9
     assert checked >= 10
