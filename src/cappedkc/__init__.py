@@ -7,7 +7,6 @@ from .core import (
     InfeasibleInstance,
     InputError,
     Instance,
-    Point,
     candidate_radii,
     check_capped,
     make_instance,
@@ -73,7 +72,6 @@ __all__ = [
     "InputError",
     "Instance",
     "LinearSystem",
-    "Point",
     "RunConfig",
     "SolverError",
     "build_assignment_network",

@@ -60,12 +60,12 @@ def load_csv(path: str | Path, k: int = 1, alpha: float = 1.0) -> Instance:
 def save_csv(inst: Instance, path: str | Path):
     """Emit an instance in the load_csv format (round-trips exactly via repr floats)."""
     path = Path(path)
-    dim = len(inst.points[0].coords)
+    labels = [inst.color_labels[c] for c in inst.colors().tolist()]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "color"] + [f"x{d}" for d in range(dim)])
-        for p in inst.points:
-            writer.writerow([p.id, inst.color_labels[p.color]] + [repr(v) for v in p.coords])
+        writer.writerow(["id", "color"] + [f"x{d}" for d in range(inst.coords().shape[1])])
+        for pid, label, vec in zip(inst.ids(), labels, inst.coords().tolist()):
+            writer.writerow([pid, label] + [repr(v) for v in vec])
 
 
 def cost_alpha_svg(points: list[tuple[float, float]], width: int = 480, height: int = 320) -> str:

@@ -27,15 +27,6 @@ class InfeasibleInstance(Exception):
     """No feasible clustering exists for the requested parameters."""
 
 
-@dataclass(frozen=True)
-class Point:
-    """A client (equivalently, candidate facility) with a dense color id."""
-
-    id: int
-    coords: tuple[float, ...]
-    color: int
-
-
 @dataclass
 class ClusteringSolution:
     """Opened centers plus a total assignment of every point to one of them."""
@@ -58,6 +49,30 @@ def _check_params(k: int, alpha: float) -> None:
         raise InputError("alpha must lie in (0, 1]")
 
 
+def _require_int64(given: np.ndarray) -> None:
+    """InputError unless the array `given` holds integers that fit in 64 signed bits."""
+    if given.size and not (
+        given.dtype.kind == "i" or (given.dtype.kind == "u" and given.max() < 1 << 63)
+    ):
+        raise InputError(f"point ids must be 64-bit integers, got dtype {given.dtype}")
+
+
+def _id_array(ids, n: int) -> np.ndarray:
+    """n int64 point ids from an integer array, or from a sequence converted as int() would."""
+    if isinstance(ids, np.ndarray):
+        _require_int64(ids)
+        out = ids.astype(np.int64)
+    else:
+        try:
+            out = np.array(ids, dtype=np.int64)
+        except OverflowError:
+            wide = next(i for i in ids if not -(1 << 63) <= i < 1 << 63)
+            raise InputError(f"point id {wide} does not fit in a signed 64-bit integer") from None
+    if out.shape != (n,):
+        raise InputError("coords and ids must have equal length")
+    return out
+
+
 def _norm(diff: np.ndarray) -> np.ndarray:
     """Euclidean length along the last axis.
 
@@ -70,59 +85,64 @@ def _norm(diff: np.ndarray) -> np.ndarray:
 class Instance:
     """A capped k-center instance: the facility set is exactly the point set.
 
-    Points are immutable after construction; all derived data (coordinate
-    and color arrays, distance cache) is read-only and safe for concurrent
-    reads.  The metric is Euclidean on coords unless an explicit all-pairs
-    matrix is supplied (used by graph-metric instances, e.g. hardness
-    gadgets); the instance keeps its own copy of it.
+    The points are rows of arrays: an n x d float array of coordinates (d = 0
+    for graph metrics), dense color ids in [0, len(color_labels)), and
+    distinct 64-bit ids, 0..n-1 by default.  The instance keeps its own
+    read-only copies, so all of its data is safe for concurrent reads.  The
+    metric is Euclidean on coords unless an explicit all-pairs matrix is
+    supplied (used by graph-metric instances, e.g. hardness gadgets).
     """
 
     def __init__(
         self,
-        points: Sequence[Point],
+        coords: np.ndarray | Sequence[Sequence[float]],
+        colors: np.ndarray | Sequence[int],
         k: int,
         alpha: float,
+        ids: np.ndarray | Sequence[int] | None = None,
         color_labels: Sequence[str] | None = None,
         dist_matrix: np.ndarray | None = None,
     ):
-        if len(points) < 1:
+        try:
+            coords = np.array(coords, dtype=float)
+        except ValueError as exc:  # ragged rows, or a value that is not a number
+            raise InputError(f"all points must share one dimensionality ({exc})") from None
+        if coords.shape[:1] == (0,):
             raise InputError("instance needs at least one point")
+        if coords.ndim != 2:
+            raise InputError("all points must share one dimensionality (coords must be n x d)")
+        n = coords.shape[0]
         _check_params(k, alpha)
-        dims = {len(p.coords) for p in points}
-        if len(dims) > 1:
-            raise InputError("all points must share one dimensionality")
-        n_colors = max(p.color for p in points) + 1
-        seen = {p.color for p in points}
-        if min(seen) < 0:
+        colors = np.asarray(colors)
+        if colors.shape != (n,):
+            raise InputError("coords and colors must have equal length")
+        if colors.dtype.kind not in "iu":
+            raise InputError(f"color ids must be integers, got dtype {colors.dtype}")
+        if colors.min() < 0:
             raise InputError("color ids must be non-negative")
         if color_labels is None:
-            color_labels = [str(c) for c in range(n_colors)]
-        if len(color_labels) < n_colors:
+            color_labels = [str(c) for c in range(int(colors.max()) + 1)]
+        if len(color_labels) <= colors.max():
             raise InputError("color label table smaller than color id range")
-        ids = [p.id for p in points]
-        if len(set(ids)) != len(ids):
+        self._ids = _id_array(np.arange(n) if ids is None else ids, n)
+        self._id_order = np.argsort(self._ids)
+        self._id_sorted = self._ids[self._id_order]
+        if (self._id_sorted[1:] == self._id_sorted[:-1]).any():
             raise InputError("duplicate point ids")
-        wide = [i for i in ids if not -(1 << 63) <= i < 1 << 63]
-        if wide:
-            raise InputError(f"point id {wide[0]} does not fit in a signed 64-bit integer")
+        if not np.isfinite(coords).all():
+            raise InputError("coordinates must be finite")
 
-        self.points = tuple(points)
         self.k = k
         self.alpha = alpha
         self.color_labels = tuple(color_labels)
-        self._pos = {p.id: idx for idx, p in enumerate(points)}
-        self._ids = np.array(ids, dtype=np.int64)
-        self._id_order = np.argsort(self._ids)
-        self._id_sorted = self._ids[self._id_order]
-        self._coords = np.array([p.coords for p in points], dtype=float)
-        if not np.isfinite(self._coords).all():
-            raise InputError("coordinates must be finite")
-        self._colors = np.array([p.color for p in points], dtype=int)
-        self._coords.flags.writeable = self._colors.flags.writeable = False
+        self._coords = coords
+        self._colors = colors.astype(int)
+        for arr in (self._ids, self._id_order, self._id_sorted, self._coords, self._colors):
+            arr.flags.writeable = False
         if dist_matrix is not None:
             dist_matrix = np.array(dist_matrix, dtype=float)
             dist_matrix.flags.writeable = False
-            if dist_matrix.shape != (len(points), len(points)):
+            if dist_matrix.shape != (n, n):
                 raise InputError("distance matrix shape mismatch")
             if not np.isfinite(dist_matrix).all():
                 raise InputError("distance matrix must be finite")
@@ -137,7 +157,7 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self._ids.size
 
     @property
     def n_colors(self) -> int:
@@ -147,7 +167,11 @@ class Instance:
         return self._ids.tolist()
 
     def pos(self, point_id: int) -> int:
-        return self._pos[point_id]
+        """Position of the point `point_id`; InputError for an id that names no point."""
+        at = int(self._id_sorted.searchsorted(point_id))
+        if at < self._id_sorted.size and self._id_sorted.item(at) == point_id:
+            return self._id_order.item(at)
+        raise InputError(f"point id {point_id} names no point")
 
     def positions(self, point_ids) -> np.ndarray:
         """Position of each of `point_ids`, -1 for an id that names no point."""
@@ -158,17 +182,14 @@ class Instance:
     def require_positions(self, point_ids) -> np.ndarray:
         """Position of each of `point_ids`; InputError for an id that names no point."""
         given = np.asarray(point_ids)
-        if given.size and not (
-            given.dtype.kind == "i" or (given.dtype.kind == "u" and given.max() < 1 << 63)
-        ):
-            raise InputError(f"point ids must be 64-bit integers, got dtype {given.dtype}")
+        _require_int64(given)
         pos = self.positions(given)
         if (pos < 0).any():
             raise InputError(f"point id {given.flat[np.argmin(pos)]} names no point")
         return pos
 
     def id_at(self, pos: int) -> int:
-        return self.points[pos].id
+        return self._ids.item(pos)
 
     def ids_at(self, pos) -> np.ndarray:
         """Ids of the points at the positions `pos`."""
@@ -275,33 +296,21 @@ class Instance:
 
 
 def make_instance(
-    coords: Iterable[Sequence[float]],
+    coords: np.ndarray | Sequence[Sequence[float]],
     colors: Iterable,
     k: int,
     alpha: float,
-    ids: Iterable[int] | None = None,
+    ids: np.ndarray | Sequence[int] | None = None,
 ) -> Instance:
-    """Build an Instance from raw rows, densely re-indexing arbitrary color labels.
+    """Build an Instance from an n x d coordinate array, densely re-indexing arbitrary color labels.
 
-    The original labels are kept in the instance's side table for reporting.
+    Labels get dense ids in order of first appearance; the labels themselves
+    are kept in the instance's side table for reporting.
     """
-    coords = [tuple(float(v) for v in c) for c in coords]
     raw_colors = list(colors)
-    if len(raw_colors) != len(coords):
-        raise InputError("coords and colors must have equal length")
-    label_to_id: dict = {}
-    labels: list[str] = []
-    dense = []
-    for label in raw_colors:
-        if label not in label_to_id:
-            label_to_id[label] = len(labels)
-            labels.append(str(label))
-        dense.append(label_to_id[label])
-    ids = range(len(coords)) if ids is None else list(ids)
-    if len(ids) != len(coords):
-        raise InputError("coords and ids must have equal length")
-    points = [Point(int(i), c, col) for i, c, col in zip(ids, coords, dense)]
-    return Instance(points, k, alpha, labels)
+    index = {label: c for c, label in enumerate(dict.fromkeys(raw_colors))}
+    dense = np.fromiter(map(index.__getitem__, raw_colors), dtype=np.int64, count=len(raw_colors))
+    return Instance(coords, dense, k, alpha, ids=ids, color_labels=[str(c) for c in index])
 
 
 def ceil_inv_alpha(alpha: float) -> int:

@@ -48,26 +48,21 @@ def farthest_first(
 
 
 def greedy_k_center(
-    inst: Instance,
-    k: int | None = None,
-    subset: Sequence[int] | None = None,
+    inst: Instance, subset: Sequence[int] | None = None
 ) -> tuple[ClusteringSolution, float]:
     """Farthest-first traversal: repeatedly open the client farthest from the open set.
 
-    `k` overrides inst.k and `subset` restricts both clients and candidate
-    centers to the given point ids (used for coresets and caplet
-    representatives).  Exactly min(k, n) distinct centers come back (see
-    `farthest_first`), each client assigned to its nearest one.
+    `subset` restricts both clients and candidate centers to the given point
+    ids (used for coresets and caplet representatives).  Exactly
+    min(inst.k, n) distinct centers come back (see `farthest_first`), each
+    client assigned to its nearest one.
     """
-    target_k = inst.k if k is None else k
-    if target_k < 1:
-        raise InputError("k must be >= 1")
     pos = None
     if subset is not None:
         pos = np.unique(inst.require_positions(subset))
         if not pos.size:
             raise InputError("subset must be non-empty")
-    centers, min_dist = farthest_first(inst, target_k, pos)
+    centers, min_dist = farthest_first(inst, inst.k, pos)
     # min_dist holds each client's distance to its nearest center, which is
     # the center nearest_positions assigns it to
     cpos, _ = nearest_positions(inst, centers, pos)

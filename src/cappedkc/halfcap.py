@@ -161,7 +161,7 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
     comps: list[tuple[int, ...]] = []
     n_near = n_wide = 0
     decomposed: dict[tuple[int, ...], tuple[int, tuple[Caplet, ...] | None]] = {}
-    last_reps: tuple[int, ...] | None = None
+    last_reps: np.ndarray | None = None
 
     radii = np.array(candidate_radii(inst))
     radii = radii[2.0 * radii >= no_singletons]
@@ -181,23 +181,23 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
             n_wide = wide
             caplets = _decompose_components(inst, comps, label, pa[:n_wide], pb[:n_wide], decomposed)
             if caplets is not None:
-                reps = tuple(sorted({min(c.members, key=inst.pos) for c in caplets}, key=inst.pos))
+                # each caplet's representative is its member of lowest position
+                members = [j for cap in caplets for j in cap.members]
+                sizes = [len(cap.members) for cap in caplets]
+                rep_pos = np.minimum.reduceat(inst.positions(members), np.cumsum(sizes) - sizes)
+                reps = np.unique(rep_pos)
         if caplets is None:
             continue
 
-        if reps != last_reps:
+        if not np.array_equal(reps, last_reps):
             last_reps = reps
-            gsol, gcost = greedy_k_center(inst, subset=reps)
+            gsol, gcost = greedy_k_center(inst, subset=inst.ids_at(reps))
         if gcost > 2.0 * lam + ACCEPT_TOL:
             continue
 
-        assign: dict[int, int] = {}
-        for cap in caplets:
-            rep = min(cap.members, key=inst.pos)
-            center = gsol.assign[rep]
-            for j in cap.members:
-                assign[j] = center
-        sol = ClusteringSolution(gsol.centers, assign)
+        # every member follows its caplet's representative
+        centers = [gsol.assign[rep] for rep in inst.ids_at(rep_pos).tolist()]
+        sol = ClusteringSolution(gsol.centers, dict(zip(members, np.repeat(centers, sizes).tolist())))
         if return_info:
             return sol, {"lambda": lam, "caplets": tuple(caplets), "greedy_cost": gcost}
         return sol

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
-from .core import CAP_TOL, ClusteringSolution, InfeasibleInstance, InputError, Instance, Point
+from .core import CAP_TOL, ClusteringSolution, InfeasibleInstance, InputError, Instance
 
 _STAR_GUARD = 12
 
@@ -54,7 +54,7 @@ def hardness_instance(seed: BipartiteSeed) -> Instance:
     alpha = 1.0 / (2 + seed.t)
     counts = _star_counts(seed)
     if counts is None:
-        return Instance([Point(0, (), 0)], k=1, alpha=alpha, color_labels=["red"])
+        return Instance(np.empty((1, 0)), [0], k=1, alpha=alpha, color_labels=["red"])
     tr, tb = counts
     n1, n2 = seed.n_left, seed.n_right
     u_b, u_r = n2 - tr, n1 - tb
@@ -107,8 +107,9 @@ def hardness_instance(seed: BipartiteSeed) -> Instance:
     dist = shortest_path(graph, directed=False, unweighted=True)
     dist[np.isinf(dist)] = float(n)
 
-    points = [Point(i, (), colors[i]) for i in range(n)]
-    return Instance(points, k=n, alpha=alpha, color_labels=labels, dist_matrix=dist)
+    return Instance(
+        np.empty((n, 0)), colors, k=n, alpha=alpha, color_labels=labels, dist_matrix=dist
+    )
 
 
 def t_star_decomposition_exists(seed: BipartiteSeed, star_size: int) -> bool:

@@ -31,11 +31,6 @@ class Block:
     n_rows: int
     rhs: np.ndarray
 
-    def matrix(self, n_vars: int) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.data, (self.rows, self.cols)), shape=(self.n_rows, n_vars)
-        )
-
 
 @dataclass
 class RadiusPairs:
@@ -333,13 +328,11 @@ def passes_prechecks(pairs: RadiusPairs) -> bool:
 def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
     """A point satisfying every row within 1e-7, or None when the polytope is empty.
 
-    When `passes_prechecks` already shows the polytope empty there is no
-    solve.  Otherwise SciPy's HiGHS decides, and its point is re-checked
-    against every row.  Numerical failures raise SolverError, they are never
-    reported as infeasible.
+    SciPy's HiGHS decides, and its point is re-checked against every row.
+    Numerical failures raise SolverError, they are never reported as
+    infeasible.  The solve-free `passes_prechecks` is the caller's to run
+    first; `fair_k_center` runs it before it builds any row.
     """
-    if not passes_prechecks(sys):
-        return None
     vec = _solve_highs(sys)
     if vec is None:
         return None

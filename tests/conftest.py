@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cappedkc import (
     CAP_TOL,
@@ -15,14 +16,12 @@ from cappedkc import (
     InfeasibleInstance,
     InputError,
     Instance,
-    Point,
-    build_polytope,
     check_feasible,
     make_instance,
     sorted_adjacency,
 )
 from cappedkc.core import ceil_inv_alpha
-from cappedkc.lp_feasibility import RADIUS_SLACK
+from cappedkc.lp_feasibility import RADIUS_SLACK, passes_prechecks, polytope_on, radius_pairs
 
 
 def random_capped_instance(
@@ -58,6 +57,11 @@ def fractional_point(inst: Instance, x: dict, y: dict) -> FractionalSolution:
     for i, v in y.items():
         opening[inst.pos(i)] = v
     return FractionalSolution(facility, client, np.array(list(x.values()), dtype=float), opening)
+
+
+def block_matrix(blk, n_vars: int) -> sp.csr_matrix:
+    """One constraint block of a LinearSystem as a sparse matrix over all n_vars columns."""
+    return sp.csr_matrix((blk.data, (blk.rows, blk.cols)), shape=(blk.n_rows, n_vars))
 
 
 def edge_adjacency(n: int, edges) -> list[list[int]]:
@@ -214,12 +218,15 @@ def min_feasible_radius(inst: Instance, radii, restricted=None):
 
     A bisection: the polytope only grows with the radius, so the verdicts
     are monotone and the point comes from the solve at that first radius.
-    None when no radius gives a non-empty polytope.
+    A radius whose pairs fail `passes_prechecks` is rejected without a
+    solve, as in `fair_k_center`.  None when no radius gives a non-empty
+    polytope.
     """
     lo, hi, found = 0, len(radii), None
     while lo < hi:
         mid = (lo + hi) // 2
-        frac = check_feasible(build_polytope(inst, radii[mid], restricted))
+        pairs = radius_pairs(inst, radii[mid], restricted)
+        frac = check_feasible(polytope_on(inst, pairs)) if passes_prechecks(pairs) else None
         if frac is None:
             lo = mid + 1
         else:
@@ -231,12 +238,12 @@ def reference_solution_cost(inst: Instance, sol: ClusteringSolution) -> float:
     """`solution_cost` as a loop over the points, one cached row per center."""
     centers = set(sol.centers)
     members: dict[int, list[int]] = {}
-    for pos, p in enumerate(inst.points):
-        i = sol.assign.get(p.id)
+    for pos, j in enumerate(inst.ids()):
+        i = sol.assign.get(j)
         if i is None:
-            raise ContractViolation(f"point {p.id} has no assignment")
+            raise ContractViolation(f"point {j} has no assignment")
         if i not in centers:
-            raise ContractViolation(f"point {p.id} assigned to unopened center {i}")
+            raise ContractViolation(f"point {j} assigned to unopened center {i}")
         members.setdefault(i, []).append(pos)
     return max(float(inst.dist_row(inst.pos(i))[pos].max()) for i, pos in members.items())
 
@@ -309,8 +316,10 @@ def exactness_pool(seed: int = 0) -> list[Instance]:
             pool.append(make_instance(gauss, colors, k=3, alpha=0.5, ids=wide))
     for n in (9, 60, 240):
         upper = np.triu(rng.integers(1, 6, size=(n, n)).astype(float), k=1)
-        points = [Point(int(j), (), int(c)) for j, c in zip(rng.permutation(n) + 5, rng.integers(0, 3, n))]
-        pool.append(Instance(points, k=3, alpha=0.5, dist_matrix=upper + upper.T))
+        ids, colors = rng.permutation(n) + 5, rng.integers(0, 3, n)
+        pool.append(
+            Instance(np.empty((n, 0)), colors, 3, 0.5, ids=ids, dist_matrix=upper + upper.T)
+        )
     return pool
 
 

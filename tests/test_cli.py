@@ -1,6 +1,7 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import scipy.optimize
 
@@ -26,7 +27,7 @@ def test_load_csv_basic(tmp_path):
     path = write(tmp_path, "two.csv", "id,color,x0\n0,a,0.5\n1,b,1.5\n")
     inst = load_csv(path)
     assert inst.n == 2 and inst.n_colors == 2
-    assert inst.points[1].coords == (1.5,)
+    assert inst.coords()[1].tolist() == [1.5]
 
 
 def test_load_csv_errors(tmp_path):
@@ -48,10 +49,7 @@ def test_load_csv_balanced_ratio(tmp_path):
     save_csv(inst, path)
     loaded = load_csv(path)
     assert loaded.n == 2500 and loaded.n_colors == 50
-    counts = {}
-    for p in loaded.points:
-        counts[p.color] = counts.get(p.color, 0) + 1
-    assert max(counts.values()) / loaded.n == pytest.approx(0.02)
+    assert np.bincount(loaded.colors()).max() / loaded.n == pytest.approx(0.02)
 
 
 def test_csv_round_trip(tmp_path):
@@ -61,10 +59,10 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "rt.csv"
     save_csv(inst, path)
     back = load_csv(path, k=1, alpha=0.5)
-    assert [p.id for p in back.points] == [17, 99]
-    assert [p.coords for p in back.points] == [p.coords for p in inst.points]
+    assert back.ids() == [17, 99]
+    assert np.array_equal(back.coords(), inst.coords())
     assert back.color_labels == inst.color_labels
-    assert [p.color for p in back.points] == [p.color for p in inst.points]
+    assert np.array_equal(back.colors(), inst.colors())
 
 
 def test_main_json_deterministic_bytes(tmp_path, capsys):

@@ -11,7 +11,6 @@ from cappedkc import (
     ContractViolation,
     InputError,
     Instance,
-    Point,
     build_polytope,
     candidate_radii,
     check_capped,
@@ -57,7 +56,7 @@ def test_distance_symmetry_random():
 def test_distance_dimension_mismatch():
     # mixed dimensions never reach a distance: the instance refuses them
     with pytest.raises(InputError, match="dimensionality"):
-        Instance([Point(0, (0.0,), 0), Point(1, (0.0, 0.0), 0)], k=1, alpha=1.0)
+        Instance([(0.0,), (0.0, 0.0)], [0, 0], k=1, alpha=1.0)
 
 
 coords3 = st.tuples(*[st.floats(-100, 100) for _ in range(3)])
@@ -282,7 +281,7 @@ def test_make_instance_reindexes_colors():
     inst = make_instance([(0.0,), (1.0,), (2.0,)], ["cat", "dog", "cat"], k=1, alpha=1.0)
     assert inst.n_colors == 2
     assert inst.color_labels == ("cat", "dog")
-    assert [p.color for p in inst.points] == [0, 1, 0]
+    assert inst.colors().tolist() == [0, 1, 0]
 
 
 def test_instance_validation():
@@ -302,25 +301,52 @@ def test_instance_validation():
     for ids in ([5, 6], [5, 6, 7, 8]):  # one id short, one id over
         with pytest.raises(InputError, match="ids must have equal length"):
             make_instance([(0.0,), (1.0,), (2.0,)], ["r", "b", "r"], k=1, alpha=0.5, ids=ids)
+    # the array constructor checks the same things on dense color ids
+    coords = np.zeros((3, 2))
+    bad = {
+        "dimensionality": ([[0.0], [0.0, 0.0], [1.0]], [0, 0, 1], {}),
+        "colors must have equal length": (coords, [0, 1], {}),
+        "non-negative": (coords, [0, -1, 1], {}),
+        "label table": (coords, [0, 1, 2], {"color_labels": ["r", "b"]}),
+        "duplicate point ids": (coords, [0, 1, 0], {"ids": [4, 9, 4]}),
+        "ids must have equal length": (coords, [0, 1, 0], {"ids": np.arange(4)}),
+    }
+    for reason, (xy, colors, extra) in bad.items():
+        with pytest.raises(InputError, match=reason):
+            Instance(xy, colors, k=1, alpha=0.5, **extra)
 
 
 def test_instance_rejects_bad_dist_matrix():
-    pts = [Point(0, (), 0), Point(1, (), 1)]
+    graph = np.empty((2, 0))  # zero-column coords: the matrix is the metric
     good = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert Instance(pts, k=1, alpha=0.5, dist_matrix=good).dist_row(0)[1] == 1.0
+    assert Instance(graph, [0, 1], k=1, alpha=0.5, dist_matrix=good).dist_row(0)[1] == 1.0
     bad = {
         "finite": [[0.0, np.inf], [np.inf, 0.0]],
         "symmetric": [[0.0, 1.0], [2.0, 0.0]],
         "zero diagonal": [[1.0, 1.0], [1.0, 0.0]],
+        "shape mismatch": np.zeros((3, 3)),
     }
     for reason, matrix in bad.items():
         with pytest.raises(InputError, match=reason):
-            Instance(pts, k=1, alpha=0.5, dist_matrix=np.array(matrix))
+            Instance(graph, [0, 1], k=1, alpha=0.5, dist_matrix=np.array(matrix))
+
+
+def test_pos_and_id_at_agree_with_the_array_lookups():
+    rng = np.random.default_rng(3)
+    ids = rng.choice(1000, size=50, replace=False)  # out of position order
+    inst = make_instance(rng.standard_normal((50, 2)), [0] * 50, k=1, alpha=1.0, ids=ids)
+    pos = rng.permutation(50)
+    assert [inst.pos(i) for i in ids[pos].tolist()] == inst.positions(ids[pos]).tolist()
+    assert [inst.id_at(p) for p in pos.tolist()] == inst.ids_at(pos).tolist() == ids[pos].tolist()
+    missing = int(np.setdiff1d(np.arange(1000), ids)[0])
+    for unknown in (missing, -1, 1000):
+        with pytest.raises(InputError, match=f"point id {unknown} names no point"):
+            inst.pos(unknown)
 
 
 def test_instance_keeps_its_own_read_only_arrays():
     dm = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    inst = Instance([Point(p, (), 0) for p in range(3)], k=1, alpha=1.0, dist_matrix=dm)
+    inst = Instance(np.empty((3, 0)), [0, 0, 0], k=1, alpha=1.0, dist_matrix=dm)
     dm[0, 2] = dm[2, 0] = 99.0  # the caller's array, after validation
     assert inst.dist_row(0)[2] == inst.dist_row(2)[0] == 2.0
     euclid = make_instance([(0.0,), (1.0,), (3.0,)], ["r", "b", "r"], k=1, alpha=0.5)

@@ -7,7 +7,7 @@ import cappedkc
 SURFACE = {
     "BipartiteSeed", "CAP_TOL", "Caplet", "CappedInstanceReport", "ClusteringSolution",
     "ContractViolation", "FacilityMap", "FlowNetwork", "FractionalSolution",
-    "InfeasibleInstance", "InputError", "Instance", "LinearSystem", "Point", "RunConfig",
+    "InfeasibleInstance", "InputError", "Instance", "LinearSystem", "RunConfig",
     "SolverError", "build_assignment_network", "build_polytope", "candidate_radii",
     "caplet_decompose", "capped_cost_at_most", "capped_opt", "check_capped", "check_feasible",
     "evaluate", "extract_assignment", "fair_k_center", "faster_algorithm", "greedy_gold",

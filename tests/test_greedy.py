@@ -99,7 +99,7 @@ def test_lloyd_round_works_without_the_distance_matrix(monkeypatch):
             [(rng.random(), rng.random(), rng.random()) for _ in range(n)], [0] * n, k=3, alpha=1.0
         )
         centers, cpos, _ = _nearest(inst, rng.sample(range(n), 3))
-        full = make_instance([p.coords for p in inst.points], [0] * n, k=3, alpha=1.0)
+        full = make_instance(inst.coords(), [0] * n, k=3, alpha=1.0)
         full.pairwise()
         cases.append((inst, centers, cpos, lloyd_round(full, centers, cpos)))
 

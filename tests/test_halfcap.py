@@ -10,7 +10,6 @@ from cappedkc import (
     InfeasibleInstance,
     InputError,
     Instance,
-    Point,
     candidate_radii,
     caplet_decompose,
     check_capped,
@@ -45,8 +44,7 @@ def test_threshold_boundary_inclusive():
     assert _reference_threshold_edges(inst, 1.0) == [(0, 1)]
     # the scan too: the r-b pairs at distance 2 join at lam = 1, where 2*lam == 2
     dm = np.array([[0, 2, 1, 3], [2, 0, 3, 1], [1, 3, 0, 2], [3, 1, 2, 0]], dtype=float)
-    points = [Point(p, (), p % 2) for p in range(4)]
-    inst = Instance(points, k=2, alpha=0.5, dist_matrix=dm)
+    inst = Instance(np.empty((4, 0)), [0, 1, 0, 1], k=2, alpha=0.5, dist_matrix=dm)
     _, info = non_dominant_k_center(inst, return_info=True)
     assert info["lambda"] == 1.0
     assert [c.members for c in info["caplets"]] == [(0, 1), (2, 3)]
@@ -333,8 +331,8 @@ def _equivalence_instance(rng: random.Random) -> Instance:
     if kind == "matrix":
         # heavy-tailed and not a metric: a component's 10*lam edge set keeps growing
         upper = np.triu([[round(10 ** rng.uniform(0, 4)) for _ in range(n)] for _ in range(n)], 1)
-        points = [Point(i, (), c) for i, c in zip(ids, colors)]
-        return Instance(points, k, 0.5, dist_matrix=(upper + upper.T).astype(float))
+        matrix = (upper + upper.T).astype(float)
+        return Instance(np.empty((n, 0)), colors, k, 0.5, ids=ids, dist_matrix=matrix)
     if kind == "chain":
         # a line with uneven gaps: long components whose ends lie beyond 10*lam
         xs = np.cumsum([round(rng.expovariate(1.0), 2) for _ in range(n)])

@@ -47,7 +47,7 @@ def test_star_counts_three_three():
 def test_unsolvable_system_gives_trivial_instance():
     inst = hardness_instance(BipartiteSeed(1, 0, (), 0))
     assert inst.n == 1
-    assert inst.color_labels[inst.points[0].color] == "red"
+    assert inst.color_labels[inst.colors()[0]] == "red"
     with pytest.raises(InfeasibleInstance):
         capped_opt(inst)
 
@@ -55,11 +55,11 @@ def test_unsolvable_system_gives_trivial_instance():
 def test_gadget_layer_sizes():
     inst = hardness_instance(seed_21([(0, 0), (1, 0)], t=0))
     assert inst.n == 12
-    reds = sum(1 for p in inst.points if inst.color_labels[p.color] == "red")
+    reds = sum(1 for c in inst.colors().tolist() if inst.color_labels[c] == "red")
     assert reds == 6
     inst1 = hardness_instance(seed_21([(0, 0), (1, 0)], t=1))
     assert inst1.n == 18
-    extra = sum(1 for p in inst1.points if inst1.color_labels[p.color] == "c1")
+    extra = sum(1 for c in inst1.colors().tolist() if inst1.color_labels[c] == "c1")
     assert extra == 6
 
 

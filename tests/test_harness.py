@@ -10,7 +10,6 @@ from cappedkc import (
     InfeasibleInstance,
     InputError,
     Instance,
-    Point,
     RunConfig,
     build_polytope,
     capped_opt,
@@ -34,6 +33,7 @@ from cappedkc.greedy import random_centers
 from cappedkc.harness import lambda_grid, report_to_dict
 from cappedkc.lp_rounding import one_center_stop
 from conftest import (
+    block_matrix,
     brute_force_capped_opt,
     brute_force_kcenter_opt,
     exactness_pool,
@@ -185,8 +185,8 @@ def _reference_faster_algorithm(inst, cfg):
     """The plain ladder walk, with no stop rule and no up-front check: (solution, rung)."""
     work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
     lam_anchor = float(work.dist_row(0).max())
-    _, lam_greedy = greedy_k_center(work, k=cfg.k)
-    coreset_sol, _ = greedy_k_center(work, k=cfg.m * cfg.k)
+    _, lam_greedy = greedy_k_center(work)
+    coreset_sol, _ = greedy_k_center(work.with_params(k=cfg.m * cfg.k))
     coreset = list(coreset_sol.centers)
     for lam in lambda_grid(work, lam_greedy, lam_anchor, cfg.epsilon):
         sol = fair_k_center(work, lam, restricted=coreset)
@@ -207,7 +207,7 @@ def _one_center_point_in(inst, lam, coreset) -> bool:
     vec[[0, nf + n_pairs]] = [1.0, inst.n]
     vec[nf + mine] = 1.0
     for blk in sys.blocks:
-        lhs = blk.matrix(sys.n_vars) @ vec
+        lhs = block_matrix(blk, sys.n_vars) @ vec
         holds = {"==": lhs == blk.rhs, "<=": lhs <= blk.rhs, ">=": lhs >= blk.rhs}
         if not holds[blk.relation].all():
             return False
@@ -239,9 +239,9 @@ def _stop_pool():
         n = int(rng.integers(5, 11))
         upper = np.triu(10.0 ** rng.uniform(-1.0, 1.0, size=(n, n)), 1)
         colors = rng.permutation(np.arange(n) % 2)
-        points = [Point(j, (), int(c)) for j, c in enumerate(colors)]
         alpha = float(rng.choice([1 / 2, 2 / 3, 1.0]))
-        pool.append((Instance(points, 1, alpha, dist_matrix=upper + upper.T), alpha))
+        inst = Instance(np.empty((n, 0)), colors, 1, alpha, dist_matrix=upper + upper.T)
+        pool.append((inst, alpha))
     for num, den in [(13, 23), (15, 22), (15, 26)] * 10:
         # alpha * den rounds to just below num, so a color of num points passes
         # the global-share check while the one-center point breaks its cap
@@ -356,7 +356,7 @@ def test_one_center_stop_conditions_against_the_walk():
 
     # a non-metric matrix: q is 1 from o and from j, but j is 5 from o
     dm = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    far = Instance([Point(p, (), 0) for p in range(3)], k=1, alpha=1.0, dist_matrix=dm)
+    far = Instance(np.empty((3, 0)), [0, 0, 0], k=1, alpha=1.0, dist_matrix=dm)
     with pytest.raises(InputError, match=r"d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
         _walk_from(far, [0, 1], [1.0])  # merging j onto o breaks 3*lam
     assert one_center_stop(far, [0, 1], 1.0, 5.0) is None
@@ -367,7 +367,7 @@ def test_one_center_stop_conditions_against_the_walk():
 def test_evaluate_off_a_metric_names_the_broken_triangle():
     # a non-metric matrix accepted by Instance: the lp route meets it in the merge
     dm = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    far = Instance([Point(p, (), 0) for p in range(3)], k=2, alpha=1.0, dist_matrix=dm)
+    far = Instance(np.empty((3, 0)), [0, 0, 0], k=2, alpha=1.0, dist_matrix=dm)
     with pytest.raises(InputError, match=r"triangle inequality: d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
         evaluate(far, RunConfig(k=2, alpha=1.0, algorithm="lp"))
 
@@ -381,8 +381,7 @@ def test_one_center_stop_is_sound_for_any_facility_set():
         alpha = float(rng.choice([1 / 2, 2 / 3, 1.0]))
         if t % 2:
             upper = np.triu(10.0 ** rng.uniform(-1.0, 1.0, size=(n, n)), 1)
-            points = [Point(j, (), c) for j, c in enumerate(colors)]
-            inst = Instance(points, 2, alpha, dist_matrix=upper + upper.T)
+            inst = Instance(np.empty((n, 0)), colors, 2, alpha, dist_matrix=upper + upper.T)
         else:
             inst = make_instance(np.round(rng.random((n, 2)) * 4), colors, k=2, alpha=alpha)
         restricted = sorted(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist())
@@ -404,8 +403,8 @@ def test_one_center_stop_is_sound_for_any_facility_set():
 def _stop_rungs(inst, cfg, stop):
     """`stop`'s verdict on every rung of faster_algorithm's ladder for (inst, cfg)."""
     work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
-    _, lam_greedy = greedy_k_center(work, k=cfg.k)
-    coreset = list(greedy_k_center(work, k=cfg.m * cfg.k)[0].centers)
+    _, lam_greedy = greedy_k_center(work)
+    coreset = list(greedy_k_center(work.with_params(k=cfg.m * cfg.k))[0].centers)
     grid = lambda_grid(work, lam_greedy, float(work.dist_row(0).max()), cfg.epsilon)
     return [stop(work, coreset, lam, grid[-1]) for lam in grid]
 
@@ -468,10 +467,7 @@ def test_make_balanced_instance_shape():
     inst = make_balanced_instance(n_colors=5, per_color=4, dim=3, k=2, alpha=0.5, seed=1)
     assert inst.n == 20
     assert inst.n_colors == 5
-    counts = {}
-    for p in inst.points:
-        counts[p.color] = counts.get(p.color, 0) + 1
-    assert set(counts.values()) == {4}
+    assert set(np.bincount(inst.colors()).tolist()) == {4}
 
 
 def test_evaluate_schema_and_determinism(unit_square):

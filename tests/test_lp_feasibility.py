@@ -13,6 +13,7 @@ from cappedkc import (
     capped_opt,
     candidate_radii,
     check_feasible,
+    fair_k_center,
     faster_algorithm,
     greedy_k_center,
     make_balanced_instance,
@@ -27,8 +28,11 @@ from cappedkc.lp_feasibility import (
     Block,
     LinearSystem,
     _solve_highs,
+    passes_prechecks,
+    polytope_on,
+    radius_pairs,
 )
-from conftest import min_feasible_radius, random_capped_instance
+from conftest import block_matrix, min_feasible_radius, random_capped_instance
 
 
 def test_ceil_inv_alpha():
@@ -109,8 +113,7 @@ def test_feasible_implies_aggregate_color_bound():
         )
         lam = max(candidate_radii(inst))
         if check_feasible(build_polytope(inst, lam)) is not None:
-            for c in range(inst.n_colors):
-                count = sum(1 for p in inst.points if p.color == c)
+            for count in np.bincount(inst.colors()).tolist():
                 assert count <= inst.alpha * inst.n + 1e-7 * inst.n
 
 
@@ -236,7 +239,7 @@ def test_colorcap_rows_match_loop_reference():
                 row[nf + n_pairs + f] = -inst.alpha
                 expected.append(row)
         cap = next(b for b in sys.blocks if b.family == "colorcap")
-        got = cap.matrix(sys.n_vars).toarray()
+        got = block_matrix(cap, sys.n_vars).toarray()
         assert np.array_equal(got, np.array(expected).reshape(-1, sys.n_vars))
 
 
@@ -362,7 +365,7 @@ def test_nonzeros_stay_linear_in_pairs():
         sys = build_polytope(inst, lam, restricted)
         nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
         n_cap = next(b.n_rows for b in sys.blocks if b.family == "colorcap")
-        nnz = sum(b.matrix(sys.n_vars).nnz for b in sys.blocks)
+        nnz = sum(block_matrix(b, sys.n_vars).nnz for b in sys.blocks)
         assert nnz == 5 * n_pairs + n_cap + 4 * nf
 
 
@@ -462,7 +465,7 @@ def wide_system():
     At 4.3446 its system has 9,332 columns.
     """
     inst = make_balanced_instance(50, 20, dim=10, k=25, alpha=0.1, seed=0)
-    coreset, _ = greedy_k_center(inst, k=50)
+    coreset, _ = greedy_k_center(inst.with_params(k=50))
     return inst, sorted(coreset.centers, key=inst.pos)
 
 
@@ -517,13 +520,16 @@ def test_color_starved_rung_rejected_without_a_solve(monkeypatch):
         alpha=0.5,
     )
     calls = _counting_solves(monkeypatch)
-    sys = build_polytope(inst, 0.0)
-    assert np.bincount(sys.pair_client, minlength=inst.n).all()
-    assert check_feasible(sys) is None
+    pairs = radius_pairs(inst, 0.0)
+    assert np.bincount(pairs.pair_client, minlength=inst.n).all()
+    assert not passes_prechecks(pairs)
+    assert fair_k_center(inst, 0.0) is None
     assert calls[0] == 0
+    assert check_feasible(polytope_on(inst, pairs)) is None  # HiGHS agrees
     assert candidate_radii(inst)[1] == 10.0
+    assert passes_prechecks(radius_pairs(inst, 10.0))
     assert check_feasible(build_polytope(inst, 10.0)) is not None
-    assert calls[0] == 1
+    assert calls[0] == 2
 
 
 def _blob_instance(rng: random.Random, alpha: float):
@@ -553,14 +559,15 @@ def test_color_precheck_rejects_only_empty_polytopes(monkeypatch):
         restricted = rng.sample(inst.ids(), rng.randint(1, inst.n)) if i % 2 else None
         radii = candidate_radii(inst)
         for lam in sorted(rng.sample(radii, min(4, len(radii)))):
-            sys = build_polytope(inst, lam, restricted)
-            if not np.bincount(sys.pair_client, minlength=inst.n).all():
+            pairs = radius_pairs(inst, lam, restricted)
+            if not np.bincount(pairs.pair_client, minlength=inst.n).all():
                 continue
-            before = calls[0]
-            frac = check_feasible(sys)
-            if calls[0] == before:
-                assert frac is None
-                assert _solve_highs(sys) is None
+            if not passes_prechecks(pairs):
+                # the rung is rejected without a solve, and the polytope is empty
+                before = calls[0]
+                assert fair_k_center(inst, lam, restricted) is None
+                assert calls[0] == before
+                assert _solve_highs(polytope_on(inst, pairs)) is None
                 rejected += 1
     assert rejected >= 300
 

@@ -9,7 +9,6 @@ from cappedkc import (
     FacilityMap,
     FractionalSolution,
     Instance,
-    Point,
     build_polytope,
     candidate_radii,
     check_capped,
@@ -57,8 +56,7 @@ def test_select_line_example():
     # explicit metric, ids 10..13 at positions 0..3: a facility joins the first
     # opened one within 2*lam (inclusive), not the nearest
     dm = np.array([[0, 5, 2, 3], [5, 0, 1, 2.5], [2, 1, 0, 4], [3, 2.5, 4, 0]], dtype=float)
-    points = [Point(10 + p, (0.0,), 0) for p in range(4)]
-    inst = Instance(points, k=4, alpha=1.0, dist_matrix=dm)
+    inst = Instance(np.zeros((4, 1)), [0] * 4, k=4, alpha=1.0, ids=np.arange(10, 14), dist_matrix=dm)
     fmap = select_separated_facilities(inst, 1.0)
     assert fmap.opened.tolist() == [0, 1, 3]
     assert fmap.theta.tolist() == [0, 1, 0, 3]
@@ -140,7 +138,7 @@ def test_fair_k_center_rejects_a_separated_set_larger_than_k():
     # are more than 2*lam apart, so separation opens two facilities for k = 1
     inst = make_instance([(0.0,), (1 + 5e-13,), (2 + 1e-12,)], [0, 0, 0], k=1, alpha=1.0)
     dm = np.array([[0, 1, 10], [1, 0, 1], [10, 1, 0]], dtype=float)
-    not_metric = Instance([Point(p, (), 0) for p in range(3)], k=1, alpha=1.0, dist_matrix=dm)
+    not_metric = Instance(np.empty((3, 0)), [0, 0, 0], k=1, alpha=1.0, dist_matrix=dm)
     for case in (inst, not_metric):
         assert check_feasible(build_polytope(case, 1.0)) is not None
         assert select_separated_facilities(case, 1.0).opened.tolist() == [0, 2]
