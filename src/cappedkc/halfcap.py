@@ -161,7 +161,7 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
     comps: list[tuple[int, ...]] = []
     n_near = n_wide = 0
     decomposed: dict[tuple[int, ...], tuple[int, tuple[Caplet, ...] | None]] = {}
-    last_reps: np.ndarray | None = None
+    last_reps: tuple[int, ...] | None = None
 
     radii = np.array(candidate_radii(inst))
     radii = radii[2.0 * radii >= no_singletons]
@@ -185,17 +185,16 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
                 members = [j for cap in caplets for j in cap.members]
                 sizes = [len(cap.members) for cap in caplets]
                 rep_pos = np.minimum.reduceat(inst.positions(members), np.cumsum(sizes) - sizes)
-                reps = np.unique(rep_pos)
+                reps = tuple(inst.ids_at(np.unique(rep_pos)).tolist())
         if caplets is None:
             continue
 
-        if not np.array_equal(reps, last_reps):
+        if reps != last_reps:
             last_reps = reps
-            gsol, gcost = greedy_k_center(inst, subset=inst.ids_at(reps))
+            gsol, gcost = greedy_k_center(inst, subset=reps)
         if gcost > 2.0 * lam + ACCEPT_TOL:
             continue
 
-        # every member follows its caplet's representative
         centers = [gsol.assign[rep] for rep in inst.ids_at(rep_pos).tolist()]
         sol = ClusteringSolution(gsol.centers, dict(zip(members, np.repeat(centers, sizes).tolist())))
         if return_info:

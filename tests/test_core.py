@@ -150,8 +150,10 @@ def test_positions_map_ids_and_flag_unknown_ones():
     for ids in ([4, 2, 9, 0], [10**12, -5, 77, 3]):  # a short id range and a wide one
         inst = make_instance([(float(j),) for j in range(4)], [0] * 4, k=1, alpha=1.0, ids=ids)
         assert inst.positions(ids[::-1]).tolist() == [3, 2, 1, 0]
+        assert [inst.pos(i) for i in ids[::-1]] == [3, 2, 1, 0]
         assert inst.positions([1, 10, -6, 10**13]).tolist() == [-1, -1, -1, -1]
         assert inst.ids_at(np.array([2, 0])).tolist() == [ids[2], ids[0]]
+        assert [inst.id_at(p) for p in (2, 0)] == [ids[2], ids[0]]
 
 
 UNKNOWN_ID_CALLS = {
@@ -160,6 +162,7 @@ UNKNOWN_ID_CALLS = {
     "radius_pairs": lambda inst, ids: radius_pairs(inst, 1.0, ids),
     "one_center_stop": lambda inst, ids: one_center_stop(inst, ids, 1.0, 2.0),
     "greedy_k_center": lambda inst, ids: greedy_k_center(inst, subset=ids),
+    "pos": lambda inst, ids: [inst.pos(i) for i in ids],
 }
 
 
@@ -329,19 +332,6 @@ def test_instance_rejects_bad_dist_matrix():
     for reason, matrix in bad.items():
         with pytest.raises(InputError, match=reason):
             Instance(graph, [0, 1], k=1, alpha=0.5, dist_matrix=np.array(matrix))
-
-
-def test_pos_and_id_at_agree_with_the_array_lookups():
-    rng = np.random.default_rng(3)
-    ids = rng.choice(1000, size=50, replace=False)  # out of position order
-    inst = make_instance(rng.standard_normal((50, 2)), [0] * 50, k=1, alpha=1.0, ids=ids)
-    pos = rng.permutation(50)
-    assert [inst.pos(i) for i in ids[pos].tolist()] == inst.positions(ids[pos]).tolist()
-    assert [inst.id_at(p) for p in pos.tolist()] == inst.ids_at(pos).tolist() == ids[pos].tolist()
-    missing = int(np.setdiff1d(np.arange(1000), ids)[0])
-    for unknown in (missing, -1, 1000):
-        with pytest.raises(InputError, match=f"point id {unknown} names no point"):
-            inst.pos(unknown)
 
 
 def test_instance_keeps_its_own_read_only_arrays():
