@@ -196,7 +196,8 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
             continue
 
         centers = [gsol.assign[rep] for rep in inst.ids_at(rep_pos).tolist()]
-        sol = ClusteringSolution(gsol.centers, dict(zip(members, np.repeat(centers, sizes).tolist())))
+        assign = dict(zip(members, np.repeat(centers, sizes).tolist()))
+        sol = ClusteringSolution(gsol.centers, assign)
         if return_info:
             return sol, {"lambda": lam, "caplets": tuple(caplets), "greedy_cost": gcost}
         return sol

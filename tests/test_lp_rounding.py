@@ -56,7 +56,8 @@ def test_select_line_example():
     # explicit metric, ids 10..13 at positions 0..3: a facility joins the first
     # opened one within 2*lam (inclusive), not the nearest
     dm = np.array([[0, 5, 2, 3], [5, 0, 1, 2.5], [2, 1, 0, 4], [3, 2.5, 4, 0]], dtype=float)
-    inst = Instance(np.zeros((4, 1)), [0] * 4, k=4, alpha=1.0, ids=np.arange(10, 14), dist_matrix=dm)
+    ids = np.arange(10, 14)
+    inst = Instance(np.zeros((4, 1)), [0] * 4, k=4, alpha=1.0, ids=ids, dist_matrix=dm)
     fmap = select_separated_facilities(inst, 1.0)
     assert fmap.opened.tolist() == [0, 1, 3]
     assert fmap.theta.tolist() == [0, 1, 0, 3]
