@@ -95,7 +95,5 @@ def lloyd_round(
 
 
 def random_centers(inst: Instance, seed: int) -> np.ndarray:
-    """k distinct uniformly random center positions, ascending, deterministic per seed."""
-    if inst.k > inst.n:
-        raise InputError("k exceeds the number of points")
-    return np.array(sorted(random.Random(seed).sample(range(inst.n), inst.k)))
+    """min(k, n) distinct uniformly random center positions, ascending, deterministic per seed."""
+    return np.array(sorted(random.Random(seed).sample(range(inst.n), min(inst.k, inst.n))))

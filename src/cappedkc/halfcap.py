@@ -125,7 +125,7 @@ def _decompose_components(
     return caplets
 
 
-def non_dominant_k_center(inst: Instance, return_info: bool = False):
+def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
     """Half-capped clustering via caplet decomposition of threshold components.
 
     Scans candidate radii in ascending order; at each radius, components of
@@ -133,8 +133,8 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
     representative per caplet is clustered greedily, and the radius is
     accepted when the greedy cost stays within 2*lam.  Every caplet follows
     its representative, so no cluster ever has a color majority and the cost
-    stays within 12 times the accepted radius.  With return_info the
-    accepted radius and the caplets come back alongside the solution.
+    stays within 12 times the accepted radius, which comes back with the
+    solution.
 
     The scan is one pass over the differently-colored pairs, sorted once by
     distance: each radius takes the <= 2*lam and <= 10*lam prefixes of that
@@ -197,9 +197,6 @@ def non_dominant_k_center(inst: Instance, return_info: bool = False):
 
         centers = [gsol.assign[rep] for rep in inst.ids_at(rep_pos).tolist()]
         assign = dict(zip(members, np.repeat(centers, sizes).tolist()))
-        sol = ClusteringSolution(gsol.centers, assign)
-        if return_info:
-            return sol, {"lambda": lam, "caplets": tuple(caplets), "greedy_cost": gcost}
-        return sol
+        return ClusteringSolution(gsol.centers, assign), lam
 
     raise InfeasibleInstance("no radius admits a caplet decomposition with a greedy cover")

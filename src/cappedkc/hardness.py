@@ -60,23 +60,21 @@ def hardness_instance(seed: BipartiteSeed) -> Instance:
     u_b, u_r = n2 - tr, n1 - tb
 
     colors: list[int] = []
-    groups: dict[str, list[int]] = {}
 
-    def layer(name: str, size: int, color: int) -> list[int]:
+    def layer(size: int, color: int) -> list[int]:
         start = len(colors)
         colors.extend([color] * size)
-        groups[name] = list(range(start, start + size))
-        return groups[name]
+        return list(range(start, start + size))
 
     RED, BLUE = 0, 1
-    r1 = layer("R1", n1, RED)
-    b1 = layer("B1", n2, BLUE)
-    r2 = layer("R2", n1, RED)
-    b2 = layer("B2", n2, BLUE)
-    b3 = layer("B3", u_b, BLUE)
-    r3 = layer("R3", u_r, RED)
-    r4 = layer("R4", 2 * u_b, RED)
-    b4 = layer("B4", 2 * u_r, BLUE)
+    r1 = layer(n1, RED)
+    b1 = layer(n2, BLUE)
+    r2 = layer(n1, RED)
+    b2 = layer(n2, BLUE)
+    b3 = layer(u_b, BLUE)
+    r3 = layer(u_r, RED)
+    r4 = layer(2 * u_b, RED)
+    b4 = layer(2 * u_r, BLUE)
 
     edges: list[tuple[int, int]] = []
     edges += [(r1[a], b1[b]) for a, b in seed.edges]
@@ -94,9 +92,9 @@ def hardness_instance(seed: BipartiteSeed) -> Instance:
         labels.append(f"c{tau}")
         # pad the star clusters: 2*tr extra-color nodes next to the blue side
         # of layer one, 2*tb next to the red side
-        c2b = layer(f"C{tau}_2b", 2 * tr, color)
-        c2r = layer(f"C{tau}_2r", 2 * tb, color)
-        c4 = layer(f"C{tau}_4", 2 * len(l3), color)
+        c2b = layer(2 * tr, color)
+        c2r = layer(2 * tb, color)
+        c4 = layer(2 * len(l3), color)
         edges += [(a, b) for a in b1 for b in c2b]
         edges += [(a, b) for a in r1 for b in c2r]
         edges += [(l3[i], c4[2 * i + s]) for i in range(len(l3)) for s in (0, 1)]

@@ -109,8 +109,12 @@ def lambda_grid(inst: Instance, lam_greedy: float, lam_anchor: float, epsilon: f
     return [0.0] + _grid(float(positive.min()), hi, epsilon)
 
 
-def faster_algorithm(inst: Instance, cfg: RunConfig, return_info: bool = False):
+def faster_algorithm(inst: Instance, cfg: RunConfig) -> tuple[ClusteringSolution, float]:
     """Coreset-restricted grid search: round the first radius with a non-empty polytope.
+
+    Returns the solution and the rung lambda where the output became fixed:
+    every earlier rung was rejected by `fair_k_center`, and the cost is at
+    most 3*lambda.
 
     The facility variables are restricted to m*k greedy centers and the
     radius ladder grows by (1+epsilon) factors, so few and small systems are
@@ -121,9 +125,7 @@ def faster_algorithm(inst: Instance, cfg: RunConfig, return_info: bool = False):
     |c| <= alpha*n at any of its points), so it raises InfeasibleInstance
     before the ladder.  And the ladder stops at the first rung where
     `one_center_stop` shows that the rounding can only give one cluster from
-    there on.  `return_info["lambda"]` is the rung where the output became
-    fixed: every earlier rung was rejected by `fair_k_center`, and the cost
-    is at most 3*lambda.
+    there on.
     """
     if cfg.algorithm != "lp":
         raise InputError("faster_algorithm drives the lp route")
@@ -145,15 +147,7 @@ def faster_algorithm(inst: Instance, cfg: RunConfig, return_info: bool = False):
         else:
             sol = fair_k_center(work, lam, restricted=coreset)
         if sol is not None:
-            if return_info:
-                return sol, {
-                    "lambda": lam,
-                    "grid": grid,
-                    "coreset": coreset,
-                    "greedy_cost": lam_greedy,
-                    "anchor_radius": lam_anchor,
-                }
-            return sol
+            return sol, lam
     raise InfeasibleInstance("no radius in the grid admits a capped assignment")
 
 
@@ -240,7 +234,8 @@ def evaluate(inst: Instance, cfg: RunConfig) -> CappedInstanceReport:
             sol = solution_at(work, centers, cpos)
             cost = rand_cost
         else:
-            sol = non_dominant_k_center(work) if cfg.algorithm == "half" else faster_algorithm(work, cfg)
+            half = cfg.algorithm == "half"
+            sol, _ = non_dominant_k_center(work) if half else faster_algorithm(work, cfg)
             cpos = center_positions(work, sol)
             cost = float(work.dist_paired(cpos).max())
     except InfeasibleInstance:

@@ -79,6 +79,21 @@ def test_main_json_deterministic_bytes(tmp_path, capsys):
     assert "wall_ms" not in payload
 
 
+@pytest.mark.parametrize("algo", ["lp", "half", "greedy", "random"])
+def test_main_default_k_above_n(tmp_path, capsys, algo):
+    # the default --k 25 exceeds the 8 points; no baseline may refuse that
+    path = write(
+        tmp_path,
+        "eight.csv",
+        "id,color,x0,x1\n0,r,0,0\n1,b,0,1\n2,r,1,1\n3,b,1,0\n"
+        "4,r,5,5\n5,b,5,6\n6,r,6,6\n7,b,6,5\n",
+    )
+    assert main(["--input", str(path), "--alpha", "0.5", "--algo", algo, "--no-wall"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "ok" and payload["params"]["k"] == 25
+    assert 1 <= len(payload["centers"]) <= 8 and len(payload["assignment"]) == 8
+
+
 def test_main_wall_time_present_by_default(tmp_path, capsys):
     path = square_csv(tmp_path)
     assert main(["--input", str(path), "--k", "2", "--alpha", "0.5", "--algo", "greedy"]) == 0

@@ -1,9 +1,8 @@
 import random
 
 import numpy as np
-import pytest
 
-from cappedkc import InputError, Instance, greedy_k_center, make_instance, solution_cost
+from cappedkc import Instance, greedy_k_center, make_instance, solution_cost
 from cappedkc.core import nearest_positions
 from cappedkc.greedy import lloyd_round, random_centers
 from conftest import line_instance, reference_one_center
@@ -141,7 +140,7 @@ def test_random_baseline_full_k():
     assert random_centers(inst, 0).tolist() == [0, 1, 2]
 
 
-def test_random_baseline_k_too_large():
+def test_random_baseline_k_above_n_takes_every_point():
+    # min(k, n) centers, as farthest_first opens
     inst = line_instance([0, 1], k=2)
-    with pytest.raises(InputError):
-        random_centers(inst.with_params(k=3), 0)
+    assert random_centers(inst.with_params(k=3), 0).tolist() == [0, 1]

@@ -45,9 +45,9 @@ def test_threshold_boundary_inclusive():
     # the scan too: the r-b pairs at distance 2 join at lam = 1, where 2*lam == 2
     dm = np.array([[0, 2, 1, 3], [2, 0, 3, 1], [1, 3, 0, 2], [3, 1, 2, 0]], dtype=float)
     inst = Instance(np.empty((4, 0)), [0, 1, 0, 1], k=2, alpha=0.5, dist_matrix=dm)
-    _, info = non_dominant_k_center(inst, return_info=True)
-    assert info["lambda"] == 1.0
-    assert [c.members for c in info["caplets"]] == [(0, 1), (2, 3)]
+    _, lam, caplets, _ = _recorded_scan(inst)
+    assert lam == 1.0
+    assert [c.members for c in caplets] == [(0, 1), (2, 3)]
 
 
 def test_components():
@@ -90,9 +90,9 @@ def test_decompose_singleton_none():
 
 
 def test_unit_square_pairs(unit_square):
-    sol, info = non_dominant_k_center(unit_square, return_info=True)
+    sol, lam = non_dominant_k_center(unit_square)
     assert solution_cost(unit_square, sol) == 1.0
-    assert info["lambda"] == 1.0
+    assert lam == 1.0
     assert check_capped(unit_square, sol)
     clusters = sorted(tuple(m) for m in sol.clusters().values())
     assert clusters == [(0, 2), (1, 3)] or clusters == [(0, 3), (1, 2)]
@@ -102,7 +102,7 @@ def test_coincident_balanced_pairs_zero_cost():
     inst = make_instance(
         [(0.0,), (0.0,), (3.0,), (3.0,)], ["r", "b", "r", "b"], k=2, alpha=0.5
     )
-    sol = non_dominant_k_center(inst)
+    sol, _ = non_dominant_k_center(inst)
     assert solution_cost(inst, sol) == 0.0
     assert check_capped(inst, sol)
 
@@ -128,15 +128,14 @@ def test_random_instances_exact_caps_and_structure():
             rng, n=n, n_colors=rng.choice([2, 3]), k=rng.randint(1, 3), alpha=0.5
         )
         try:
-            sol, info = non_dominant_k_center(inst, return_info=True)
+            sol, lam, caplets, _ = _recorded_scan(inst)
         except InfeasibleInstance:
             continue
         solved += 1
         # caps hold exactly, clusters never have a majority color
         assert check_capped(inst, sol)
-        lam = info["lambda"]
         # caplet members stay together and stay close
-        for cap in info["caplets"]:
+        for cap in caplets:
             members = list(cap.members)
             anchors = {sol.assign[j] for j in members}
             assert len(anchors) == 1
@@ -311,9 +310,28 @@ def _scan_outcome(fn, inst):
     return sol.centers, list(sol.assign.items()), lam, caplet_members, gcost
 
 
-def _new_scan(inst):
-    sol, info = non_dominant_k_center(inst, return_info=True)
-    return sol, info["lambda"], info["caplets"], info["greedy_cost"]
+def _recorded_scan(inst):
+    """non_dominant_k_center's (solution, radius), plus the caplets and greedy cost it accepted.
+
+    Both are the last values the scan computed: it reuses them until they change.
+    """
+    caplets, gcosts = [], []
+    decompose, greedy = halfcap._decompose_components, halfcap.greedy_k_center
+
+    def recording_decompose(*args):
+        caplets.append(decompose(*args))
+        return caplets[-1]
+
+    def recording_greedy(*args, **kwargs):
+        out = greedy(*args, **kwargs)
+        gcosts.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(halfcap, "_decompose_components", recording_decompose)
+        patch.setattr(halfcap, "greedy_k_center", recording_greedy)
+        sol, lam = non_dominant_k_center(inst)
+    return sol, lam, tuple(caplets[-1]), gcosts[-1]
 
 
 def _equivalence_instance(rng: random.Random) -> Instance:
@@ -356,7 +374,7 @@ def test_scan_matches_reference_on_random_instances():
     for _ in range(320):
         inst = _equivalence_instance(rng)
         expected = _scan_outcome(_reference_non_dominant_k_center, inst)
-        assert _scan_outcome(_new_scan, inst) == expected
+        assert _scan_outcome(_recorded_scan, inst) == expected
         solved += expected is not None
         # the scan's differently-colored pairs within tau are the reference edges
         tau = rng.choice(candidate_radii(inst))
@@ -374,7 +392,7 @@ def test_scan_matches_reference_on_criterion_7_instance():
     inst = _criterion_7_instance()
     expected = _scan_outcome(_reference_non_dominant_k_center, inst)
     assert expected is not None
-    assert _scan_outcome(_new_scan, inst) == expected
+    assert _scan_outcome(_recorded_scan, inst) == expected
 
 
 def test_scan_never_repeats_a_decomposition(monkeypatch):

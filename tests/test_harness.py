@@ -143,22 +143,39 @@ def test_lambda_grid_degenerate_greedy_cost():
     assert grid[0] == 0.0 and grid[1] == 5.0 and grid[-1] == 10.0
 
 
-def test_faster_algorithm_unit_square(unit_square):
+def _recorded_walk(monkeypatch, inst, cfg):
+    """faster_algorithm's (solution, lambda), plus the coreset and the rungs of its walk."""
+    calls = []
+
+    def recording(work, restricted, lam, top):
+        calls.append((restricted, lam))
+        return one_center_stop(work, restricted, lam, top)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "one_center_stop", recording)
+        sol, lam = faster_algorithm(inst, cfg)
+    coresets = {tuple(restricted) for restricted, _ in calls}
+    assert len(coresets) == 1  # every rung restricts to the same coreset
+    return sol, lam, list(coresets.pop()), [rung for _, rung in calls]
+
+
+def test_faster_algorithm_unit_square(unit_square, monkeypatch):
     cfg = RunConfig(k=2, alpha=0.5, epsilon=0.1, m=2, algorithm="lp", seed=0)
-    sol, info = faster_algorithm(unit_square, cfg, return_info=True)
-    assert info["greedy_cost"] == 1.0
-    assert info["lambda"] <= 0.5 * 1.1**8 + 1e-12
-    assert solution_cost(unit_square, sol) <= 3 * info["lambda"] + 1e-7
+    sol, lam, coreset, rungs = _recorded_walk(monkeypatch, unit_square, cfg)
+    # the ladder starts at half the greedy cost
+    assert greedy_k_center(unit_square.with_params(k=2))[1] == 1.0 == 2 * rungs[0]
+    assert lam == rungs[-1] <= 0.5 * 1.1**8 + 1e-12
+    assert solution_cost(unit_square, sol) <= 3 * lam + 1e-7
     assert max_additive_violation(unit_square, sol, 0.5) <= 1
     # m=2, k=2 on four points: the coreset is everything
-    assert info["coreset"] == [0, 1, 2, 3]
+    assert coreset == [0, 1, 2, 3]
 
 
-def test_faster_algorithm_m1_coreset_is_greedy(unit_square):
+def test_faster_algorithm_m1_coreset_is_greedy(unit_square, monkeypatch):
     cfg = RunConfig(k=2, alpha=0.5, epsilon=0.1, m=1, algorithm="lp")
-    _, info = faster_algorithm(unit_square, cfg, return_info=True)
+    _, _, coreset, _ = _recorded_walk(monkeypatch, unit_square, cfg)
     gsol, _ = greedy_k_center(unit_square.with_params(k=2))
-    assert tuple(info["coreset"]) == gsol.centers
+    assert tuple(coreset) == gsol.centers
 
 
 def test_faster_algorithm_infeasible_alpha():
@@ -167,28 +184,33 @@ def test_faster_algorithm_infeasible_alpha():
         faster_algorithm(inst, RunConfig(k=2, alpha=0.4))
 
 
-def test_faster_algorithm_accepts_first_feasible():
+def test_faster_algorithm_accepts_first_feasible(monkeypatch):
     rng = random.Random(88)
     inst = random_capped_instance(rng, n=9, n_colors=3, k=2, alpha=0.5)
     cfg = RunConfig(k=2, alpha=0.5, epsilon=0.2, m=3)
-    sol, info = faster_algorithm(inst, cfg, return_info=True)
-    assert solution_cost(inst, sol) <= 3 * info["lambda"] + 1e-7
-    homing = [lam for lam in info["grid"] if lam < info["lambda"]]
+    sol, lam, coreset, rungs = _recorded_walk(monkeypatch, inst, cfg)
+    assert solution_cost(inst, sol) <= 3 * lam + 1e-7
+    homing = [rung for rung in rungs if rung < lam]
     # nothing before the accepted radius may admit a capped assignment
     from cappedkc import build_polytope, check_feasible
 
-    for lam in homing:
-        assert check_feasible(build_polytope(inst, lam, info["coreset"])) is None
+    for rung in homing:
+        assert check_feasible(build_polytope(inst, rung, coreset)) is None
+
+
+def _ladder(inst, cfg):
+    """faster_algorithm's ladder rebuilt from public parts: (work instance, coreset, grid)."""
+    work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
+    _, lam_greedy = greedy_k_center(work)
+    coreset = list(greedy_k_center(work.with_params(k=cfg.m * cfg.k))[0].centers)
+    grid = lambda_grid(work, lam_greedy, float(work.dist_row(0).max()), cfg.epsilon)
+    return work, coreset, grid
 
 
 def _reference_faster_algorithm(inst, cfg):
     """The plain ladder walk, with no stop rule and no up-front check: (solution, rung)."""
-    work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
-    lam_anchor = float(work.dist_row(0).max())
-    _, lam_greedy = greedy_k_center(work)
-    coreset_sol, _ = greedy_k_center(work.with_params(k=cfg.m * cfg.k))
-    coreset = list(coreset_sol.centers)
-    for lam in lambda_grid(work, lam_greedy, lam_anchor, cfg.epsilon):
+    work, coreset, grid = _ladder(inst, cfg)
+    for lam in grid:
         sol = fair_k_center(work, lam, restricted=coreset)
         if sol is not None:
             return sol, lam
@@ -286,7 +308,7 @@ def test_one_center_stop_matches_ladder_walk(monkeypatch):
             patch.setattr(scipy.optimize, "linprog", counting_linprog)
             patch.setattr(harness, "fair_k_center", recording_fair_k_center)
             try:
-                sol, info = faster_algorithm(inst, cfg, return_info=True)
+                sol, lam = faster_algorithm(inst, cfg)
                 got = ("ok", sol.centers, sol.assign)
             except (InfeasibleInstance, InputError) as exc:
                 got = (type(exc).__name__,)
@@ -304,23 +326,22 @@ def test_one_center_stop_matches_ladder_walk(monkeypatch):
 
         # the rung reported is the first that meets the one-center certificate,
         # checked here from its parts, or else the walk's own accepted rung
-        work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
-        coreset, grid = info["coreset"], info["grid"]
+        work, coreset, grid = _ladder(inst, cfg)
         core_pos = np.array(sorted(work.pos(i) for i in coreset))
         fits = _one_center_point_in(work, grid[-1], coreset)
         stop = next(
             (
-                lam
-                for lam in grid
-                if lam < ref_lam
+                rung
+                for rung in grid
+                if rung < ref_lam
                 and fits
-                and len(select_separated_facilities(work, lam, core_pos).opened) == 1
-                and (work.dist_row(core_pos[0]) <= 3.0 * lam).all()
+                and len(select_separated_facilities(work, rung, core_pos).opened) == 1
+                and (work.dist_row(core_pos[0]) <= 3.0 * rung).all()
             ),
             ref_lam,
         )
-        assert info["lambda"] == stop, (inst.n, cfg)
-        assert solution_cost(inst, sol) <= 3.0 * info["lambda"] + 1e-7
+        assert lam == stop, (inst.n, cfg)
+        assert solution_cost(inst, sol) <= 3.0 * lam + 1e-7
 
     print(f"one-center stop pool: {len(pool)} instances, paths {paths}")
     assert len(pool) >= 300
@@ -402,10 +423,7 @@ def test_one_center_stop_is_sound_for_any_facility_set():
 
 def _stop_rungs(inst, cfg, stop):
     """`stop`'s verdict on every rung of faster_algorithm's ladder for (inst, cfg)."""
-    work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
-    _, lam_greedy = greedy_k_center(work)
-    coreset = list(greedy_k_center(work.with_params(k=cfg.m * cfg.k))[0].centers)
-    grid = lambda_grid(work, lam_greedy, float(work.dist_row(0).max()), cfg.epsilon)
+    work, coreset, grid = _ladder(inst, cfg)
     return [stop(work, coreset, lam, grid[-1]) for lam in grid]
 
 

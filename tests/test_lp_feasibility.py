@@ -612,11 +612,12 @@ def test_ladder_stacks_the_coreset_rows_once(monkeypatch):
         return out
 
     def counting_pairs(*args, **kwargs):
-        pair_calls.append(args[1])
+        pair_calls.append(len(args[2]))  # the coreset each rung is restricted to
         return pairs(*args, **kwargs)
 
     monkeypatch.setattr(np, "stack", counting_stack)
     monkeypatch.setattr(lp_rounding, "radius_pairs", counting_pairs)
-    _, info = faster_algorithm(inst, cfg, return_info=True)
+    faster_algorithm(inst, cfg)
     assert len(pair_calls) == 4  # the rungs before the one-center stop, each rejected by the pre-checks
-    assert shapes.count((len(info["coreset"]), inst.n)) == 1
+    (coreset_size,) = set(pair_calls)
+    assert shapes.count((coreset_size, inst.n)) == 1
