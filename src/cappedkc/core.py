@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,6 +44,10 @@ class ClusteringSolution:
 
 
 def _check_params(k: int, alpha: float) -> None:
+    try:
+        operator.index(k)
+    except TypeError:
+        raise InputError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise InputError("k must be >= 1")
     if not (0.0 < alpha <= 1.0):

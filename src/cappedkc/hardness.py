@@ -150,14 +150,15 @@ def t_star_decomposition_exists(seed: BipartiteSeed, star_size: int) -> bool:
 
 
 def _capped_system(inst: Instance, radius: float):
-    """The 0/1 program behind capped_opt as (A, lb, ub) in CSC form.
+    """The 0/1 program behind capped_opt as (A, lb, ub, fac, client), A in CSC form.
 
     Columns are one opening y_i per point, then one assignment x_ij per pair
     with d(i, j) <= radius, in (facility, client) position order.  Rows are
     unit coverage per client, x_ij <= y_i per pair, one cap row per
     (facility with a pair, color) listing every pair of the facility, then
     the budget row sum_i y_i <= k.  The cap rows are scaled to integer
-    coefficients when 1/alpha is an integer.  None when some client has no
+    coefficients when 1/alpha is an integer.  `fac` and `client` are the
+    pairs' positions, in column order.  None when some client has no
     facility in radius.
     """
     n, nc = inst.n, inst.n_colors
@@ -190,7 +191,7 @@ def _capped_system(inst: Instance, radius: float):
     )
     lb = np.concatenate([np.ones(n), np.full(budget_row + 1 - n, -np.inf)])
     ub = np.concatenate([np.ones(n), np.zeros(budget_row - n), [float(inst.k)]])
-    return A, lb, ub
+    return A, lb, ub, fac, client
 
 
 def _capped_solution(inst: Instance, radius: float) -> ClusteringSolution | None:
@@ -204,7 +205,7 @@ def _capped_solution(inst: Instance, radius: float) -> ClusteringSolution | None
     system = _capped_system(inst, radius)
     if system is None:
         return None
-    A, lb, ub = system
+    A, lb, ub, fac, client = system
     res = milp(
         c=np.zeros(A.shape[1]),
         constraints=LinearConstraint(A, lb, ub),
@@ -215,7 +216,6 @@ def _capped_solution(inst: Instance, radius: float) -> ClusteringSolution | None
         return None
     if res.status != 0:
         raise RuntimeError(f"milp failed with status {res.status}: {res.message}")
-    fac, client = np.nonzero(inst.pairwise() <= radius)
     chosen = res.x[inst.n :] > 0.5
     ids = np.array(inst.ids())
     centers = tuple(sorted(ids[np.unique(fac[chosen])].tolist()))

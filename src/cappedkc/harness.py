@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -40,8 +41,18 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "m", "seed"):
+            given = getattr(self, name)
+            try:
+                # numpy integers become ints, so the report serializes
+                object.__setattr__(self, name, operator.index(given))
+            except TypeError:
+                raise InputError(f"{name} must be an integer, got {given!r}") from None
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise InputError("epsilon must be positive and finite")
+        if 1.0 + self.epsilon == 1.0:
+            # the radius ladder multiplies by 1 + epsilon and would never grow
+            raise InputError(f"epsilon {self.epsilon!r} is too small to grow the radius ladder")
         if self.m < 1:
             raise InputError("m must be >= 1")
         if self.algorithm not in ("greedy", "random", "lp", "half"):

@@ -20,19 +20,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass
-class Block:
-    """One constraint family: local sparse rows, a shared relation, and rhs."""
-
-    family: str
-    relation: str  # "<=", ">=" or "=="
-    rows: np.ndarray
-    cols: np.ndarray
-    data: np.ndarray
-    n_rows: int
-    rhs: np.ndarray
-
-
-@dataclass
 class RadiusPairs:
     """The (facility, client) pairs within radius lam, by point position.
 
@@ -56,19 +43,27 @@ class LinearSystem(RadiusPairs):
 
     Column order is all y variables (facility position order), then all x
     variables in pair order, then one load column L_i per facility in the y
-    order.  `lower`/`upper` hold the per-column bounds: [0, 1] for y and x,
-    [0, inf) for L.  Pairs farther than the radius simply have no column.
-    Columns are described by point positions: `facility_pos` for the y (and
-    L) columns, and the pair arrays for the x columns.
+    order.  Every column is at least 0; `upper` holds the upper bounds: 1
+    for y and x, inf for L.  Pairs farther than the radius simply have no
+    column.  Columns are described by point positions: `facility_pos` for
+    the y (and L) columns, and the pair arrays for the x columns.
+
+    The rows are the CSR matrices HiGHS reads, `a_eq @ v == b_eq` and
+    `a_ub @ v <= b_ub`.  `families` maps each constraint family, in the
+    order cover, open, load, colorcap, minload, budget, to its rows of the
+    stacked matrix [a_eq; a_ub]: cover and load are the equality rows.
     """
 
-    blocks: list[Block]
-    lower: np.ndarray
+    a_eq: sp.csr_matrix
+    b_eq: np.ndarray
+    a_ub: sp.csr_matrix
+    b_ub: np.ndarray
+    families: dict[str, slice]
     upper: np.ndarray
 
     @property
     def n_vars(self) -> int:
-        return self.lower.size
+        return self.upper.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,72 +129,51 @@ def polytope_on(inst: Instance, pairs: RadiusPairs) -> LinearSystem:
     minimum load L_i >= ceil(1/alpha) * y_i (`minload`), and the opening
     budget.  Each x column appears in exactly one cap row, so the system has
     5 * pairs + cap rows + 4 * facilities nonzeros.  Its projection onto
-    (x, y) is the polytope with L_i substituted out.  Column bounds are in
-    `lower`/`upper`.
+    (x, y) is the polytope with L_i substituted out.
     """
     fac_pos, pj, pc = pairs.facility_pos, pairs.pair_client, pairs.pair_color
     n, nf = inst.n, len(fac_pos)
     # pf is the pair facility's local index (its y column)
     pf = np.searchsorted(fac_pos, pairs.pair_facility)
     n_pairs = pj.size
+    n_vars = nf + n_pairs + nf
     fac = np.arange(nf)
-    xcols = nf + np.arange(n_pairs)
+    pair = np.arange(n_pairs)
+    xcols = nf + pair
     lcols = nf + n_pairs + fac
     ones = np.ones(n_pairs)
 
-    # per-facility color caps: sum_{j in color c} x_ij - alpha * L_i <= 0,
-    # one row per (facility, color) pair with an in-radius client of color c
+    # one cap row per (facility, color) pair with an in-radius client of color c
     keys, cap_rows = np.unique(pf * inst.n_colors + pc, return_inverse=True)
     n_cap = keys.size
     cap_fac = keys // inst.n_colors
+    # the first inequality row of colorcap, minload and budget
+    cap0, min0, budget = n_pairs, n_pairs + n_cap, n_pairs + n_cap + nf
 
-    load = ceil_inv_alpha(inst.alpha)
-    blocks = [
-        # coverage: each client receives exactly one unit of assignment
-        Block("cover", "==", pj, xcols, ones, n, np.ones(n)),
-        # x_ij <= y_i
-        Block(
-            "open",
-            "<=",
-            np.tile(np.arange(n_pairs), 2),
-            np.concatenate([xcols, pf]),
-            np.concatenate([ones, -ones]),
-            n_pairs,
-            np.zeros(n_pairs),
-        ),
-        # L_i - sum_j x_ij = 0
-        Block(
-            "load",
-            "==",
-            np.concatenate([fac, pf]),
-            np.concatenate([lcols, xcols]),
-            np.concatenate([np.ones(nf), -ones]),
-            nf,
-            np.zeros(nf),
-        ),
-        Block(
-            "colorcap",
-            "<=",
-            np.concatenate([cap_rows, np.arange(n_cap)]),
-            np.concatenate([xcols, lcols[cap_fac]]),
-            np.concatenate([ones, np.full(n_cap, -inst.alpha)]),
-            n_cap,
-            np.zeros(n_cap),
-        ),
-        # open facilities must carry at least ceil(1/alpha) clients of mass
-        Block(
-            "minload",
-            ">=",
-            np.tile(fac, 2),
-            np.concatenate([lcols, fac]),
-            np.concatenate([np.ones(nf), np.full(nf, -float(load))]),
-            nf,
-            np.zeros(nf),
-        ),
-        # opening budget
-        Block("budget", "<=", np.zeros(nf, int), fac, np.ones(nf), 1, np.array([float(inst.k)])),
-    ]
-
+    a_eq = _csr(
+        (n + nf, n_vars),
+        # cover: each client receives exactly one unit of assignment
+        (pj, xcols, ones),
+        # load: L_i - sum_j x_ij = 0
+        (n + fac, lcols, np.ones(nf)),
+        (n + pf, xcols, -ones),
+    )
+    a_ub = _csr(
+        (budget + 1, n_vars),
+        # open: x_ij - y_i <= 0
+        (pair, xcols, ones),
+        (pair, pf, -ones),
+        # colorcap: sum_{j in c} x_ij - alpha * L_i <= 0
+        (cap0 + cap_rows, xcols, ones),
+        (cap0 + np.arange(n_cap), lcols[cap_fac], np.full(n_cap, -inst.alpha)),
+        # minload: ceil(1/alpha) * y_i - L_i <= 0, so an open facility
+        # carries at least ceil(1/alpha) clients of mass
+        (min0 + fac, lcols, -np.ones(nf)),
+        (min0 + fac, fac, np.full(nf, float(ceil_inv_alpha(inst.alpha)))),
+        # budget: sum_i y_i <= k
+        (np.full(nf, budget), fac, np.ones(nf)),
+    )
+    n_eq = n + nf
     return LinearSystem(
         lam=pairs.lam,
         alpha=pairs.alpha,
@@ -208,10 +182,30 @@ def polytope_on(inst: Instance, pairs: RadiusPairs) -> LinearSystem:
         pair_facility=pairs.pair_facility,
         pair_client=pj,
         pair_color=pc,
-        blocks=blocks,
-        lower=np.zeros(nf + n_pairs + nf),
+        a_eq=a_eq,
+        b_eq=np.concatenate([np.ones(n), np.zeros(nf)]),
+        a_ub=a_ub,
+        b_ub=np.concatenate([np.zeros(budget), [float(inst.k)]]),
+        families={
+            "cover": slice(0, n),
+            "open": slice(n_eq, n_eq + cap0),
+            "load": slice(n, n_eq),
+            "colorcap": slice(n_eq + cap0, n_eq + min0),
+            "minload": slice(n_eq + min0, n_eq + budget),
+            "budget": slice(n_eq + budget, n_eq + budget + 1),
+        },
         upper=np.concatenate([np.ones(nf + n_pairs), np.full(nf, np.inf)]),
     )
+
+
+def _csr(shape: tuple[int, int], *triplets: tuple[np.ndarray, ...]) -> sp.csr_matrix:
+    """The (rows, cols, data) triplets as one CSR matrix, in one sparse construction.
+
+    Building a matrix per family and stacking them costs more than the
+    solve on small systems.
+    """
+    rows, cols, data = (np.concatenate(part) for part in zip(*triplets))
+    return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
 def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
@@ -222,17 +216,13 @@ def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
     on the load columns.
     """
     bad: list[str] = []
-    if (vec < sys.lower - ROW_TOL).any() or (vec > sys.upper + ROW_TOL).any():
+    if (vec < -ROW_TOL).any() or (vec > sys.upper + ROW_TOL).any():
         bad.append("variable bound violated")
-    for blk in sys.blocks:
-        gap = np.bincount(blk.rows, weights=blk.data * vec[blk.cols], minlength=blk.n_rows) - blk.rhs
-        if blk.relation == ">=":
-            gap = -gap
-        elif blk.relation == "==":
-            gap = np.abs(gap)
-        worst = gap.max(initial=0.0)
+    gap = np.concatenate([np.abs(sys.a_eq @ vec - sys.b_eq), sys.a_ub @ vec - sys.b_ub])
+    for family, rows in sys.families.items():
+        worst = gap[rows].max(initial=0.0)
         if worst > ROW_TOL:
-            bad.append(f"{blk.family}: violation {worst:.3e}")
+            bad.append(f"{family}: violation {worst:.3e}")
     nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
     if n_pairs:
         x = vec[nf : nf + n_pairs]
@@ -246,27 +236,6 @@ def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
         if worst > ROW_TOL:
             bad.append(f"color cap on x: violation {worst:.3e}")
     return bad
-
-
-def _stack(blocks: list[Block], n_vars: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The blocks' rows as one matrix and rhs, in block order, with ">=" rows negated.
-
-    One sparse construction per call: building each block's matrix and
-    stacking them costs more than the solve on small systems.
-    """
-    sign = [-1.0 if blk.relation == ">=" else 1.0 for blk in blocks]
-    offset = np.cumsum([0] + [blk.n_rows for blk in blocks])
-    mat = sp.csr_matrix(
-        (
-            np.concatenate([s * blk.data for s, blk in zip(sign, blocks)]),
-            (
-                np.concatenate([blk.rows + o for blk, o in zip(blocks, offset)]),
-                np.concatenate([blk.cols for blk in blocks]),
-            ),
-        ),
-        shape=(offset[-1], n_vars),
-    )
-    return mat, np.concatenate([s * blk.rhs for s, blk in zip(sign, blocks)])
 
 
 def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
@@ -283,15 +252,13 @@ def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
     """
     from scipy.optimize import linprog
 
-    a_eq, b_eq = _stack([blk for blk in sys.blocks if blk.relation == "=="], sys.n_vars)
-    a_ub, b_ub = _stack([blk for blk in sys.blocks if blk.relation != "=="], sys.n_vars)
     res = linprog(
         c=np.zeros(sys.n_vars),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([sys.lower, sys.upper]),
+        A_ub=sys.a_ub,
+        b_ub=sys.b_ub,
+        A_eq=sys.a_eq,
+        b_eq=sys.b_eq,
+        bounds=np.column_stack([np.zeros(sys.n_vars), sys.upper]),
         method="highs-ipm" if sys.n_vars >= IPM_MIN_COLUMNS else "highs",
     )
     if res.status == 2:

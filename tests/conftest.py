@@ -59,9 +59,9 @@ def fractional_point(inst: Instance, x: dict, y: dict) -> FractionalSolution:
     return FractionalSolution(facility, client, np.array(list(x.values()), dtype=float), opening)
 
 
-def block_matrix(blk, n_vars: int) -> sp.csr_matrix:
-    """One constraint block of a LinearSystem as a sparse matrix over all n_vars columns."""
-    return sp.csr_matrix((blk.data, (blk.rows, blk.cols)), shape=(blk.n_rows, n_vars))
+def family_rows(sys, family: str) -> sp.csr_matrix:
+    """One constraint family of a LinearSystem: its row range of a_eq or a_ub."""
+    return sp.vstack([sys.a_eq, sys.a_ub], format="csr")[sys.families[family]]
 
 
 def edge_adjacency(n: int, edges) -> list[list[int]]:

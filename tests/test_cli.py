@@ -196,6 +196,7 @@ def test_main_id_outside_64_bits_is_error(tmp_path, capsys, pid):
         ["--epsilon", "inf"],
         ["--m", "0"],
         ["--jobs", "0"],
+        ["--epsilon", "1e-17"],  # 1 + epsilon == 1: the radius ladder would never grow
     ],
 )
 def test_main_bad_config_is_error(tmp_path, capsys, flag):

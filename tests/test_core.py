@@ -292,6 +292,8 @@ def test_instance_validation():
         make_instance([], [], k=1, alpha=0.5)
     with pytest.raises(InputError):
         make_instance([(0.0,)], ["r"], k=0, alpha=0.5)
+    with pytest.raises(InputError, match="k must be an integer"):
+        make_instance([(0.0,)], ["r"], k=1.5, alpha=0.5)
     with pytest.raises(InputError):
         make_instance([(0.0,)], ["r"], k=1, alpha=0.0)
     with pytest.raises(InputError):

@@ -239,7 +239,9 @@ def test_capped_system_matches_loop_reference():
             assert (got is None) == (ref is None)
             if got is None:
                 continue
-            (A, lb, ub), (ref_A, ref_lb, ref_ub) = got, ref
+            (A, lb, ub, fac, client), (ref_A, ref_lb, ref_ub) = got, ref
+            ref_fac, ref_client = np.nonzero(inst.pairwise() <= radius)
+            assert np.array_equal(fac, ref_fac) and np.array_equal(client, ref_client)
             assert A.format == "csc" and A.shape == ref_A.shape
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(A, name), getattr(ref_A, name)), name

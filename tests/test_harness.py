@@ -33,7 +33,6 @@ from cappedkc.greedy import random_centers
 from cappedkc.harness import lambda_grid, report_to_dict
 from cappedkc.lp_rounding import one_center_stop
 from conftest import (
-    block_matrix,
     brute_force_capped_opt,
     brute_force_kcenter_opt,
     exactness_pool,
@@ -228,12 +227,7 @@ def _one_center_point_in(inst, lam, coreset) -> bool:
     vec = np.zeros(sys.n_vars)
     vec[[0, nf + n_pairs]] = [1.0, inst.n]
     vec[nf + mine] = 1.0
-    for blk in sys.blocks:
-        lhs = block_matrix(blk, sys.n_vars) @ vec
-        holds = {"==": lhs == blk.rhs, "<=": lhs <= blk.rhs, ">=": lhs >= blk.rhs}
-        if not holds[blk.relation].all():
-            return False
-    return True
+    return bool((sys.a_eq @ vec == sys.b_eq).all() and (sys.a_ub @ vec <= sys.b_ub).all())
 
 
 def _stop_pool():
@@ -498,6 +492,18 @@ def test_evaluate_schema_and_determinism(unit_square):
         r = evaluate(unit_square, RunConfig(k=2, alpha=0.5, algorithm=algo, seed=3))
         assert set(report_to_dict(r).keys()) == keys
         assert r.status == "ok"
+
+
+def test_run_config_takes_integer_counts_only(unit_square):
+    for bad in ({"k": 2.5}, {"m": 1.5}, {"seed": 0.5}):
+        with pytest.raises(InputError, match="must be an integer"):
+            RunConfig(**{"k": 2, "alpha": 0.5} | bad)
+    # numpy integers are stored as ints, so the report serializes
+    cfg = RunConfig(k=np.int64(2), alpha=0.5, m=np.int32(2), seed=np.int64(3))
+    assert all(type(v) is int for v in (cfg.k, cfg.m, cfg.seed))
+    plain = RunConfig(k=2, alpha=0.5, seed=3)
+    got, want = (report_to_json(evaluate(unit_square, c), include_wall=False) for c in (cfg, plain))
+    assert got == want
 
 
 def test_evaluate_infeasible_is_structured():

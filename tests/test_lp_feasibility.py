@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
 from cappedkc import (
     InfeasibleInstance,
@@ -25,14 +26,13 @@ from cappedkc import lp_feasibility, lp_rounding
 from cappedkc.lp_feasibility import (
     IPM_MIN_COLUMNS,
     RADIUS_SLACK,
-    Block,
     LinearSystem,
     _solve_highs,
     passes_prechecks,
     polytope_on,
     radius_pairs,
 )
-from conftest import block_matrix, min_feasible_radius, random_capped_instance
+from conftest import family_rows, min_feasible_radius, random_capped_instance
 
 
 def test_ceil_inv_alpha():
@@ -54,8 +54,8 @@ def test_radius_prunes_variables():
 def test_minload_coefficient_matches_ceiling():
     inst = make_instance([(0.0,), (0.0,)], ["r", "b"], k=1, alpha=0.3)
     sys = build_polytope(inst, 1.0)
-    blk = next(b for b in sys.blocks if b.family == "minload")
-    assert blk.data.min() == -4.0  # ceil(1/0.3)
+    minload = family_rows(sys, "minload")
+    assert minload[:, : sys.facility_pos.size].data.tolist() == [4.0, 4.0]  # ceil(1/0.3) y_i
 
 
 def test_coincident_pair_feasible_at_zero():
@@ -198,21 +198,22 @@ def test_polytope_row_counts():
         inst = random_capped_instance(rng, n=rng.randint(3, 9), n_colors=3, k=2, alpha=0.5)
         lam = rng.choice(candidate_radii(inst))
         sys = build_polytope(inst, lam)
-        by_family = {b.family: b for b in sys.blocks}
-        assert list(by_family) == ["cover", "open", "load", "colorcap", "minload", "budget"]
-        cover = by_family["cover"]
-        assert cover.relation == "==" and cover.n_rows == inst.n
+        assert list(sys.families) == ["cover", "open", "load", "colorcap", "minload", "budget"]
+        # the families tile the stacked rows; cover and load are the equality rows
+        spans = sorted((rows.start, rows.stop) for rows in sys.families.values())
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == sys.a_eq.shape[0] + sys.a_ub.shape[0]
+        cover, load = sys.families["cover"], sys.families["load"]
+        assert (cover.start, cover.stop, load.stop) == (0, inst.n, sys.a_eq.shape[0])
+        assert load.stop - load.start == sys.facility_pos.size
         covered = np.bincount(sys.pair_client, minlength=inst.n) > 0
-        assert set(cover.rows.tolist()) == set(np.flatnonzero(covered).tolist())
-        load = by_family["load"]
-        assert load.relation == "==" and load.n_rows == sys.facility_pos.size
-        cap = by_family["colorcap"]
-        positive = np.zeros(cap.n_rows, dtype=bool)
-        positive[cap.rows[cap.data > 0]] = True
-        assert positive.all()
+        got = np.flatnonzero(family_rows(sys, "cover").getnnz(axis=1))
+        assert set(got.tolist()) == set(np.flatnonzero(covered).tolist())
+        cap = family_rows(sys, "colorcap")
+        assert (cap.max(axis=1).toarray() > 0).all()
         # every x column sits in exactly one cap row
         nf = sys.facility_pos.size
-        assert sorted(cap.cols[cap.data > 0].tolist()) == list(range(nf, sys.n_vars - nf))
+        assert sorted(cap.indices[cap.data > 0].tolist()) == list(range(nf, sys.n_vars - nf))
 
 
 def test_colorcap_rows_match_loop_reference():
@@ -238,8 +239,7 @@ def test_colorcap_rows_match_loop_reference():
                         row[col] = 1.0
                 row[nf + n_pairs + f] = -inst.alpha
                 expected.append(row)
-        cap = next(b for b in sys.blocks if b.family == "colorcap")
-        got = block_matrix(cap, sys.n_vars).toarray()
+        got = family_rows(sys, "colorcap").toarray()
         assert np.array_equal(got, np.array(expected).reshape(-1, sys.n_vars))
 
 
@@ -248,7 +248,7 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
 
     Each cap row reads sum_{j in c} (1 - alpha) x_ij - sum_{j not in c}
     alpha x_ij <= 0 and spans the facility's whole support; minload reads
-    sum_j x_ij - ceil(1/alpha) y_i >= 0.  Columns are y then x, all in [0, 1].
+    ceil(1/alpha) y_i - sum_j x_ij <= 0.  Columns are y then x, all in [0, 1].
     """
     if restricted_facilities is None:
         fac_pos = list(range(inst.n))
@@ -274,25 +274,21 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
             coeffs = {col: (1.0 - inst.alpha if mc == color else -inst.alpha) for col, mc in own}
             rows["colorcap"].append((coeffs, 0.0))
     for f in range(nf):
-        coeffs = {nf + c: 1.0 for c, (g, _) in enumerate(pairs) if g == f}
-        coeffs[f] = -float(ceil_inv_alpha(inst.alpha))
+        coeffs = {nf + c: -1.0 for c, (g, _) in enumerate(pairs) if g == f}
+        coeffs[f] = float(ceil_inv_alpha(inst.alpha))
         rows["minload"].append((coeffs, 0.0))
     rows["budget"].append(({f: 1.0 for f in range(nf)}, float(inst.k)))
 
-    relation = {"cover": "==", "open": "<=", "colorcap": "<=", "minload": ">=", "budget": "<="}
-    blocks = []
-    for family, family_rows in rows.items():
-        r, c, v = [], [], []
-        for idx, (coeffs, _) in enumerate(family_rows):
-            for col, val in coeffs.items():
-                r.append(idx)
-                c.append(col)
-                v.append(val)
-        rhs = np.array([b for _, b in family_rows])
-        blocks.append(
-            Block(family, relation[family], np.array(r, int), np.array(c, int), np.array(v),
-                  len(family_rows), rhs)
-        )
+    # the families stack in order; the cover rows are the equality rows
+    families, stacked = {}, []
+    for family, entries in rows.items():
+        families[family] = slice(len(stacked), len(stacked) + len(entries))
+        stacked += entries
+    r, c, v = zip(
+        *((idx, col, val) for idx, (coeffs, _) in enumerate(stacked) for col, val in coeffs.items())
+    )
+    mat = sp.csr_matrix((v, (r, c)), shape=(len(stacked), n_vars))
+    rhs = np.array([b for _, b in stacked])
     return LinearSystem(
         lam=lam,
         alpha=inst.alpha,
@@ -301,8 +297,11 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
         pair_facility=np.array([fac_pos[f] for f, _ in pairs], dtype=int),
         pair_client=np.array([j for _, j in pairs], dtype=int),
         pair_color=np.array([inst.colors()[j] for _, j in pairs], dtype=int),
-        blocks=blocks,
-        lower=np.zeros(n_vars),
+        a_eq=mat[: inst.n],
+        b_eq=rhs[: inst.n],
+        a_ub=mat[inst.n :],
+        b_ub=rhs[inst.n :],
+        families=families,
         upper=np.ones(n_vars),
     )
 
@@ -364,8 +363,8 @@ def test_nonzeros_stay_linear_in_pairs():
         restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
         nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
-        n_cap = next(b.n_rows for b in sys.blocks if b.family == "colorcap")
-        nnz = sum(block_matrix(b, sys.n_vars).nnz for b in sys.blocks)
+        n_cap = family_rows(sys, "colorcap").shape[0]
+        nnz = sys.a_eq.nnz + sys.a_ub.nnz
         assert nnz == 5 * n_pairs + n_cap + 4 * nf
 
 
@@ -394,37 +393,26 @@ def test_validate_point_rechecks_caps_on_x(unit_square):
     assert any(msg.startswith("color cap on x") for msg in problems)
 
 
-def test_validate_point_block_residuals_match_the_stacked_rows():
-    # each block's residual from its own triplets equals the stacked matrix's
-    rng = np.random.default_rng(3)
-    for seed in range(20):
-        inst = random_capped_instance(random.Random(seed), n=7, n_colors=3, k=2, alpha=0.5)
-        sys = build_polytope(inst, float(rng.choice(candidate_radii(inst))))
-        mat, rhs = lp_feasibility._stack(sys.blocks, sys.n_vars)
-        for vec in (rng.random(sys.n_vars), np.round(rng.random(sys.n_vars))):
-            gap = mat @ vec - rhs
-            bounds = np.cumsum([0] + [blk.n_rows for blk in sys.blocks])
-            expect = []
-            for blk, lo, hi in zip(sys.blocks, bounds, bounds[1:]):
-                rows = np.abs(gap[lo:hi]) if blk.relation == "==" else gap[lo:hi]
-                if rows.max(initial=0.0) > 1e-7:
-                    expect.append(f"{blk.family}: violation {rows.max():.3e}")
-            got = [msg for msg in validate_point(sys, vec) if ": violation" in msg]
-            assert [m for m in got if not m.startswith("color cap on x")] == expect
-
-
-def test_one_solve_stacks_its_rows_twice(unit_square, monkeypatch):
-    # the equality and the inequality rows for HiGHS; the point check reads the blocks
-    calls = []
-    stack = lp_feasibility._stack
+def test_one_solve_builds_no_rows(unit_square, monkeypatch):
+    # HiGHS reads the system's own matrices: polytope_on builds the rows once
+    sys = build_polytope(unit_square, 1.0)
+    built, given = [], []
+    csr, linprog = lp_feasibility._csr, scipy.optimize.linprog
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return stack(*args, **kwargs)
+        built.append(1)
+        return csr(*args, **kwargs)
 
-    monkeypatch.setattr(lp_feasibility, "_stack", counting)
-    assert check_feasible(build_polytope(unit_square, 1.0)) is not None
-    assert len(calls) == 2
+    def recording(*args, **kwargs):
+        given.append(kwargs)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(lp_feasibility, "_csr", counting)
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    assert check_feasible(sys) is not None
+    assert built == [] and len(given) == 1
+    own = {"A_eq": sys.a_eq, "b_eq": sys.b_eq, "A_ub": sys.a_ub, "b_ub": sys.b_ub}
+    assert all(given[0][key] is value for key, value in own.items())
 
 
 def test_solver_failure_raises(unit_square, monkeypatch):
