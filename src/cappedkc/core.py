@@ -11,8 +11,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 CAP_TOL = 1e-9
-# Instance.one_center computes the rows of a distance block in batches of as
-# many rows as fit in ONE_CENTER_FLOATS floats, at least one
+# Instance.dist_block and Instance.one_center compute the rows of a distance
+# block in batches of as many rows as fit in ONE_CENTER_FLOATS floats, at
+# least one
 ONE_CENTER_FLOATS = 1 << 14
 
 
@@ -237,11 +238,20 @@ class Instance:
         return _norm(self._coords - self._coords[pos])
 
     def dist_block(self, pos: Sequence[int]) -> np.ndarray:
-        """Distances among the points at positions `pos`, without the full matrix."""
+        """Distances among the points at positions `pos`, without the full matrix.
+
+        The rows are computed in batches of as many rows as fit in
+        ONE_CENTER_FLOATS floats of coordinate differences, so the
+        |pos| x |pos| x d difference is never held at once.
+        """
         if self._dist is not None:
             return self._dist[np.ix_(pos, pos)]
         sub = self._coords[pos]
-        return _norm(sub[:, None, :] - sub[None, :, :])
+        size = max(ONE_CENTER_FLOATS // max(sub.size, 1), 1)
+        out = np.empty((sub.shape[0], sub.shape[0]))
+        for lo in range(0, sub.shape[0], size):
+            out[lo : lo + size] = _norm(sub[lo : lo + size, None, :] - sub[None, :, :])
+        return out
 
     def one_center(self, pos: Sequence[int]) -> int:
         """Index in `pos` of the point whose largest distance to the others is least.

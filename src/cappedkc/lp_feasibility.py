@@ -39,14 +39,18 @@ class RadiusPairs:
 
 @dataclass
 class LinearSystem(RadiusPairs):
-    """The polytope at a fixed radius: y and a load L per facility, x per in-radius pair.
+    """The polytope at a fixed radius over client classes.
 
-    Column order is all y variables (facility position order), then all x
-    variables in pair order, then one load column L_i per facility in the y
-    order.  Every column is at least 0; `upper` holds the upper bounds: 1
-    for y and x, inf for L.  Pairs farther than the radius simply have no
-    column.  Columns are described by point positions: `facility_pos` for
-    the y (and L) columns, and the pair arrays for the x columns.
+    Clients with the same color and the same in-radius facility set form a
+    class, numbered by its lowest client position; its weight w_C is its
+    size.  Column order is all y variables (facility position order), then
+    one x column X_iC per (facility, class) pair, sorted by (facility,
+    class), then one load column L_i per facility in the y order.  Every
+    column is at least 0; `upper` holds the upper bounds: 1 for y, w_C for
+    X_iC, inf for L.  `pair_column` maps each in-radius pair to its x column,
+    and `column_pair` each x column to its first pair, the one of its
+    class's lowest client.  When every class is a single client, the x
+    columns are the pairs, in pair order.
 
     The rows are the CSR matrices HiGHS reads, `a_eq @ v == b_eq` and
     `a_ub @ v <= b_ub`.  `families` maps each constraint family, in the
@@ -54,6 +58,8 @@ class LinearSystem(RadiusPairs):
     stacked matrix [a_eq; a_ub]: cover and load are the equality rows.
     """
 
+    pair_column: np.ndarray
+    column_pair: np.ndarray
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
     a_ub: sp.csr_matrix
@@ -71,7 +77,7 @@ class FractionalSolution:
     """A point of the polytope, by point position.
 
     `facility`, `client` and `x` list the support pairs (facility position,
-    client position, assignment mass) in column order; `y` holds one opening
+    client position, assignment mass) in pair order; `y` holds one opening
     per point, 0 off the facility set.
     """
 
@@ -116,54 +122,70 @@ def build_polytope(
 
 
 def polytope_on(inst: Instance, pairs: RadiusPairs) -> LinearSystem:
-    """The system on the given in-radius pairs of `inst`.
+    """The system on the given in-radius pairs of `inst`, over client classes.
 
     The facility set is `pairs.facility_pos`, which is also the order in
     which `fair_k_center` scans them for separation.
 
-    Families: per-client coverage held at exactly one unit (`cover`),
-    openings dominating assignments (`open`), the load definition
-    L_i = sum_j x_ij (`load`), per-facility color caps
-    sum_{j in c} x_ij <= alpha * L_i (`colorcap`, only for colors with an
-    in-radius client at that facility; the others hold for any x >= 0), the
-    minimum load L_i >= ceil(1/alpha) * y_i (`minload`), and the opening
+    Families: per-class coverage sum_i X_iC = w_C (`cover`), openings
+    dominating assignments X_iC <= w_C * y_i (`open`), the load definition
+    L_i = sum_C X_iC (`load`), per-facility color caps
+    sum_{C of color c} X_iC <= alpha * L_i (`colorcap`, only for colors with
+    an in-radius client at that facility; the others hold for any X >= 0),
+    the minimum load L_i >= ceil(1/alpha) * y_i (`minload`), and the opening
     budget.  Each x column appears in exactly one cap row, so the system has
-    5 * pairs + cap rows + 4 * facilities nonzeros.  Its projection onto
-    (x, y) is the polytope with L_i substituted out.
+    5 * x columns + cap rows + 4 * facilities nonzeros.
+
+    It is the per-client system (one x_ij per pair, unit cover, x_ij <= y_i)
+    with each class's identical clients merged: averaging a per-client point
+    over every class gives a point here, and x_ij = X_iC / w_C gives one
+    back, so both are empty together.  Each per-client row is a row here or
+    one divided by w_C, so a point within ROW_TOL here maps to one within
+    ROW_TOL there.  Its projection onto (x, y) is the polytope with L_i
+    substituted out.
     """
     fac_pos, pj, pc = pairs.facility_pos, pairs.pair_client, pairs.pair_color
-    n, nf = inst.n, len(fac_pos)
+    nf = len(fac_pos)
     # pf is the pair facility's local index (its y column)
     pf = np.searchsorted(fac_pos, pairs.pair_facility)
-    n_pairs = pj.size
-    n_vars = nf + n_pairs + nf
+    klass = _client_classes(inst, pf, pj, nf)
+    weight = np.bincount(klass).astype(float)
+    n_cls = weight.size
+    # one x column per (facility, class); the pairs run in (facility, client)
+    # order, so each column's first pair is that of its class's lowest client
+    _, column_pair, pair_column = np.unique(
+        pf * n_cls + klass[pj], return_index=True, return_inverse=True
+    )
+    cf, cc = pf[column_pair], klass[pj[column_pair]]
+    n_cols = column_pair.size
+    n_vars = nf + n_cols + nf
     fac = np.arange(nf)
-    pair = np.arange(n_pairs)
-    xcols = nf + pair
-    lcols = nf + n_pairs + fac
-    ones = np.ones(n_pairs)
+    col = np.arange(n_cols)
+    xcols = nf + col
+    lcols = nf + n_cols + fac
+    ones = np.ones(n_cols)
 
     # one cap row per (facility, color) pair with an in-radius client of color c
-    keys, cap_rows = np.unique(pf * inst.n_colors + pc, return_inverse=True)
+    keys, cap_rows = np.unique(cf * inst.n_colors + pc[column_pair], return_inverse=True)
     n_cap = keys.size
     cap_fac = keys // inst.n_colors
     # the first inequality row of colorcap, minload and budget
-    cap0, min0, budget = n_pairs, n_pairs + n_cap, n_pairs + n_cap + nf
+    cap0, min0, budget = n_cols, n_cols + n_cap, n_cols + n_cap + nf
 
     a_eq = _csr(
-        (n + nf, n_vars),
-        # cover: each client receives exactly one unit of assignment
-        (pj, xcols, ones),
-        # load: L_i - sum_j x_ij = 0
-        (n + fac, lcols, np.ones(nf)),
-        (n + pf, xcols, -ones),
+        (n_cls + nf, n_vars),
+        # cover: each class receives its weight in assignment mass
+        (cc, xcols, ones),
+        # load: L_i - sum_C X_iC = 0
+        (n_cls + fac, lcols, np.ones(nf)),
+        (n_cls + cf, xcols, -ones),
     )
     a_ub = _csr(
         (budget + 1, n_vars),
-        # open: x_ij - y_i <= 0
-        (pair, xcols, ones),
-        (pair, pf, -ones),
-        # colorcap: sum_{j in c} x_ij - alpha * L_i <= 0
+        # open: X_iC - w_C * y_i <= 0
+        (col, xcols, ones),
+        (col, cf, -weight[cc]),
+        # colorcap: sum_{C of color c} X_iC - alpha * L_i <= 0
         (cap0 + cap_rows, xcols, ones),
         (cap0 + np.arange(n_cap), lcols[cap_fac], np.full(n_cap, -inst.alpha)),
         # minload: ceil(1/alpha) * y_i - L_i <= 0, so an open facility
@@ -173,29 +195,45 @@ def polytope_on(inst: Instance, pairs: RadiusPairs) -> LinearSystem:
         # budget: sum_i y_i <= k
         (np.full(nf, budget), fac, np.ones(nf)),
     )
-    n_eq = n + nf
+    n_eq = n_cls + nf
     return LinearSystem(
         lam=pairs.lam,
         alpha=pairs.alpha,
-        n_points=n,
+        n_points=inst.n,
         facility_pos=fac_pos,
         pair_facility=pairs.pair_facility,
         pair_client=pj,
         pair_color=pc,
+        pair_column=pair_column,
+        column_pair=column_pair,
         a_eq=a_eq,
-        b_eq=np.concatenate([np.ones(n), np.zeros(nf)]),
+        b_eq=np.concatenate([weight, np.zeros(nf)]),
         a_ub=a_ub,
         b_ub=np.concatenate([np.zeros(budget), [float(inst.k)]]),
         families={
-            "cover": slice(0, n),
+            "cover": slice(0, n_cls),
             "open": slice(n_eq, n_eq + cap0),
-            "load": slice(n, n_eq),
+            "load": slice(n_cls, n_eq),
             "colorcap": slice(n_eq + cap0, n_eq + min0),
             "minload": slice(n_eq + min0, n_eq + budget),
             "budget": slice(n_eq + budget, n_eq + budget + 1),
         },
-        upper=np.concatenate([np.ones(nf + n_pairs), np.full(nf, np.inf)]),
+        upper=np.concatenate([np.ones(nf), weight[cc], np.full(nf, np.inf)]),
     )
+
+
+def _client_classes(inst: Instance, pf: np.ndarray, pj: np.ndarray, nf: int) -> np.ndarray:
+    """Each client's class: one per color and in-radius facility set, numbered by lowest client.
+
+    `pf` and `pj` are the pairs' facility indices and client positions.
+    """
+    member = np.zeros((inst.n, nf), dtype=bool)
+    member[pj, pf] = True
+    key = np.column_stack([inst.colors(), np.packbits(member, axis=1)])
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse.reshape(-1)]
 
 
 def _csr(shape: tuple[int, int], *triplets: tuple[np.ndarray, ...]) -> sp.csr_matrix:
@@ -211,9 +249,9 @@ def _csr(shape: tuple[int, int], *triplets: tuple[np.ndarray, ...]) -> sp.csr_ma
 def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
     """Re-check every row and column bound against a raw variable vector, within ROW_TOL.
 
-    The color caps are also re-checked on x alone, per facility and color
-    sum_{j in c} x_ij <= alpha * sum_j x_ij, so the cap guarantee never rests
-    on the load columns.
+    The color caps are also re-checked on the x columns alone, per facility
+    and color sum_{C of color c} X_iC <= alpha * sum_C X_iC, so the cap
+    guarantee never rests on the load columns.
     """
     bad: list[str] = []
     if (vec < -ROW_TOL).any() or (vec > sys.upper + ROW_TOL).any():
@@ -223,12 +261,13 @@ def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
         worst = gap[rows].max(initial=0.0)
         if worst > ROW_TOL:
             bad.append(f"{family}: violation {worst:.3e}")
-    nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
-    if n_pairs:
-        x = vec[nf : nf + n_pairs]
-        n_colors = int(sys.pair_color.max()) + 1
+    nf, n_cols = sys.facility_pos.size, sys.column_pair.size
+    if n_cols:
+        x = vec[nf : nf + n_cols]
+        color = sys.pair_color[sys.column_pair]
+        n_colors = int(color.max()) + 1
         mass = np.bincount(
-            sys.pair_facility * n_colors + sys.pair_color,
+            sys.pair_facility[sys.column_pair] * n_colors + color,
             weights=x,
             minlength=sys.n_points * n_colors,
         ).reshape(sys.n_points, n_colors)
@@ -242,13 +281,14 @@ def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
     """HiGHS on the system: a basic point, None when it reports infeasible.
 
     Systems with at least IPM_MIN_COLUMNS columns go to the interior point
-    solver, smaller ones to the dual simplex.  On these zero-objective
-    systems the dual simplex has a heavy tail from about 9,000 columns up
-    (0.23 s to 6.2 s at 9,000-12,000 columns, 23 s at 27,000), while the
-    interior point method takes 15-27 iterations and its time grows
-    steadily with size; below the constant neither wins.  Its crossover
-    still returns a vertex, so the rounding sees a basic point either way.
-    Any other status raises SolverError.
+    solver, smaller ones to the dual simplex.  The count is of the class
+    system's columns, so clients that share a class count once.  On these
+    zero-objective systems the dual simplex has a heavy tail from about
+    9,000 columns up (0.23 s to 6.2 s at 9,000-12,000 columns, 23 s at
+    27,000; measured on per-client systems), while the interior point method
+    takes 15-27 iterations and its time grows steadily with size; below the
+    constant neither wins.  Its crossover still returns a vertex of the class
+    system either way.  Any other status raises SolverError.
     """
     from scipy.optimize import linprog
 
@@ -293,12 +333,14 @@ def passes_prechecks(pairs: RadiusPairs) -> bool:
 
 
 def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
-    """A point satisfying every row within 1e-7, or None when the polytope is empty.
+    """A per-client point satisfying every row within 1e-7, or None when the polytope is empty.
 
-    SciPy's HiGHS decides, and its point is re-checked against every row.
-    Numerical failures raise SolverError, they are never reported as
-    infeasible.  The solve-free `passes_prechecks` is the caller's to run
-    first; `fair_k_center` runs it before it builds any row.
+    SciPy's HiGHS decides on the class system, and its point is re-checked
+    against every row.  Each pair then gets x_ij = X_iC / w_C, its class
+    column's mass spread evenly over the class, in pair order.  Numerical
+    failures raise SolverError, they are never reported as infeasible.  The
+    solve-free `passes_prechecks` is the caller's to run first;
+    `fair_k_center` runs it before it builds any row.
     """
     vec = _solve_highs(sys)
     if vec is None:
@@ -307,7 +349,9 @@ def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
     if bad:
         raise SolverError("HiGHS returned an invalid point: " + "; ".join(bad))
     nf = sys.facility_pos.size
-    x = vec[nf : nf + sys.pair_client.size]
+    # w_C is the upper bound of X_iC
+    xcols = nf + sys.pair_column
+    x = vec[xcols] / sys.upper[xcols]
     support = x > 1e-12
     y = np.zeros(sys.n_points)
     y[sys.facility_pos] = vec[:nf]

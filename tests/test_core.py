@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +217,53 @@ def test_one_center_equals_the_block_argmin(monkeypatch, floats):
         for size in (1, 2, inst.n // 3, inst.n):
             pos = rng.permutation(inst.n)[:size].tolist()
             assert inst.one_center(pos) == reference_one_center(inst, pos)
+
+
+def _unbatched_block(inst, pos):
+    """dist_block's distances from one n x n x d difference, the formula it batches."""
+    sub = inst.coords()[pos]
+    return core._norm(sub[:, None, :] - sub[None, :, :])
+
+
+@pytest.mark.parametrize("floats", [None, 1, 7, 100])
+@pytest.mark.parametrize("dim", [1, 2, 3, 10, 37])
+def test_dist_block_batches_keep_the_bits(monkeypatch, floats, dim):
+    # batch sizes of 1 row, a few rows with a ragged last batch, and the
+    # default, against the block computed in one step
+    if floats is not None:
+        monkeypatch.setattr(core, "ONE_CENTER_FLOATS", floats * dim)
+    rng = np.random.default_rng(dim)
+    n = 60
+    coords = rng.standard_normal((n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    inst = make_instance(coords, [0] * n, k=1, alpha=1.0)
+    for pos in (rng.permutation(n)[:23], np.arange(n)):
+        block = inst.dist_block(pos)
+        assert block.dtype == np.float64 and block.shape == (pos.size, pos.size)
+        assert block.tobytes() == _unbatched_block(inst, pos).tobytes()
+    assert inst.pairwise().tobytes() == _unbatched_block(inst, np.arange(n)).tobytes()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_pairwise_peak_memory_stays_near_the_matrix():
+    # in a fresh process: the high-water mark grows by the 18 MB matrix, not
+    # by the 180 MB n x n x d difference
+    n, dim = 1500, 10
+    code = (
+        "import resource, numpy as np\n"
+        "from cappedkc import make_instance\n"
+        f"coords = np.random.default_rng(0).standard_normal(({n}, {dim}))\n"
+        f"inst = make_instance(coords, [0] * {n}, k=1, alpha=1.0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "inst.pairwise()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(core.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    grown_mb = int(out.stdout) / 1024
+    assert grown_mb < 3 * n * n * 8 / 2**20
 
 
 def test_check_capped_examples():

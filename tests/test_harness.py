@@ -218,15 +218,19 @@ def _reference_faster_algorithm(inst, cfg):
 
 def _one_center_point_in(inst, lam, coreset) -> bool:
     """Whether y_o = 1, x_oj = 1 for every client, L_o = n meets every row of the
-    radius-lam system exactly, o being the coreset's lowest position."""
+    radius-lam system exactly, o being the coreset's lowest position.
+
+    On the class system that point is X_oC = w_C, the class weight, for
+    every class C.
+    """
     sys = build_polytope(inst, lam, coreset)
-    nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
-    mine = np.flatnonzero(sys.pair_facility == sys.facility_pos[0])
-    if mine.size != inst.n:
+    nf, n_cols = sys.facility_pos.size, sys.column_pair.size
+    if np.count_nonzero(sys.pair_facility == sys.facility_pos[0]) != inst.n:
         return False
+    mine = nf + np.flatnonzero(sys.pair_facility[sys.column_pair] == sys.facility_pos[0])
     vec = np.zeros(sys.n_vars)
-    vec[[0, nf + n_pairs]] = [1.0, inst.n]
-    vec[nf + mine] = 1.0
+    vec[[0, nf + n_cols]] = [1.0, inst.n]
+    vec[mine] = np.bincount(sys.pair_column)[mine - nf]
     return bool((sys.a_eq @ vec == sys.b_eq).all() and (sys.a_ub @ vec <= sys.b_ub).all())
 
 

@@ -143,7 +143,8 @@ def test_validate_point_flags_corruption(unit_square):
 
 def test_check_feasible_slices_the_solver_point():
     # restricted facilities and ids out of position order: the point is the
-    # solver vector's x support in column order, with y zero off the facility set
+    # solver vector's class columns spread over their pairs, its support in
+    # pair order, with y zero off the facility set
     inst = make_instance(
         [(0.0,), (0.0,), (1.0,), (1.0,)], ["r", "b", "r", "b"], k=2, alpha=0.5, ids=[7, 3, 9, 1]
     )
@@ -152,7 +153,12 @@ def test_check_feasible_slices_the_solver_point():
     frac = check_feasible(sys)
     assert vec is not None and frac is not None
     assert sys.facility_pos.tolist() == [1, 2]
-    x = vec[2 : 2 + sys.pair_client.size]
+    # both facilities reach every client: the classes are the reds {0, 2}
+    # and the blues {1, 3}, one column per (facility, class) of weight 2
+    assert sys.pair_column.tolist() == [0, 1, 0, 1, 2, 3, 2, 3]
+    assert sys.column_pair.tolist() == [0, 1, 4, 5]
+    assert sys.upper[2:6].tolist() == [2.0] * 4
+    x = vec[2 + sys.pair_column] / 2.0
     support = x > 1e-12
     assert not support.all()  # the filter has something to drop
     assert frac.facility.tolist() == sys.pair_facility[support].tolist()
@@ -164,7 +170,7 @@ def test_check_feasible_slices_the_solver_point():
 def test_integral_optimum_lies_in_polytope():
     # every integral capped clustering must survive the row pruning
     rng = random.Random(61)
-    checked = 0
+    checked = merged = 0
     for _ in range(40):
         inst = random_capped_instance(
             rng,
@@ -179,17 +185,19 @@ def test_integral_optimum_lies_in_polytope():
             continue
         sys = build_polytope(inst, cost)
         clusters = sol.clusters()
-        nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
+        nf, n_cols = sys.facility_pos.size, sys.column_pair.size
         vec = np.zeros(sys.n_vars)
         for c, f in enumerate(sys.facility_pos.tolist()):
             vec[c] = float(inst.id_at(f) in clusters)
-            vec[nf + n_pairs + c] = len(clusters.get(inst.id_at(f), ()))
+            vec[nf + n_cols + c] = len(clusters.get(inst.id_at(f), ()))
+        # X_iC counts the members of class C assigned to i
         for c, (f, j) in enumerate(zip(sys.pair_facility.tolist(), sys.pair_client.tolist())):
             if sol.assign[inst.id_at(j)] == inst.id_at(f):
-                vec[nf + c] = 1.0
+                vec[nf + sys.pair_column[c]] += 1.0
         assert validate_point(sys, vec) == []
+        merged += n_cols < sys.pair_client.size
         checked += 1
-    assert checked >= 20
+    assert checked >= 20 and merged >= 3
 
 
 def test_polytope_row_counts():
@@ -198,17 +206,20 @@ def test_polytope_row_counts():
         inst = random_capped_instance(rng, n=rng.randint(3, 9), n_colors=3, k=2, alpha=0.5)
         lam = rng.choice(candidate_radii(inst))
         sys = build_polytope(inst, lam)
+        classes = _reference_classes(inst, sys)
         assert list(sys.families) == ["cover", "open", "load", "colorcap", "minload", "budget"]
         # the families tile the stacked rows; cover and load are the equality rows
         spans = sorted((rows.start, rows.stop) for rows in sys.families.values())
         assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
         assert spans[-1][1] == sys.a_eq.shape[0] + sys.a_ub.shape[0]
         cover, load = sys.families["cover"], sys.families["load"]
-        assert (cover.start, cover.stop, load.stop) == (0, inst.n, sys.a_eq.shape[0])
+        assert (cover.start, cover.stop, load.stop) == (0, len(classes), sys.a_eq.shape[0])
         assert load.stop - load.start == sys.facility_pos.size
-        covered = np.bincount(sys.pair_client, minlength=inst.n) > 0
+        # one cover row per class, holding its weight; one open row per x column
+        assert sys.b_eq[cover].tolist() == [float(len(members)) for _, members in classes]
+        assert sys.families["open"].stop - sys.families["open"].start == sys.column_pair.size
         got = np.flatnonzero(family_rows(sys, "cover").getnnz(axis=1))
-        assert set(got.tolist()) == set(np.flatnonzero(covered).tolist())
+        assert got.tolist() == [c for c, (reach, _) in enumerate(classes) if reach]
         cap = family_rows(sys, "colorcap")
         assert (cap.max(axis=1).toarray() > 0).all()
         # every x column sits in exactly one cap row
@@ -225,11 +236,14 @@ def test_colorcap_rows_match_loop_reference():
         lam = rng.choice(candidate_radii(inst))
         restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
-        nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
+        columns = _reference_columns(inst, sys)
+        nf, n_cols = sys.facility_pos.size, len(columns)
+        assert sys.n_vars == nf + n_cols + nf
         expected = []
         for f, i in enumerate(sys.facility_pos.tolist()):
-            pairs = zip(sys.pair_facility.tolist(), sys.pair_client.tolist())
-            members = [(nf + c, inst.colors()[j]) for c, (fac, j) in enumerate(pairs) if fac == i]
+            members = [
+                (nf + c, inst.colors()[js[0]]) for c, (fac, js) in enumerate(columns) if fac == i
+            ]
             for color in range(inst.n_colors):
                 if all(mc != color for _, mc in members):
                     continue
@@ -237,7 +251,7 @@ def test_colorcap_rows_match_loop_reference():
                 for col, mc in members:
                     if mc == color:
                         row[col] = 1.0
-                row[nf + n_pairs + f] = -inst.alpha
+                row[nf + n_cols + f] = -inst.alpha
                 expected.append(row)
         got = family_rows(sys, "colorcap").toarray()
         assert np.array_equal(got, np.array(expected).reshape(-1, sys.n_vars))
@@ -250,16 +264,8 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
     alpha x_ij <= 0 and spans the facility's whole support; minload reads
     ceil(1/alpha) y_i - sum_j x_ij <= 0.  Columns are y then x, all in [0, 1].
     """
-    if restricted_facilities is None:
-        fac_pos = list(range(inst.n))
-    else:
-        fac_pos = sorted(inst.pos(i) for i in restricted_facilities)
+    fac_pos, pairs = _reference_pairs(inst, lam, restricted_facilities)
     nf = len(fac_pos)
-    radius = lam * (1.0 + RADIUS_SLACK)
-    pairs = [
-        (f, j) for f, fp in enumerate(fac_pos) for j in range(inst.n)
-        if inst.dist_row(fp)[j] <= radius
-    ]
     n_vars = nf + len(pairs)
     rows: dict[str, list[tuple[dict[int, float], float]]] = {
         "cover": [], "open": [], "colorcap": [], "minload": [], "budget": []
@@ -279,7 +285,17 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
         rows["minload"].append((coeffs, 0.0))
     rows["budget"].append(({f: 1.0 for f in range(nf)}, float(inst.k)))
 
-    # the families stack in order; the cover rows are the equality rows
+    # the cover rows are the equality rows
+    return _system_from_rows(inst, lam, fac_pos, pairs, rows, inst.n, np.ones(n_vars))
+
+
+def _system_from_rows(inst, lam, fac_pos, pairs, rows, n_eq, upper) -> LinearSystem:
+    """A per-client LinearSystem, one x column per pair, from its families' rows.
+
+    `rows` maps each family to its (coefficients by column, right-hand side)
+    rows; the families stack in order and the first `n_eq` rows are the
+    equality rows.
+    """
     families, stacked = {}, []
     for family, entries in rows.items():
         families[family] = slice(len(stacked), len(stacked) + len(entries))
@@ -287,7 +303,7 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
     r, c, v = zip(
         *((idx, col, val) for idx, (coeffs, _) in enumerate(stacked) for col, val in coeffs.items())
     )
-    mat = sp.csr_matrix((v, (r, c)), shape=(len(stacked), n_vars))
+    mat = sp.csr_matrix((v, (r, c)), shape=(len(stacked), upper.size))
     rhs = np.array([b for _, b in stacked])
     return LinearSystem(
         lam=lam,
@@ -297,13 +313,86 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
         pair_facility=np.array([fac_pos[f] for f, _ in pairs], dtype=int),
         pair_client=np.array([j for _, j in pairs], dtype=int),
         pair_color=np.array([inst.colors()[j] for _, j in pairs], dtype=int),
-        a_eq=mat[: inst.n],
-        b_eq=rhs[: inst.n],
-        a_ub=mat[inst.n :],
-        b_ub=rhs[inst.n :],
+        pair_column=np.arange(len(pairs)),
+        column_pair=np.arange(len(pairs)),
+        a_eq=mat[:n_eq],
+        b_eq=rhs[:n_eq],
+        a_ub=mat[n_eq:],
+        b_ub=rhs[n_eq:],
         families=families,
-        upper=np.ones(n_vars),
+        upper=upper,
     )
+
+
+def _reference_pairs(inst, lam, restricted_facilities):
+    """The facility positions and the in-radius (local facility index, client) pairs, by loops."""
+    if restricted_facilities is None:
+        fac_pos = list(range(inst.n))
+    else:
+        fac_pos = sorted(inst.pos(i) for i in restricted_facilities)
+    radius = lam * (1.0 + RADIUS_SLACK)
+    pairs = [
+        (f, j) for f, fp in enumerate(fac_pos) for j in range(inst.n)
+        if inst.dist_row(fp)[j] <= radius
+    ]
+    return fac_pos, pairs
+
+
+def _per_client_system(inst, lam, restricted_facilities=None) -> LinearSystem:
+    """The per-client system in polytope_on's layout, built row by row.
+
+    Columns are y, one x per pair, then one load L per facility; the rows
+    are unit cover, load, x_ij <= y_i, the colorcap rows of polytope_on,
+    minload and budget.  It is the class system when every class is a
+    single client, and the dense reference's polytope with the loads kept
+    as columns.
+    """
+    fac_pos, pairs = _reference_pairs(inst, lam, restricted_facilities)
+    nf, n_pairs = len(fac_pos), len(pairs)
+    load = nf + n_pairs
+    rows: dict[str, list[tuple[dict[int, float], float]]] = {
+        "cover": [], "load": [], "open": [], "colorcap": [], "minload": [], "budget": []
+    }
+    for j in range(inst.n):
+        rows["cover"].append(({nf + c: 1.0 for c, p in enumerate(pairs) if p[1] == j}, 1.0))
+    for f in range(nf):
+        coeffs = {nf + c: -1.0 for c, (g, _) in enumerate(pairs) if g == f}
+        rows["load"].append(({load + f: 1.0, **coeffs}, 0.0))
+    for c, (f, _) in enumerate(pairs):
+        rows["open"].append(({nf + c: 1.0, f: -1.0}, 0.0))
+    for f in range(nf):
+        own = [(nf + c, inst.colors()[j]) for c, (g, j) in enumerate(pairs) if g == f]
+        for color in sorted({mc for _, mc in own}):
+            coeffs = {col: 1.0 for col, mc in own if mc == color}
+            rows["colorcap"].append(({**coeffs, load + f: -inst.alpha}, 0.0))
+    for f in range(nf):
+        rows["minload"].append(({load + f: -1.0, f: float(ceil_inv_alpha(inst.alpha))}, 0.0))
+    rows["budget"].append(({f: 1.0 for f in range(nf)}, float(inst.k)))
+    upper = np.concatenate([np.ones(nf + n_pairs), np.full(nf, np.inf)])
+    return _system_from_rows(inst, lam, fac_pos, pairs, rows, inst.n + nf, upper)
+
+
+def _reference_classes(inst, sys) -> list[tuple[frozenset, list[int]]]:
+    """(in-radius facility set, clients) per client class, ordered by lowest client.
+
+    A class is the clients with one color and one in-radius facility set,
+    read off the system's pairs by a loop.
+    """
+    reach: dict[int, set] = {j: set() for j in range(inst.n)}
+    for f, j in zip(sys.pair_facility.tolist(), sys.pair_client.tolist()):
+        reach[j].add(f)
+    groups: dict[tuple, list[int]] = {}
+    for j in range(inst.n):
+        groups.setdefault((int(inst.colors()[j]), frozenset(reach[j])), []).append(j)
+    return sorted(((key[1], members) for key, members in groups.items()), key=lambda g: g[1][0])
+
+
+def _reference_columns(inst, sys) -> list[tuple[int, list[int]]]:
+    """(facility position, class clients) per x column, ordered by (facility, class)."""
+    classes = _reference_classes(inst, sys)
+    return [
+        (f, members) for f in sys.facility_pos.tolist() for reach, members in classes if f in reach
+    ]
 
 
 def _equivalence_instance(rng: random.Random):
@@ -329,6 +418,7 @@ def _equivalence_instance(rng: random.Random):
 def test_compact_system_matches_dense_reference():
     rng = random.Random(73)
     verdicts = {True: 0, False: 0}
+    merged = 0
     for _ in range(300):
         inst = _equivalence_instance(rng)
         radii = candidate_radii(inst)
@@ -341,16 +431,67 @@ def test_compact_system_matches_dense_reference():
         ref = _reference_build_polytope(inst, lam, restricted)
         for name in ("facility_pos", "pair_facility", "pair_client", "pair_color"):
             assert np.array_equal(getattr(sys, name), getattr(ref, name)), name
+        columns = _reference_columns(inst, sys)
+        assert [sys.pair_facility[p] for p in sys.column_pair] == [f for f, _ in columns]
+        assert [sys.pair_client[p] for p in sys.column_pair] == [js[0] for _, js in columns]
         if not np.bincount(sys.pair_client, minlength=inst.n).all():
             continue
         vec = _solve_highs(sys)
         ref_vec = _solve_highs(ref)
         assert (vec is None) == (ref_vec is None)
         verdicts[vec is not None] += 1
+        merged += len(columns) < ref.pair_client.size
         if vec is not None:
             assert validate_point(sys, vec) == []
-            assert validate_point(ref, vec[: ref.n_vars]) == []
-    assert min(verdicts.values()) >= 40
+            # the per-client point check_feasible hands on meets every reference row
+            frac = check_feasible(sys)
+            assert validate_point(ref, _per_client_vector(ref, frac)) == []
+    assert min(verdicts.values()) >= 40 and merged >= 100
+
+
+def _per_client_vector(ref, frac) -> np.ndarray:
+    """The point as a vector of the per-client reference `ref`: y, then x per pair."""
+    mass = dict(zip(zip(frac.facility.tolist(), frac.client.tolist()), frac.x.tolist()))
+    pairs = zip(ref.pair_facility.tolist(), ref.pair_client.tolist())
+    x = [mass.get(pair, 0.0) for pair in pairs]
+    return np.concatenate([frac.y[ref.facility_pos], x])
+
+
+def test_singleton_classes_give_the_per_client_system():
+    # all colors distinct makes every class one client; then the class system
+    # is the per-client one array for array, and HiGHS returns the same bits
+    rng = random.Random(74)
+    feasible = 0
+    for i in range(60):
+        n = rng.randint(3, 10)
+        coords = [(rng.random(), rng.random()) for _ in range(n)]
+        alpha = rng.choice([1 / 2, 1 / 3])
+        inst = make_instance(coords, list(range(n)), k=rng.randint(1, 4), alpha=alpha)
+        radii = candidate_radii(inst)
+        lam = rng.choice(radii[len(radii) // 2 :])
+        restricted = rng.sample(inst.ids(), rng.randint(1, inst.n)) if i % 2 else None
+        sys = build_polytope(inst, lam, restricted)
+        ref = _per_client_system(inst, lam, restricted)
+        assert np.array_equal(sys.pair_column, np.arange(sys.pair_client.size))
+        assert np.array_equal(sys.column_pair, sys.pair_column)
+        for name in ("a_eq", "a_ub"):
+            got, want = getattr(sys, name), getattr(ref, name)
+            assert got.shape == want.shape, name
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+        for name in ("b_eq", "b_ub", "upper"):
+            assert getattr(sys, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert sys.families == ref.families
+        vec, ref_vec = _solve_highs(sys), _solve_highs(ref)
+        assert (vec is None) == (ref_vec is None)
+        if vec is not None:
+            assert vec.tobytes() == ref_vec.tobytes()
+            frac = check_feasible(sys)
+            nf = sys.facility_pos.size
+            x = vec[nf : nf + sys.pair_client.size]
+            assert frac.x.tobytes() == x[x > 1e-12].tobytes()
+            feasible += 1
+    assert feasible >= 15
 
 
 def test_nonzeros_stay_linear_in_pairs():
@@ -362,10 +503,12 @@ def test_nonzeros_stay_linear_in_pairs():
         lam = rng.choice(candidate_radii(inst))
         restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
-        nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
+        nf, n_cols = sys.facility_pos.size, sys.column_pair.size
+        assert n_cols <= sys.pair_client.size
         n_cap = family_rows(sys, "colorcap").shape[0]
         nnz = sys.a_eq.nnz + sys.a_ub.nnz
-        assert nnz == 5 * n_pairs + n_cap + 4 * nf
+        # linear in the x columns, of which there are at most as many as pairs
+        assert nnz == 5 * n_cols + n_cap + 4 * nf
 
 
 def test_validate_point_flags_corrupted_load(unit_square):
@@ -450,7 +593,8 @@ def test_small_system_uses_dual_simplex(unit_square, monkeypatch):
 def wide_system():
     """The LP route's instance and coreset at n=1000, d=10, 50 colors.
 
-    At 4.3446 its system has 9,332 columns.
+    At 4.3446 its 1,000 clients form 999 classes, and its system has 9,330
+    columns.
     """
     inst = make_balanced_instance(50, 20, dim=10, k=25, alpha=0.1, seed=0)
     coreset, _ = greedy_k_center(inst.with_params(k=50))
@@ -473,7 +617,7 @@ def test_wide_system_uses_interior_point_deterministically(wide_system, monkeypa
 
 
 def test_infeasible_systems_either_side_of_the_constant_are_none(wide_system, monkeypatch):
-    # at 4.2 the polytope is empty (7,458 columns); at 4.3446 a budget of 2
+    # at 4.2 the polytope is empty (7,456 columns); at 4.3446 a budget of 2
     # openings cannot cover every client
     inst, coreset = wide_system
     calls = _recording_linprog(monkeypatch)

@@ -212,10 +212,15 @@ def test_multiplicative_bound_for_integer_inverse_alpha():
 
 
 def _reference_point(inst, sys, vec) -> dict:
-    """The solver vector's x support as {(facility id, client id): mass}, in column order."""
+    """The solver vector's x support as {(facility id, client id): mass}, in pair order.
+
+    Each pair gets X_iC / w_C, its class column's mass over the class size,
+    which is the number of pairs in the column.
+    """
     ids = inst.ids()
     pairs = zip(sys.pair_facility.tolist(), sys.pair_client.tolist())
-    x = vec[sys.facility_pos.size : sys.facility_pos.size + sys.pair_client.size]
+    col = sys.pair_column
+    x = vec[sys.facility_pos.size + col] / np.bincount(col)[col]
     return {(ids[f], ids[j]): float(v) for (f, j), v in zip(pairs, x) if v > 1e-12}
 
 
