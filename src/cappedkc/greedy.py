@@ -70,12 +70,13 @@ def greedy_k_center(
 
 
 def lloyd_round(
-    inst: Instance, centers: np.ndarray, cpos: np.ndarray
+    inst: Instance, centers: np.ndarray, cpos: np.ndarray, dist: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One refinement round with k-center cost: the new centers, cpos and distances.
 
-    `centers` are ascending positions and `cpos` each point's center
-    position.  Each cluster's center moves to the member minimizing the
+    `centers` are ascending positions, and `cpos`, `dist` each point's
+    nearest center position and its distance to it, as `nearest_positions`
+    gives them.  Each cluster's center moves to the member minimizing the
     maximum intra-cluster distance (discrete 1-center, ties to the lowest
     id), then all points go to their nearest new center.
     """
@@ -88,10 +89,9 @@ def lloyd_round(
     refined = nearest_positions(inst, moved)
     # an input center outside its own cluster can make the 1-center step
     # regress; the round must never cost more than the input's nearest rebind
-    rebind = nearest_positions(inst, centers)
-    if refined[1].max() <= rebind[1].max():
+    if refined[1].max() <= dist.max():
         return (moved, *refined)
-    return (centers, *rebind)
+    return centers, cpos, dist
 
 
 def random_centers(inst: Instance, seed: int) -> np.ndarray:

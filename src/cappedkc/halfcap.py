@@ -125,6 +125,21 @@ def _decompose_components(
     return caplets
 
 
+def _first_join(label: np.ndarray, pa: np.ndarray, pb: np.ndarray, lo: int, hi: int) -> int:
+    """Index of the first pair in [lo, hi) whose ends carry different labels, or hi.
+
+    Scans in doubling chunks, so a join near `lo` costs little however far `hi` is.
+    """
+    step = 1024
+    while lo < hi:
+        top = min(hi, lo + step)
+        split = np.flatnonzero(label[pa[lo:top]] != label[pb[lo:top]])
+        if split.size:
+            return lo + int(split[0])
+        lo, step = top, 2 * step
+    return hi
+
+
 def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
     """Half-capped clustering via caplet decomposition of threshold components.
 
@@ -144,8 +159,12 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
     The 2*lam components grow by merging as the prefix grows.  Caplets are
     recomputed only when the components or the 10*lam prefix change, a
     component's decomposition only when its members or its number of 10*lam
-    edges change, and greedy only when the representatives change.  The
-    result is the one a fresh computation at every radius gives.
+    edges change, and greedy only when the representatives change.  After a
+    rejected radius the scan jumps to the first later one at which the
+    verdict can change: the 10*lam prefix grows, greedy's cost fits within
+    `2*lam + ACCEPT_TOL` (the same float expression, for all radii at
+    once), or a pair within 2*lam joins two components.  The result is the
+    one a fresh computation at every radius gives.
     """
     if abs(inst.alpha - 0.5) > 1e-12:
         raise InputError("algorithm 'half' requires alpha = 1/2")
@@ -165,16 +184,19 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
 
     radii = np.array(candidate_radii(inst))
     radii = radii[2.0 * radii >= no_singletons]
-    nears = np.searchsorted(pd, 2.0 * radii, side="right").tolist()
-    wides = np.searchsorted(pd, 10.0 * radii, side="right").tolist()
-    for lam, near, wide in zip(radii.tolist(), nears, wides):
+    nears = np.searchsorted(pd, 2.0 * radii, side="right")
+    wides = np.searchsorted(pd, 10.0 * radii, side="right")
+    fits = 2.0 * radii + ACCEPT_TOL  # ascending; greedy's cost is accepted up to it
+    i = 0
+    while i < radii.size:
+        lam, near, wide = float(radii[i]), int(nears[i]), int(wides[i])
         merged = not comps
         for a, b in zip(pa[n_near:near].tolist(), pb[n_near:near].tolist()):
             la, lb = label[a], label[b]
             if la != lb:
                 label[label == max(la, lb)] = min(la, lb)
                 merged = True
-        n_near = near
+        n_near = max(n_near, near)  # past near only when the pairs skipped below join nothing
         if merged:
             comps = [tuple(np.flatnonzero(label == r).tolist()) for r in np.unique(label)]
         if merged or wide != n_wide:
@@ -186,17 +208,26 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
                 sizes = [len(cap.members) for cap in caplets]
                 rep_pos = np.minimum.reduceat(inst.positions(members), np.cumsum(sizes) - sizes)
                 reps = tuple(inst.ids_at(np.unique(rep_pos)).tolist())
-        if caplets is None:
-            continue
 
-        if reps != last_reps:
-            last_reps = reps
-            gsol, gcost = greedy_k_center(inst, subset=reps)
-        if gcost > 2.0 * lam + ACCEPT_TOL:
-            continue
+        if caplets is not None:
+            if reps != last_reps:
+                last_reps = reps
+                gsol, gcost = greedy_k_center(inst, subset=reps)
+            if not gcost > 2.0 * lam + ACCEPT_TOL:
+                centers = [gsol.assign[rep] for rep in inst.ids_at(rep_pos).tolist()]
+                assign = dict(zip(members, np.repeat(centers, sizes).tolist()))
+                return ClusteringSolution(gsol.centers, assign), lam
 
-        centers = [gsol.assign[rep] for rep in inst.ids_at(rep_pos).tolist()]
-        assign = dict(zip(members, np.repeat(centers, sizes).tolist()))
-        return ClusteringSolution(gsol.centers, assign), lam
+        # rejected: the verdict repeats until the 10*lam prefix grows, greedy's
+        # cost fits within 2*lam, or a pair within 2*lam joins two components
+        nxt = int(np.searchsorted(wides, n_wide, side="right"))
+        if caplets is not None:
+            nxt = min(nxt, int(np.searchsorted(fits, gcost, side="left")))
+        last = int(nears[min(nxt, radii.size - 1)])
+        if n_near < last:
+            n_near = _first_join(label, pa, pb, n_near, last)  # the pairs before it join nothing
+            if n_near < last:
+                nxt = min(nxt, int(np.searchsorted(nears, n_near, side="right")))
+        i = nxt
 
     raise InfeasibleInstance("no radius admits a caplet decomposition with a greedy cover")

@@ -187,7 +187,7 @@ def greedy_gold(inst: Instance) -> tuple[ClusteringSolution, float]:
 def _gold(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`greedy_gold` on positions: the centers, each point's center and its distance."""
     centers, _ = farthest_first(inst, inst.k)
-    return lloyd_round(inst, centers, nearest_positions(inst, centers)[0])
+    return lloyd_round(inst, centers, *nearest_positions(inst, centers))
 
 
 def _ratio(cost: float, base: float) -> float | None:

@@ -11,11 +11,16 @@ import numpy as np
 def sorted_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> list[list[int]]:
     """Each node's neighbors in ascending order, from edge endpoint arrays.
 
-    The edges (u[e], v[e]) must be distinct, with no self-loops.
+    The edges (u[e], v[e]) must be distinct, with no self-loops.  Both
+    directions of every edge are packed into one int64 key `src * n + dst`
+    and sorted once; distinct edges give distinct keys, so this is the
+    (src, dst) lexicographic order.  The endpoints are widened to int64
+    first, so int32 input cannot overflow the key.
     """
-    src = np.concatenate((u, v))
-    dst = np.concatenate((v, u))
-    flat = dst[np.lexsort((dst, src))].tolist()
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    src, dst = np.divmod(np.sort(np.concatenate((u * n + v, v * n + u))), n)
+    flat = dst.tolist()
     ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     return [flat[start:end] for start, end in zip([0] + ends, ends)]
 
@@ -32,7 +37,13 @@ def max_matching(adj: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
 
     O(n^3)-style implementation: repeatedly grow an alternating BFS forest
     from each exposed node, contracting blossoms in-place via a base[] array,
-    and augment when an exposed node is reached.
+    and augment when an exposed node is reached.  A root whose neighbor
+    list holds an exposed node is matched to the first such node without a
+    search: the search from that root scans the root's own list before any
+    other node's, and no exposed node gets a parent or joins a blossom
+    before its edge from the root is scanned, so the search would augment
+    along exactly that edge.  A root with no neighbors is left exposed
+    without a search.
     """
     n = len(adj)
     match = [-1] * n
@@ -102,7 +113,12 @@ def max_matching(adj: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
 
     for v in range(n):
         if match[v] == -1:
-            find_augmenting_path(v)
+            mate = next((to for to in adj[v] if match[to] == -1), -1)
+            if mate != -1:
+                match[v] = mate
+                match[mate] = v
+            elif adj[v]:
+                find_augmenting_path(v)
 
     return {(v, match[v]) for v in range(n) if match[v] > v}
 

@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -18,7 +18,6 @@ from cappedkc import (
     Instance,
     check_feasible,
     make_instance,
-    sorted_adjacency,
 )
 from cappedkc.core import ceil_inv_alpha
 from cappedkc.lp_feasibility import RADIUS_SLACK, passes_prechecks, polytope_on, radius_pairs
@@ -64,10 +63,95 @@ def family_rows(sys, family: str) -> sp.csr_matrix:
     return sp.vstack([sys.a_eq, sys.a_ub], format="csr")[sys.families[family]]
 
 
+def _reference_sorted_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> list[list[int]]:
+    """`sorted_adjacency` by a lexsort on (src, dst): the specification of its order."""
+    src = np.concatenate((u, v))
+    dst = np.concatenate((v, u))
+    flat = dst[np.lexsort((dst, src))].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _reference_max_matching(adj) -> set[tuple[int, int]]:
+    """`max_matching` with a blossom search from every exposed root, in node order.
+
+    The specification of its pairs: the library matches a root to its first
+    exposed neighbor without a search, and must give exactly these pairs.
+    """
+    n = len(adj)
+    match = [-1] * n
+
+    def lca(a, b, base, parent):
+        seen = [False] * n
+        v = a
+        while True:
+            v = base[v]
+            seen[v] = True
+            if match[v] == -1:
+                break
+            v = parent[match[v]]
+        v = b
+        while True:
+            v = base[v]
+            if seen[v]:
+                return v
+            v = parent[match[v]]
+
+    def mark_path(v, b, child, base, parent, blossom):
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def find_augmenting_path(root) -> bool:
+        used = [False] * n
+        parent = [-1] * n
+        base = list(range(n))
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    curbase = lca(v, to, base, parent)
+                    blossom = [False] * n
+                    mark_path(v, curbase, to, base, parent, blossom)
+                    mark_path(to, curbase, v, base, parent, blossom)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        u = to
+                        while u != -1:
+                            pv = parent[u]
+                            ppv = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = ppv
+                        return True
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return False
+
+    for v in range(n):
+        if match[v] == -1:
+            find_augmenting_path(v)
+    return {(v, match[v]) for v in range(n) if match[v] > v}
+
+
 def edge_adjacency(n: int, edges) -> list[list[int]]:
     """max_matching's input for n nodes and distinct undirected (u, v) edges."""
     u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
-    return sorted_adjacency(n, u, v)
+    return _reference_sorted_adjacency(n, u, v)
 
 
 def pair_masses(inst: Instance, frac: FractionalSolution) -> dict:

@@ -56,8 +56,7 @@ def _nearest(inst: Instance, centers) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def test_lloyd_moves_line_center():
     inst = line_instance([0, 1, 2], k=1)
-    centers, cpos, _ = _nearest(inst, [0])
-    moved, moved_cpos, dist = lloyd_round(inst, centers, cpos)
+    moved, moved_cpos, dist = lloyd_round(inst, *_nearest(inst, [0]))
     assert moved.tolist() == [1] and moved_cpos.tolist() == [1, 1, 1]
     assert dist.max() == 1.0
 
@@ -66,13 +65,12 @@ def test_lloyd_fixed_point():
     inst = line_instance([0, 1, 10, 11], k=2)
     centers, cpos, dist = _nearest(inst, [0, 3])
     # centers {0,11} are already discrete 1-centers of their clusters up to ties
-    assert lloyd_round(inst, centers, cpos)[2].max() == dist.max()
+    assert lloyd_round(inst, centers, cpos, dist)[2].max() == dist.max()
 
 
 def test_lloyd_singletons_unchanged():
     inst = line_instance([0, 5, 9], k=3)
-    centers, cpos, _ = _nearest(inst, [0, 1, 2])
-    assert lloyd_round(inst, centers, cpos)[0].tolist() == [0, 1, 2]
+    assert lloyd_round(inst, *_nearest(inst, [0, 1, 2]))[0].tolist() == [0, 1, 2]
 
 
 def test_lloyd_never_increases_cost():
@@ -83,7 +81,7 @@ def test_lloyd_never_increases_cost():
             [(rng.random(), rng.random()) for _ in range(n)], [0] * n, k=3, alpha=1.0
         )
         centers, cpos, before = _nearest(inst, rng.sample(range(n), min(3, n)))
-        moved, moved_cpos, after = lloyd_round(inst, centers, cpos)
+        moved, moved_cpos, after = lloyd_round(inst, centers, cpos, before)
         assert np.isin(moved_cpos, moved).all()
         assert after.tolist() == inst.dist_paired(moved_cpos).tolist()
         assert after.max() <= before.max() + 1e-12
@@ -97,17 +95,17 @@ def test_lloyd_round_works_without_the_distance_matrix(monkeypatch):
         inst = make_instance(
             [(rng.random(), rng.random(), rng.random()) for _ in range(n)], [0] * n, k=3, alpha=1.0
         )
-        centers, cpos, _ = _nearest(inst, rng.sample(range(n), 3))
+        start = _nearest(inst, rng.sample(range(n), 3))
         full = make_instance(inst.coords(), [0] * n, k=3, alpha=1.0)
         full.pairwise()
-        cases.append((inst, centers, cpos, lloyd_round(full, centers, cpos)))
+        cases.append((inst, start, lloyd_round(full, *start)))
 
     def no_matrix(self):
         raise AssertionError("the Lloyd round must not build the full distance matrix")
 
     monkeypatch.setattr(Instance, "pairwise", no_matrix)
-    for inst, centers, cpos, expected in cases:
-        out = lloyd_round(inst, centers, cpos)
+    for inst, start, expected in cases:
+        out = lloyd_round(inst, *start)
         assert all(np.array_equal(a, b) for a, b in zip(out, expected))
         greedy_sol, greedy_cost = greedy_k_center(inst)
         assert greedy_cost == solution_cost(inst, greedy_sol)
@@ -117,8 +115,8 @@ def test_lloyd_round_builds_no_block_for_a_large_cluster(monkeypatch):
     # one cluster of 400 points: its whole distance block would be 400 x 400 x 10
     rng = np.random.default_rng(23)
     inst = make_instance(rng.standard_normal((400, 10)), [0] * 400, k=1, alpha=1.0)
-    centers, cpos, _ = _nearest(inst, [0])
-    expected = lloyd_round(inst, centers, cpos)
+    start = _nearest(inst, [0])
+    expected = lloyd_round(inst, *start)
     assert expected[0].tolist() == [reference_one_center(inst, list(range(400)))]
 
     def no_block(self, *args):
@@ -126,7 +124,7 @@ def test_lloyd_round_builds_no_block_for_a_large_cluster(monkeypatch):
 
     monkeypatch.setattr(Instance, "dist_block", no_block)
     monkeypatch.setattr(Instance, "pairwise", no_block)
-    out = lloyd_round(inst, centers, cpos)
+    out = lloyd_round(inst, *start)
     assert all(np.array_equal(a, b) for a, b in zip(out, expected))
 
 

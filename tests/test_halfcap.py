@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -16,13 +18,12 @@ from cappedkc import (
     greedy_k_center,
     make_balanced_instance,
     make_instance,
-    max_matching,
     non_dominant_k_center,
     solution_cost,
 )
 from cappedkc import halfcap
 from cappedkc.halfcap import ACCEPT_TOL
-from conftest import edge_adjacency, random_capped_instance
+from conftest import _reference_max_matching, edge_adjacency, random_capped_instance
 
 
 # The threshold-graph tests pin the reference helpers below, which specify
@@ -185,7 +186,7 @@ def _reference_caplet_decompose(nodes, colors, edges):
     def matching_on(keep: list[int]) -> list[tuple[int, int]] | None:
         sub = {v: i for i, v in enumerate(keep)}
         sub_edges = [(sub[a], sub[b]) for a, b in local_edges if a in sub and b in sub]
-        matched = max_matching(edge_adjacency(len(keep), sub_edges))
+        matched = _reference_max_matching(edge_adjacency(len(keep), sub_edges))
         if len(matched) * 2 != len(keep):
             return None
         return [(keep[a], keep[b]) for a, b in matched]
@@ -407,3 +408,14 @@ def test_scan_never_repeats_a_decomposition(monkeypatch):
     non_dominant_k_center(_criterion_7_instance())
     assert seen
     assert len(set(seen)) == len(seen)
+
+
+def test_half_route_pinned_at_n_300():
+    # beyond the small pools the reference scan can check: the accepted radius
+    # and a digest of the sorted assignment; a change to either is an output change
+    inst = make_balanced_instance(n_colors=4, per_color=75, dim=3, k=4, alpha=0.5, seed=5)
+    sol, lam = non_dominant_k_center(inst)
+    digest = hashlib.sha256(json.dumps(sorted(sol.assign.items())).encode()).hexdigest()
+    assert lam == 1.6085451368584502
+    assert digest == "faa5cd68cb4181d4763ca17fd62914b903f992bffd8cffda367f6ebb0a6b8cbc"
+    assert check_capped(inst, sol)

@@ -2,12 +2,13 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cappedkc import max_matching
-from conftest import edge_adjacency
+from cappedkc import max_matching, sorted_adjacency
+from conftest import _reference_max_matching, _reference_sorted_adjacency, edge_adjacency
 
 
 def brute_max_matching_size(n: int, edges: frozenset) -> int:
@@ -108,3 +109,73 @@ def test_agrees_with_networkx_up_to_60_nodes():
         assert len(matched) == len(nx.max_weight_matching(oracle, maxcardinality=True))
 
     check()
+
+
+def _emptied(adj, tri):
+    """`adj` with the nodes of `tri` emptied, as caplet_decompose's triangle loop empties them."""
+    return [[] if a in tri else [b for b in nbrs if b not in tri] for a, nbrs in enumerate(adj)]
+
+
+def _first_exposed_neighbors(adj) -> set[tuple[int, int]]:
+    """Each exposed node in order matched to its first exposed neighbor, with no search."""
+    match = [-1] * len(adj)
+    for v, nbrs in enumerate(adj):
+        mate = next((w for w in nbrs if match[w] == -1), -1) if match[v] == -1 else -1
+        if mate != -1:
+            match[v], match[mate] = mate, v
+    return {(v, w) for v, w in enumerate(match) if w > v}
+
+
+def test_matches_the_reference_search_from_every_root():
+    # "searched" counts graphs whose matching needs augmenting paths, so the
+    # blossom search after the shortcut is exercised too
+    rng = np.random.default_rng(4242)
+    tally = {"int32": 0, "reversed": 0, "emptied": 0, "dense": 0, "searched": 0}
+    for _ in range(2000):
+        n = int(rng.integers(0, 31))
+        p = float(rng.choice([0.03, 0.1, 0.25, 0.5, 0.9]))
+        a, b = np.triu_indices(n, k=1)
+        keep = rng.random(a.size) < p
+        a, b = a[keep], b[keep]
+        flip = rng.random(a.size) < 0.5  # either endpoint may come first
+        u, v = np.where(flip, b, a), np.where(flip, a, b)
+        if rng.random() < 0.5:
+            u, v = u[::-1], v[::-1]
+            tally["reversed"] += 1
+        else:
+            order = rng.permutation(u.size)
+            u, v = u[order], v[order]
+        if rng.random() < 0.5:
+            u, v = u.astype(np.int32), v.astype(np.int32)
+            tally["int32"] += 1
+        tally["dense"] += p >= 0.5
+        adj = sorted_adjacency(n, u, v)
+        assert adj == _reference_sorted_adjacency(n, u, v)
+        graphs = [adj]
+        if n >= 3:
+            graphs.append(_emptied(adj, set(rng.choice(n, 3, replace=False).tolist())))
+            tally["emptied"] += 1
+        for graph in graphs:
+            expected = _reference_max_matching(graph)
+            assert max_matching(graph) == expected
+            tally["searched"] += expected != _first_exposed_neighbors(graph)
+    assert min(tally.values()) >= 300, tally
+
+
+def test_sorted_adjacency_keys_past_int32():
+    # n * n > 2**31: the packed key of an int32 edge list must not wrap
+    rng = np.random.default_rng(9)
+    n = 50_000
+    ends = rng.choice(np.arange(n - 300, n), size=(400, 2))
+    ends = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
+    rng.shuffle(ends)
+    u, v = ends.astype(np.int32).T
+    adj = sorted_adjacency(n, u, v)
+    assert n * (n - 1) > 2**31
+    assert adj == _reference_sorted_adjacency(n, u, v)
+    # nodes with empty lists change nothing: the pairs of the graph on the used nodes
+    used = np.unique(ends).tolist()
+    local = {node: i for i, node in enumerate(used)}
+    small = [[local[w] for w in adj[node]] for node in used]
+    expected = {(used[a], used[b]) for a, b in _reference_max_matching(small)}
+    assert max_matching(adj) == expected
