@@ -19,18 +19,8 @@ from .flow import (
     max_flow_lower_bounds,
 )
 from .greedy import greedy_k_center
-from .halfcap import (
-    Caplet,
-    caplet_decompose,
-    non_dominant_k_center,
-)
-from .hardness import (
-    BipartiteSeed,
-    capped_cost_at_most,
-    capped_opt,
-    hardness_instance,
-    t_star_decomposition_exists,
-)
+from .halfcap import caplet_decompose, non_dominant_k_center
+from .hardness import BipartiteSeed, capped_opt, hardness_instance
 from .harness import (
     CappedInstanceReport,
     RunConfig,
@@ -61,7 +51,6 @@ from .matching import max_matching, sorted_adjacency
 __all__ = [
     "BipartiteSeed",
     "CAP_TOL",
-    "Caplet",
     "CappedInstanceReport",
     "ClusteringSolution",
     "ContractViolation",
@@ -78,7 +67,6 @@ __all__ = [
     "build_polytope",
     "candidate_radii",
     "caplet_decompose",
-    "capped_cost_at_most",
     "capped_opt",
     "check_capped",
     "check_feasible",
@@ -101,6 +89,5 @@ __all__ = [
     "select_separated_facilities",
     "solution_cost",
     "sorted_adjacency",
-    "t_star_decomposition_exists",
     "validate_point",
 ]

@@ -6,17 +6,10 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .core import InputError, Instance, make_instance
-from .harness import (
-    CappedInstanceReport,
-    RunConfig,
-    evaluate,
-    report_to_dict,
-    reports_to_csv,
-)
+from .harness import RunConfig, evaluate, report_to_dict, reports_to_csv
 from .lp_feasibility import SolverError
 
 
@@ -68,53 +61,6 @@ def save_csv(inst: Instance, path: str | Path):
             writer.writerow([pid, label] + [repr(v) for v in vec])
 
 
-def cost_alpha_svg(points: list[tuple[float, float]], width: int = 480, height: int = 320) -> str:
-    """Minimal scatter of solution cost against alpha (deterministic bytes)."""
-    margin = 48.0
-    xs = [p[0] for p in points] or [0.0]
-    ys = [p[1] for p in points] or [0.0]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = 0.0, max(ys) or 1.0
-    if x1 <= x0:
-        x1 = x0 + 1.0
-
-    def sx(v):
-        return margin + (v - x0) / (x1 - x0) * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - (v - y0) / (y1 - y0) * (height - 2 * margin)
-
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="12">alpha</text>',
-        f'<text x="14" y="{height / 2:.1f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 14 {height / 2:.1f})">cost</text>',
-        f'<text x="{margin}" y="{height - margin + 16}" font-size="10" '
-        f'text-anchor="middle">{x0:.4g}</text>',
-        f'<text x="{width - margin}" y="{height - margin + 16}" font-size="10" '
-        f'text-anchor="middle">{x1:.4g}</text>',
-        f'<text x="{margin - 6}" y="{sy(y1):.1f}" font-size="10" text-anchor="end">{y1:.4g}</text>',
-        f'<text x="{margin - 6}" y="{height - margin:.1f}" font-size="10" '
-        f'text-anchor="end">{y0:.4g}</text>',
-    ]
-    for x, y in points:
-        out.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="4" fill="#1f6fb2"/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def _run_cell(task: tuple[str, str, RunConfig]) -> tuple[str, CappedInstanceReport]:
-    name, path, cfg = task
-    inst = load_csv(path, k=cfg.k, alpha=cfg.alpha)
-    return name, evaluate(inst, cfg)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cappedkc",
@@ -129,14 +75,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", default="-", help="report path, '-' for stdout")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--svg", default=None, help="optional cost-vs-alpha scatter path")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel (dataset, alpha) cells")
     parser.add_argument("--no-wall", action="store_true", help="omit wall_ms from JSON output")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run every (dataset, alpha) cell in order and emit one report.
+
+    Returns 0 on success, 1 on a usage or input error (message on stderr,
+    nothing on stdout) and 2 when some cell is infeasible.
+    """
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     try:
         alphas = [float(a) for a in str(args.alpha).split(",") if a]
     except ValueError:
@@ -145,29 +97,24 @@ def main(argv: list[str] | None = None) -> int:
     if not alphas:
         print("error: --alpha needs at least one value", file=sys.stderr)
         return 1
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 1
 
     try:
-        tasks = []
+        cfgs = [
+            RunConfig(
+                k=args.k,
+                alpha=alpha,
+                epsilon=args.epsilon,
+                m=args.m,
+                algorithm=args.algo,
+                seed=args.seed,
+            )
+            for alpha in alphas
+        ]
+        results = []
         for path in args.input:
-            for alpha in alphas:
-                cfg = RunConfig(
-                    k=args.k,
-                    alpha=alpha,
-                    epsilon=args.epsilon,
-                    m=args.m,
-                    algorithm=args.algo,
-                    seed=args.seed,
-                )
-                tasks.append((Path(path).stem, path, cfg))
-        if args.jobs > 1 and len(tasks) > 1:
-            # the pool forks all its workers on first use, so never more than cells
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-                results = list(pool.map(_run_cell, tasks))
-        else:
-            results = [_run_cell(t) for t in tasks]
+            for cfg in cfgs:
+                inst = load_csv(path, k=cfg.k, alpha=cfg.alpha)
+                results.append((Path(path).stem, evaluate(inst, cfg)))
 
         if args.format == "csv":
             text = reports_to_csv(results)
@@ -175,14 +122,6 @@ def main(argv: list[str] | None = None) -> int:
             dicts = [report_to_dict(r, not args.no_wall) for _, r in results]
             payload = dicts[0] if len(dicts) == 1 else {"runs": dicts}
             text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        # the scatter goes first, so a path that cannot be written leaves stdout empty
-        if args.svg is not None:
-            pts = [
-                (r.params["alpha"], r.cost)
-                for _, r in results
-                if r.status == "ok" and r.cost is not None
-            ]
-            Path(args.svg).write_text(cost_alpha_svg(pts))
         if args.output == "-":
             sys.stdout.write(text)
         else:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -18,17 +17,6 @@ from .greedy import greedy_k_center
 from .matching import max_matching, sorted_adjacency
 
 ACCEPT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Caplet:
-    """Two or three points, all of distinct colors; the unit of the decomposition."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 2 <= len(self.members) <= 3:
-            raise InputError("caplets have two or three members")
 
 
 def _colored_pairs(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -53,8 +41,8 @@ def _triangles(adj: list[list[int]]) -> Iterator[tuple[int, int, int]]:
 
 def caplet_decompose(
     nodes: Sequence[int], u: np.ndarray, v: np.ndarray
-) -> tuple[Caplet, ...] | None:
-    """Partition a component into distinct-color pairs plus at most one triangle.
+) -> tuple[tuple[int, ...], ...] | None:
+    """Partition a component into caplets: distinct-color pairs plus at most one triangle.
 
     `nodes` are the component's point ids in ascending order, and the edges
     join nodes[u[e]] and nodes[v[e]]; each pair appears once.  Every edge
@@ -62,8 +50,8 @@ def caplet_decompose(
     the caplets need no color check.  Even components are one
     perfect-matching attempt.  Odd components try each triangle in
     lexicographic node order, then a perfect matching on the rest; the first
-    success wins.  Returns the caplets sorted by members, or None when no
-    decomposition exists (in particular for singletons).
+    success wins.  Returns the caplets as sorted tuples of member ids, or
+    None when no decomposition exists (in particular for singletons).
     """
     m = len(nodes)
     if m < 2:
@@ -74,16 +62,16 @@ def caplet_decompose(
         pairs = max_matching(adj)
         if len(pairs) * 2 != m:
             return None
-        return tuple(Caplet((nodes[a], nodes[b])) for a, b in sorted(pairs))
+        return tuple((nodes[a], nodes[b]) for a, b in sorted(pairs))
 
     # odd: one triangle is forced; any triangle of the graph has 3 distinct colors
     for tri in _triangles(adj):
         rest = [[] if a in tri else [b for b in nbrs if b not in tri] for a, nbrs in enumerate(adj)]
         pairs = max_matching(rest)
         if len(pairs) * 2 == m - 3:
-            caplets = [Caplet(tuple(nodes[a] for a in tri))]
-            caplets += [Caplet((nodes[a], nodes[b])) for a, b in pairs]
-            return tuple(sorted(caplets, key=lambda cap: cap.members))
+            caplets = [tuple(nodes[a] for a in tri)]
+            caplets += [(nodes[a], nodes[b]) for a, b in pairs]
+            return tuple(sorted(caplets))
     return None
 
 
@@ -93,8 +81,8 @@ def _decompose_components(
     label: np.ndarray,
     pa: np.ndarray,
     pb: np.ndarray,
-    decomposed: dict[tuple[int, ...], tuple[int, tuple[Caplet, ...] | None]],
-) -> list[Caplet] | None:
+    decomposed: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...] | None]],
+) -> list[tuple[int, ...]] | None:
     """Caplets of every component in order, or None once one has no decomposition.
 
     `pa`, `pb` are the differently-colored pairs within 10*lam and `label`
@@ -108,7 +96,7 @@ def _decompose_components(
     inside = wide_label == label[pb]
     wide_count = np.bincount(wide_label[inside], minlength=inst.n)
     rank = np.empty(inst.n, dtype=np.int64)  # each position's index among its component's ids
-    caplets: list[Caplet] = []
+    caplets: list[tuple[int, ...]] = []
     for comp in comps:
         count = int(wide_count[comp[0]])
         cached = decomposed.get(comp)
@@ -179,7 +167,7 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
     label = np.arange(inst.n)  # smallest member of each point's 2*lam component
     comps: list[tuple[int, ...]] = []
     n_near = n_wide = 0
-    decomposed: dict[tuple[int, ...], tuple[int, tuple[Caplet, ...] | None]] = {}
+    decomposed: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...] | None]] = {}
     last_reps: tuple[int, ...] | None = None
 
     radii = np.array(candidate_radii(inst))
@@ -204,8 +192,8 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
             caplets = _decompose_components(inst, comps, label, pa[:n_wide], pb[:n_wide], decomposed)
             if caplets is not None:
                 # each caplet's representative is its member of lowest position
-                members = [j for cap in caplets for j in cap.members]
-                sizes = [len(cap.members) for cap in caplets]
+                members = [j for cap in caplets for j in cap]
+                sizes = [len(cap) for cap in caplets]
                 rep_pos = np.minimum.reduceat(inst.positions(members), np.cumsum(sizes) - sizes)
                 reps = tuple(inst.ids_at(np.unique(rep_pos)).tolist())
 

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
 from .core import CAP_TOL, ClusteringSolution, InfeasibleInstance, InputError, Instance
-
-_STAR_GUARD = 12
 
 
 @dataclass(frozen=True)
@@ -110,45 +107,6 @@ def hardness_instance(seed: BipartiteSeed) -> Instance:
     )
 
 
-def t_star_decomposition_exists(seed: BipartiteSeed, star_size: int) -> bool:
-    """Can the seed graph be partitioned into size-`star_size` blocks, each inducing a star?
-
-    Exact by enumeration; a block induces a star when some member is adjacent
-    to every other member.  The gadget reduction always concerns blocks of
-    size three regardless of the seed's cap parameter.
-    """
-    if star_size < 1:
-        raise InputError("star size must be positive")
-    n = seed.n_left + seed.n_right
-    if n > _STAR_GUARD:
-        raise InputError(f"exact star decomposition is limited to {_STAR_GUARD} nodes")
-    if n == 0:
-        return True
-    if n % star_size:
-        return False
-    adj = [set() for _ in range(n)]
-    for a, b in seed.edges:
-        adj[a].add(seed.n_left + b)
-        adj[seed.n_left + b].add(a)
-
-    def induces_star(block: tuple[int, ...]) -> bool:
-        rest = set(block)
-        return any(rest - {v} <= adj[v] for v in block)
-
-    def cover(remaining: frozenset) -> bool:
-        if not remaining:
-            return True
-        v = min(remaining)
-        others = sorted(remaining - {v})
-        for extra in combinations(others, star_size - 1):
-            block = (v, *extra)
-            if induces_star(block) and cover(remaining - set(block)):
-                return True
-        return False
-
-    return cover(frozenset(range(n)))
-
-
 def _capped_system(inst: Instance, radius: float):
     """The 0/1 program behind capped_opt as (A, lb, ub, fac, client), A in CSC form.
 
@@ -221,11 +179,6 @@ def _capped_solution(inst: Instance, radius: float) -> ClusteringSolution | None
     centers = tuple(sorted(ids[np.unique(fac[chosen])].tolist()))
     assign = dict(zip(ids[client[chosen]].tolist(), ids[fac[chosen]].tolist()))
     return ClusteringSolution(centers, assign)
-
-
-def capped_cost_at_most(inst: Instance, radius: float) -> bool:
-    """Exact decision: does a capped clustering of cost <= radius with at most k clusters exist?"""
-    return _capped_solution(inst, radius) is not None
 
 
 def capped_opt(inst: Instance) -> tuple[float, ClusteringSolution]:

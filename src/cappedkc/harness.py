@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import operator
@@ -304,16 +306,16 @@ CSV_COLUMNS = [
 
 
 def reports_to_csv(rows: list[tuple[str, CappedInstanceReport]]) -> str:
-    """Overview-table CSV: one row per (dataset, run), its cells looked up by column name."""
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return f"{v:.6g}"
-        return str(v)
+    """Overview-table CSV: one row per (dataset, run), its cells looked up by column name.
 
-    lines = [",".join(CSV_COLUMNS)]
+    Cells are quoted only where they need it (a comma in a dataset name, say),
+    and None is an empty cell.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for dataset, r in rows:
         fields = {"dataset": dataset, **r.params, **vars(r)}
-        lines.append(",".join(cell(fields[name]) for name in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+        cells = (fields[name] for name in CSV_COLUMNS)
+        writer.writerow(f"{v:.6g}" if isinstance(v, float) else v for v in cells)
+    return out.getvalue()

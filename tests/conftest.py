@@ -183,6 +183,48 @@ def tiny_seeds() -> list[BipartiteSeed]:
     return seeds
 
 
+_STAR_GUARD = 12
+
+
+def t_star_decomposition_exists(seed: BipartiteSeed, star_size: int) -> bool:
+    """Can the seed graph be partitioned into size-`star_size` blocks, each inducing a star?
+
+    Exact by enumeration; a block induces a star when some member is adjacent
+    to every other member.  The gadget reduction always concerns blocks of
+    size three regardless of the seed's cap parameter.
+    """
+    if star_size < 1:
+        raise InputError("star size must be positive")
+    n = seed.n_left + seed.n_right
+    if n > _STAR_GUARD:
+        raise InputError(f"exact star decomposition is limited to {_STAR_GUARD} nodes")
+    if n == 0:
+        return True
+    if n % star_size:
+        return False
+    adj = [set() for _ in range(n)]
+    for a, b in seed.edges:
+        adj[a].add(seed.n_left + b)
+        adj[seed.n_left + b].add(a)
+
+    def induces_star(block: tuple[int, ...]) -> bool:
+        rest = set(block)
+        return any(rest - {v} <= adj[v] for v in block)
+
+    def cover(remaining: frozenset) -> bool:
+        if not remaining:
+            return True
+        v = min(remaining)
+        others = sorted(remaining - {v})
+        for extra in combinations(others, star_size - 1):
+            block = (v, *extra)
+            if induces_star(block) and cover(remaining - set(block)):
+                return True
+        return False
+
+    return cover(frozenset(range(n)))
+
+
 @lru_cache(maxsize=32)
 def _assignments(m: int, n: int) -> np.ndarray:
     """All m^n assignment vectors in lexicographic order, one row each."""
@@ -247,7 +289,7 @@ _PARTITION_GUARD = 14
 
 
 def capped_partition_exists_bruteforce(inst: Instance, radius: float) -> bool:
-    """Enumeration cross-check for capped_cost_at_most on small instances.
+    """Enumeration cross-check for `hardness._capped_solution` on small instances.
 
     Recursively carves off a capped cluster containing the lowest remaining
     point from some center's radius ball, memoizing on the remaining set.

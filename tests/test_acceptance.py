@@ -27,7 +27,6 @@ from cappedkc import (
     reroute_fractional,
     select_separated_facilities,
     solution_cost,
-    t_star_decomposition_exists,
 )
 from cappedkc.flow import _snap
 from cappedkc.harness import report_to_dict
@@ -35,6 +34,7 @@ from conftest import (
     brute_force_kcenter_opt,
     min_feasible_radius,
     random_capped_instance,
+    t_star_decomposition_exists,
     tiny_seeds,
 )
 

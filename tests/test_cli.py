@@ -1,3 +1,4 @@
+import csv
 import json
 from types import SimpleNamespace
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from cappedkc import InputError, cli, make_balanced_instance, make_instance
-from cappedkc.cli import cost_alpha_svg, load_csv, main, save_csv
+from cappedkc import InputError, make_balanced_instance, make_instance
+from cappedkc.cli import load_csv, main, save_csv
 
 
 def write(tmp_path, name, text):
@@ -101,10 +102,9 @@ def test_main_wall_time_present_by_default(tmp_path, capsys):
     assert "wall_ms" in payload
 
 
-def test_main_alpha_sweep_csv_and_svg(tmp_path, capsys):
+def test_main_alpha_sweep_csv(tmp_path, capsys):
     path = square_csv(tmp_path)
     out = tmp_path / "table.csv"
-    svg = tmp_path / "cost.svg"
     code = main(
         [
             "--input", str(path),
@@ -113,14 +113,39 @@ def test_main_alpha_sweep_csv_and_svg(tmp_path, capsys):
             "--algo", "lp",
             "--format", "csv",
             "--output", str(out),
-            "--svg", str(svg),
         ]
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("dataset,algorithm,k,alpha")
-    assert svg.read_text().startswith("<svg")
+    # one row per cell, in the order the sweep lists them
+    assert [line.split(",")[3] for line in lines[1:]] == ["0.5", "1"]
+
+
+def test_main_csv_quotes_dataset_with_comma(tmp_path, capsys):
+    path = write(tmp_path, "a,b.csv", square_csv(tmp_path).read_text())
+    assert main(["--input", str(path), "--k", "2", "--algo", "greedy", "--format", "csv"]) == 0
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert len(row) == len(header)
+    assert dict(zip(header, row))["dataset"] == "a,b"
+
+
+@pytest.mark.parametrize(
+    "flag", [["--k", "abc"], ["--algo", "bogus"], ["--svg", "x.svg"], ["--jobs", "2"]]
+)
+def test_main_usage_error_exits_1(tmp_path, capsys, flag):
+    # 2 means "infeasible", so argparse's own exit code must not leak out
+    path = square_csv(tmp_path)
+    assert main(["--input", str(path)] + flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: cappedkc" in captured.err and "error: " in captured.err
+
+
+def test_main_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cappedkc")
 
 
 def test_main_infeasible_exit_code(tmp_path, capsys):
@@ -136,7 +161,7 @@ def test_main_error_exit_code(tmp_path, capsys):
     assert main(["--input", str(missing), "--k", "2"]) == 1
 
 
-@pytest.mark.parametrize("flag", ["--output", "--svg"])
+@pytest.mark.parametrize("flag", ["--output"])
 def test_main_unwritable_output_is_error(tmp_path, capsys, flag):
     path = square_csv(tmp_path)
     target = tmp_path / "no-such-dir" / "out"
@@ -195,8 +220,9 @@ def test_main_id_outside_64_bits_is_error(tmp_path, capsys, pid):
         ["--epsilon", "nan"],
         ["--epsilon", "inf"],
         ["--m", "0"],
-        ["--jobs", "0"],
+        ["--alpha", "0.5,abc"],
         ["--epsilon", "1e-17"],  # 1 + epsilon == 1: the radius ladder would never grow
+        ["--alpha", ","],
     ],
 )
 def test_main_bad_config_is_error(tmp_path, capsys, flag):
@@ -205,51 +231,3 @@ def test_main_bad_config_is_error(tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-
-
-def test_main_jobs_parallel(tmp_path, capsys):
-    path = square_csv(tmp_path)
-    args = [
-        "--input", str(path),
-        "--k", "2",
-        "--alpha", "0.5,1.0",
-        "--algo", "greedy",
-        "--jobs", "2",
-        "--no-wall",
-    ]
-    assert main(args) == 0
-    parallel = capsys.readouterr().out
-    assert main(args[:-3] + ["--no-wall"]) == 0
-    serial = capsys.readouterr().out
-    assert json.loads(parallel) == json.loads(serial)
-
-
-def test_main_jobs_clamped_to_cells(tmp_path, capsys, monkeypatch):
-    # a stand-in pool records its size and maps in this process: nothing is forked
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    path = square_csv(tmp_path)
-    args = ["--input", str(path), "--k", "2", "--alpha", "0.5,1.0", "--algo", "greedy"]
-    assert main(args + ["--jobs", "8"]) == 0
-    assert sizes == [2]
-    assert len(json.loads(capsys.readouterr().out)["runs"]) == 2
-
-
-def test_svg_scatter_shape():
-    text = cost_alpha_svg([(0.1, 2.0), (0.5, 1.0)])
-    assert text.count("<circle") == 2
-    assert text.startswith("<svg")

@@ -5,16 +5,16 @@ import cappedkc
 
 # the library's public surface; a name joins or leaves it on purpose
 SURFACE = {
-    "BipartiteSeed", "CAP_TOL", "Caplet", "CappedInstanceReport", "ClusteringSolution",
+    "BipartiteSeed", "CAP_TOL", "CappedInstanceReport", "ClusteringSolution",
     "ContractViolation", "FacilityMap", "FlowNetwork", "FractionalSolution",
     "InfeasibleInstance", "InputError", "Instance", "LinearSystem", "RunConfig",
     "SolverError", "build_assignment_network", "build_polytope", "candidate_radii",
-    "caplet_decompose", "capped_cost_at_most", "capped_opt", "check_capped", "check_feasible",
+    "caplet_decompose", "capped_opt", "check_capped", "check_feasible",
     "evaluate", "extract_assignment", "fair_k_center", "faster_algorithm", "greedy_gold",
     "greedy_k_center", "hardness_instance", "make_balanced_instance", "make_instance",
     "max_additive_violation", "max_flow_lower_bounds", "max_matching", "non_dominant_k_center",
     "report_to_json", "reports_to_csv", "reroute_fractional", "select_separated_facilities",
-    "solution_cost", "sorted_adjacency", "t_star_decomposition_exists", "validate_point",
+    "solution_cost", "sorted_adjacency", "validate_point",
 }
 
 

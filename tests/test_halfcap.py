@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cappedkc import (
-    Caplet,
     ClusteringSolution,
     InfeasibleInstance,
     InputError,
@@ -48,19 +47,12 @@ def test_threshold_boundary_inclusive():
     inst = Instance(np.empty((4, 0)), [0, 1, 0, 1], k=2, alpha=0.5, dist_matrix=dm)
     _, lam, caplets, _ = _recorded_scan(inst)
     assert lam == 1.0
-    assert [c.members for c in caplets] == [(0, 1), (2, 3)]
+    assert list(caplets) == [(0, 1), (2, 3)]
 
 
 def test_components():
     inst = make_instance([(0.0,), (0.5,), (9.0,)], ["r", "b", "g"], k=1, alpha=0.5)
     assert _reference_components(inst.n, _reference_threshold_edges(inst, 1.0)) == [[0, 1], [2]]
-
-
-def test_caplet_size_validation():
-    with pytest.raises(InputError):
-        Caplet((1,))
-    with pytest.raises(InputError):
-        Caplet((1, 2, 3, 4))
 
 
 def _local(nodes, edges):
@@ -73,7 +65,7 @@ def _local(nodes, edges):
 
 
 def test_decompose_edge_pair():
-    assert caplet_decompose(*_local([4, 9], [(4, 9)])) == (Caplet((4, 9)),)
+    assert caplet_decompose(*_local([4, 9], [(4, 9)])) == ((4, 9),)
 
 
 def test_decompose_two_colors_odd_fails():
@@ -83,7 +75,7 @@ def test_decompose_two_colors_odd_fails():
 
 def test_decompose_triangle():
     edges = [(0, 1), (0, 2), (1, 2)]
-    assert caplet_decompose(*_local([0, 1, 2], edges)) == (Caplet((0, 1, 2)),)
+    assert caplet_decompose(*_local([0, 1, 2], edges)) == ((0, 1, 2),)
 
 
 def test_decompose_singleton_none():
@@ -137,7 +129,7 @@ def test_random_instances_exact_caps_and_structure():
         assert check_capped(inst, sol)
         # caplet members stay together and stay close
         for cap in caplets:
-            members = list(cap.members)
+            members = list(cap)
             anchors = {sol.assign[j] for j in members}
             assert len(anchors) == 1
             for a in members:
@@ -198,8 +190,7 @@ def _reference_caplet_decompose(nodes, colors, edges):
         pairs = matching_on(list(range(m)))
         if pairs is None:
             return None
-        caplets = [Caplet((nodes[a], nodes[b])) for a, b in sorted(pairs)]
-        return tuple(caplets)
+        return tuple((nodes[a], nodes[b]) for a, b in sorted(pairs))
 
     # odd: one triangle is forced; any triangle of the graph has 3 distinct colors
     for tri in combinations(range(m), 3):
@@ -207,9 +198,9 @@ def _reference_caplet_decompose(nodes, colors, edges):
         if (a, b) in local_edges and (a, c) in local_edges and (b, c) in local_edges:
             pairs = matching_on([v for v in range(m) if v not in tri])
             if pairs is not None:
-                caplets = [Caplet((nodes[a], nodes[b], nodes[c]))]
-                caplets += [Caplet((nodes[p], nodes[q])) for p, q in sorted(pairs)]
-                return tuple(sorted(caplets, key=lambda k: k.members))
+                caplets = [(nodes[a], nodes[b], nodes[c])]
+                caplets += [(nodes[p], nodes[q]) for p, q in sorted(pairs)]
+                return tuple(sorted(caplets))
     return None
 
 
@@ -238,14 +229,14 @@ def _reference_non_dominant_k_center(inst):
             caplets.extend(dec)
         if not feasible:
             continue
-        reps = sorted({min(c.members, key=inst.pos) for c in caplets}, key=inst.pos)
+        reps = sorted({min(c, key=inst.pos) for c in caplets}, key=inst.pos)
         gsol, gcost = greedy_k_center(inst, subset=reps)
         if gcost > 2.0 * lam + ACCEPT_TOL:
             continue
         assign = {}
         for cap in caplets:
-            center = gsol.assign[min(cap.members, key=inst.pos)]
-            for j in cap.members:
+            center = gsol.assign[min(cap, key=inst.pos)]
+            for j in cap:
                 assign[j] = center
         return ClusteringSolution(gsol.centers, assign), lam, tuple(caplets), gcost
     raise InfeasibleInstance("no radius admits a caplet decomposition with a greedy cover")
@@ -283,11 +274,13 @@ def test_decompose_matches_reference_on_random_graphs():
     for _ in range(600):
         ids, colors, edges = _colored_graph(rng)
         expected = _reference_caplet_decompose(ids, colors, edges)
-        assert caplet_decompose(*_local(ids, edges)) == expected
+        got = caplet_decompose(*_local(ids, edges))
+        assert got == expected
+        assert all(2 <= len(c) <= 3 for c in got or ())  # a caplet is a pair or a triangle
         tally["solved"] += expected is not None
         if len(ids) % 2 and len(set(colors.values())) == 2:
             tally["odd_two_color"] += 1
-        tri = [c.members for c in expected or () if len(c.members) == 3]
+        tri = [c for c in expected or () if len(c) == 3]
         if tri:
             tally["triangle"] += 1
             edge_set = {frozenset(e) for e in edges}
@@ -307,8 +300,7 @@ def _scan_outcome(fn, inst):
         sol, lam, caplets, gcost = fn(inst)
     except InfeasibleInstance:
         return None
-    caplet_members = [c.members for c in caplets]
-    return sol.centers, list(sol.assign.items()), lam, caplet_members, gcost
+    return sol.centers, list(sol.assign.items()), lam, list(caplets), gcost
 
 
 def _recorded_scan(inst):

@@ -10,23 +10,22 @@ from cappedkc import (
     BipartiteSeed,
     InfeasibleInstance,
     InputError,
-    capped_cost_at_most,
     capped_opt,
     check_capped,
     fair_k_center,
     hardness_instance,
     make_instance,
     solution_cost,
-    t_star_decomposition_exists,
 )
 from cappedkc import hardness
-from cappedkc.hardness import _capped_system, _star_counts
+from cappedkc.hardness import _capped_solution, _capped_system, _star_counts
 from conftest import (
     brute_force_capped_opt,
     brute_force_kcenter_opt,
     capped_partition_exists_bruteforce,
     line_instance,
     random_capped_instance,
+    t_star_decomposition_exists,
     tiny_seeds,
 )
 
@@ -84,7 +83,7 @@ def test_full_star_seed_costs_one():
     seed = seed_21([(0, 0), (1, 0)], t=0)
     assert t_star_decomposition_exists(seed, 3)
     inst = hardness_instance(seed)
-    assert capped_cost_at_most(inst, 1)
+    assert _capped_solution(inst, 1) is not None
     assert capped_opt(inst)[0] == 1.0
 
 
@@ -94,7 +93,7 @@ def test_single_edge_seed_cost_is_exactly_two():
     seed = seed_21([(0, 0)], t=0)
     assert not t_star_decomposition_exists(seed, 3)
     inst = hardness_instance(seed)
-    assert not capped_cost_at_most(inst, 1)
+    assert _capped_solution(inst, 1) is None
     assert capped_opt(inst)[0] == 2.0
 
 
@@ -102,7 +101,7 @@ def test_full_star_seed_with_extra_color_costs_one():
     seed = seed_21([(0, 0), (1, 0)], t=1)
     inst = hardness_instance(seed)
     assert inst.alpha == pytest.approx(1 / 3)
-    assert capped_cost_at_most(inst, 1)
+    assert _capped_solution(inst, 1) is not None
 
 
 def test_single_edge_seed_with_extra_color_stays_hard():
@@ -115,9 +114,8 @@ def test_milp_oracle_agrees_with_exhaustive_search():
     for edges in ([(0, 0), (1, 0)], [(0, 0)], []):
         inst = hardness_instance(seed_21(edges, t=0))
         for radius in (1.0, 2.0):
-            assert capped_cost_at_most(inst, radius) == capped_partition_exists_bruteforce(
-                inst, radius
-            )
+            found = _capped_solution(inst, radius) is not None
+            assert found == capped_partition_exists_bruteforce(inst, radius)
 
 
 def test_mirrored_seed_costs_one():
@@ -125,7 +123,7 @@ def test_mirrored_seed_costs_one():
     assert t_star_decomposition_exists(seed, 3)
     inst = hardness_instance(seed)
     assert inst.n == 12
-    assert capped_cost_at_most(inst, 1)
+    assert _capped_solution(inst, 1) is not None
 
 
 def _reference_distances(n: int, edges) -> np.ndarray:
@@ -297,7 +295,7 @@ def test_capped_opt_separates_distances_closer_than_1e9():
     inst = line_instance([0.0, 1.0, 10.0, 11.0 + 5e-10], ["r", "b", "r", "b"], k=2, alpha=0.5)
     near, far = inst.dist_row(0)[1], inst.dist_row(2)[3]
     assert 0 < far - near < 1e-9
-    assert not capped_cost_at_most(inst, near)
+    assert _capped_solution(inst, near) is None
     cost, sol = capped_opt(inst)
     assert cost == far
     _check_opt_solution(inst, cost, sol)
