@@ -82,6 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run every (dataset, alpha) cell in order and emit one report.
 
+    Each dataset is read once.  Several cells print {"runs": [...]} in JSON,
+    each run naming its dataset.
+
     Returns 0 on success, 1 on a usage or input error (message on stderr,
     nothing on stdout) and 2 when some cell is infeasible.
     """
@@ -112,15 +115,16 @@ def main(argv: list[str] | None = None) -> int:
         ]
         results = []
         for path in args.input:
-            for cfg in cfgs:
-                inst = load_csv(path, k=cfg.k, alpha=cfg.alpha)
-                results.append((Path(path).stem, evaluate(inst, cfg)))
+            # evaluate applies each cell's k and alpha, so a file's cells share its rows
+            inst = load_csv(path, k=args.k, alpha=alphas[0])
+            results.extend((Path(path).stem, evaluate(inst, cfg)) for cfg in cfgs)
 
         if args.format == "csv":
             text = reports_to_csv(results)
         else:
             dicts = [report_to_dict(r, not args.no_wall) for _, r in results]
-            payload = dicts[0] if len(dicts) == 1 else {"runs": dicts}
+            runs = [{"dataset": name, **d} for (name, _), d in zip(results, dicts)]
+            payload = dicts[0] if len(dicts) == 1 else {"runs": runs}
             text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         if args.output == "-":
             sys.stdout.write(text)

@@ -7,6 +7,7 @@ import pytest
 import scipy.optimize
 
 from cappedkc import InputError, make_balanced_instance, make_instance
+from cappedkc import cli
 from cappedkc.cli import load_csv, main, save_csv
 
 
@@ -121,6 +122,37 @@ def test_main_alpha_sweep_csv(tmp_path, capsys):
     assert lines[0].startswith("dataset,algorithm,k,alpha")
     # one row per cell, in the order the sweep lists them
     assert [line.split(",")[3] for line in lines[1:]] == ["0.5", "1"]
+
+
+def test_main_reads_each_input_once(tmp_path, capsys, monkeypatch):
+    # every cell of one file takes the same Instance; evaluate applies its alpha
+    path = square_csv(tmp_path)
+    loads = []
+
+    def counting(path, **kwargs):
+        loads.append(path)
+        return load_csv(path, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", counting)
+    args = ["--input", str(path), "--k", "2", "--alpha", "0.5,1.0", "--algo", "lp", "--no-wall"]
+    assert main(args) == 0
+    assert loads == [str(path)]
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [run["params"]["alpha"] for run in runs] == [0.5, 1.0]
+
+
+def test_main_json_runs_name_their_dataset(tmp_path, capsys):
+    first = square_csv(tmp_path)
+    second = write(tmp_path, "shifted.csv", "id,color,x0\n0,r,0.0\n1,b,1.0\n2,r,5.0\n3,b,6.0\n")
+    common = ["--k", "2", "--alpha", "0.5", "--algo", "greedy", "--no-wall"]
+    assert main(["--input", str(first), str(second)] + common) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [run.pop("dataset") for run in runs] == ["square", "shifted"]
+    # without its name, each run is the file's single-cell report
+    for path, run in zip((first, second), runs):
+        assert main(["--input", str(path)] + common) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert "dataset" not in single and single == run
 
 
 def test_main_csv_quotes_dataset_with_comma(tmp_path, capsys):
