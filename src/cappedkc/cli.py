@@ -122,9 +122,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "csv":
             text = reports_to_csv(results)
         else:
-            dicts = [report_to_dict(r, not args.no_wall) for _, r in results]
-            runs = [{"dataset": name, **d} for (name, _), d in zip(results, dicts)]
-            payload = dicts[0] if len(dicts) == 1 else {"runs": runs}
+            wall = not args.no_wall
+            if len(results) == 1:
+                payload = report_to_dict(results[0][1], wall)
+            else:
+                payload = {"runs": [{"dataset": n, **report_to_dict(r, wall)} for n, r in results]}
             text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         if args.output == "-":
             sys.stdout.write(text)

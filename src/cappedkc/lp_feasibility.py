@@ -282,12 +282,12 @@ def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
 
     Systems with at least IPM_MIN_COLUMNS columns go to the interior point
     solver, smaller ones to the dual simplex.  The count is of the class
-    system's columns, so clients that share a class count once.  On 22
-    class systems of 9,071-13,805 columns the dual simplex was faster on 8
-    of the 12 non-empty ones, but proving one empty can take it thousands of
-    iterations: 5.0 s against 1.4 s at 9,442 columns with a budget too small
-    to cover.  The interior point method took at most 27 iterations on each.
-    Its crossover still returns a vertex of the class system either way.
+    system's columns, so clients that share a class count once.  On 37
+    class systems of 9,087-14,513 columns built from a 2k-center coreset, as
+    `faster_algorithm` builds them, the dual simplex took less time in total
+    but was over 1.5x slower on 5, at worst 2.3x (4,125 iterations against
+    20 on an empty one).  The interior point method's crossover still
+    returns a vertex of the class system.
     Any other status raises SolverError.
     """
     from scipy.optimize import linprog
