@@ -16,35 +16,37 @@ from .lp_feasibility import SolverError
 def load_csv(path: str | Path, k: int = 1, alpha: float = 1.0) -> Instance:
     """Read a `id,color,x0,x1,...` file into an Instance (colors re-indexed densely)."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    try:  # utf-8-sig drops a byte order mark before the header
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if not rows:
+        raise InputError(f"{path}: empty file")
+    header = rows[0]
+    if len(header) < 3 or header[0] != "id" or header[1] != "color":
+        raise InputError(f"{path}: header must be id,color,x0,x1,...")
+    dim = len(header) - 2
+    ids: list[int] = []
+    labels: list[str] = []
+    coords: list[tuple[float, ...]] = []
+    seen: set[int] = set()
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != dim + 2:
+            raise InputError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0] != "id" or header[1] != "color":
-            raise InputError(f"{path}: header must be id,color,x0,x1,...")
-        dim = len(header) - 2
-        ids: list[int] = []
-        labels: list[str] = []
-        coords: list[tuple[float, ...]] = []
-        seen: set[int] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
-                raise InputError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(row)}")
-            try:
-                pid = int(row[0])
-                vec = tuple(float(v) for v in row[2:])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            if pid in seen:
-                raise InputError(f"{path}:{lineno}: duplicate id {pid}")
-            seen.add(pid)
-            ids.append(pid)
-            labels.append(row[1])
-            coords.append(vec)
+            pid = int(row[0])
+            vec = tuple(float(v) for v in row[2:])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if pid in seen:
+            raise InputError(f"{path}:{lineno}: duplicate id {pid}")
+        seen.add(pid)
+        ids.append(pid)
+        labels.append(row[1])
+        coords.append(vec)
     if not ids:
         raise InputError(f"{path}: no data rows")
     return make_instance(coords, labels, k=k, alpha=alpha, ids=ids)

@@ -78,11 +78,10 @@ def lloyd_round(
     nearest center position and its distance to it, as `nearest_positions`
     gives them.  Each cluster's center moves to the member minimizing the
     maximum intra-cluster distance (discrete 1-center, ties to the lowest
-    id), then all points go to their nearest new center.
+    position), then all points go to their nearest new center.
     """
-    ids = inst.ids_at(np.arange(inst.n))
-    # positions grouped by cluster, each group in member id order
-    order = np.lexsort((ids, cpos))
+    # positions grouped by cluster, each group ascending
+    order = np.argsort(cpos, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(cpos[order])) + 1)
     # unique: two clusters can elect the same point
     moved = np.unique([g[inst.one_center(g)] for g in groups])

@@ -44,14 +44,15 @@ def caplet_decompose(
 ) -> tuple[tuple[int, ...], ...] | None:
     """Partition a component into caplets: distinct-color pairs plus at most one triangle.
 
-    `nodes` are the component's point ids in ascending order, and the edges
-    join nodes[u[e]] and nodes[v[e]]; each pair appears once.  Every edge
-    must join two different colors, as the pairs of `_colored_pairs` do, so
-    the caplets need no color check.  Even components are one
-    perfect-matching attempt.  Odd components try each triangle in
-    lexicographic node order, then a perfect matching on the rest; the first
-    success wins.  Returns the caplets as sorted tuples of member ids, or
-    None when no decomposition exists (in particular for singletons).
+    `nodes` are the component's labels in ascending order (any labels; the
+    route passes point positions), and the edges join nodes[u[e]] and
+    nodes[v[e]]; each pair appears once.  Every edge must join two different
+    colors, as the pairs of `_colored_pairs` do, so the caplets need no
+    color check.  Even components are one perfect-matching attempt.  Odd
+    components try each triangle in lexicographic node order, then a perfect
+    matching on the rest; the first success wins.  Returns the caplets as
+    ascending tuples of labels, in ascending order, or None when no
+    decomposition exists (in particular for singletons).
     """
     m = len(nodes)
     if m < 2:
@@ -85,27 +86,25 @@ def _decompose_components(
 ) -> list[tuple[int, ...]] | None:
     """Caplets of every component in order, or None once one has no decomposition.
 
-    `pa`, `pb` are the differently-colored pairs within 10*lam and `label`
-    maps each position to the smallest member of its component.
+    `comps` and so the caplets are ascending position tuples.  `pa`, `pb`
+    are the differently-colored pairs within 10*lam and `label` maps each
+    position to the smallest member of its component.
     `decomposed` maps a component's members to its number of such pairs and
     its decomposition with them; for fixed members the pairs only grow with
     lam, so an equal count means an equal edge set and the entry is reused.
     """
-    ids = np.array(inst.ids())
     wide_label = label[pa]
     inside = wide_label == label[pb]
     wide_count = np.bincount(wide_label[inside], minlength=inst.n)
-    rank = np.empty(inst.n, dtype=np.int64)  # each position's index among its component's ids
+    rank = np.empty(inst.n, dtype=np.int64)  # each position's index in its component
     caplets: list[tuple[int, ...]] = []
     for comp in comps:
         count = int(wide_count[comp[0]])
         cached = decomposed.get(comp)
         if cached is None or cached[0] != count:
-            members = np.array(comp)
-            by_id = members[np.argsort(ids[members])]
-            rank[by_id] = np.arange(by_id.size)
+            rank[list(comp)] = np.arange(len(comp))
             edge = np.flatnonzero(inside & (wide_label == comp[0]))
-            dec = caplet_decompose(ids[by_id].tolist(), rank[pa[edge]], rank[pb[edge]])
+            dec = caplet_decompose(comp, rank[pa[edge]], rank[pb[edge]])
             cached = decomposed[comp] = (count, dec)
         if cached[1] is None:
             return None
@@ -191,11 +190,9 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
             n_wide = wide
             caplets = _decompose_components(inst, comps, label, pa[:n_wide], pb[:n_wide], decomposed)
             if caplets is not None:
-                # each caplet's representative is its member of lowest position
-                members = [j for cap in caplets for j in cap]
-                sizes = [len(cap) for cap in caplets]
-                rep_pos = np.minimum.reduceat(inst.positions(members), np.cumsum(sizes) - sizes)
-                reps = tuple(inst.ids_at(np.unique(rep_pos)).tolist())
+                # each caplet's representative is its first, lowest-position member
+                rep_pos = [cap[0] for cap in caplets]
+                reps = tuple(inst.ids_at(sorted(rep_pos)).tolist())
 
         if caplets is not None:
             if reps != last_reps:
@@ -203,7 +200,7 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
                 gsol, gcost = greedy_k_center(inst, subset=reps)
             if not gcost > 2.0 * lam + ACCEPT_TOL:
                 centers = [gsol.assign[rep] for rep in inst.ids_at(rep_pos).tolist()]
-                assign = dict(zip(members, np.repeat(centers, sizes).tolist()))
+                assign = {inst.id_at(j): c for cap, c in zip(caplets, centers) for j in cap}
                 return ClusteringSolution(gsol.centers, assign), lam
 
         # rejected: the verdict repeats until the 10*lam prefix grows, greedy's

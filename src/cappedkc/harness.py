@@ -150,7 +150,7 @@ def faster_algorithm(inst: Instance, cfg: RunConfig) -> tuple[ClusteringSolution
         )
     lam_anchor = float(work.dist_row(0).max())
     lam_greedy = float(farthest_first(work, cfg.k)[1].max())
-    coreset = sorted(work.ids_at(farthest_first(work, cfg.m * cfg.k)[0]).tolist())
+    coreset = work.ids_at(farthest_first(work, cfg.m * cfg.k)[0]).tolist()
     grid = lambda_grid(work, lam_greedy, lam_anchor, cfg.epsilon)
 
     for lam in grid:

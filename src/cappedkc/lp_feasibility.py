@@ -280,15 +280,15 @@ def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
 def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
     """HiGHS on the system: a basic point, None when it reports infeasible.
 
-    Systems with at least IPM_MIN_COLUMNS columns go to the interior point
-    solver, smaller ones to the dual simplex.  The count is of the class
-    system's columns, so clients that share a class count once.  On 37
-    class systems of 9,087-14,513 columns built from a 2k-center coreset, as
-    `faster_algorithm` builds them, the dual simplex took less time in total
-    but was over 1.5x slower on 5, at worst 2.3x (4,125 iterations against
-    20 on an empty one).  The interior point method's crossover still
-    returns a vertex of the class system.
-    Any other status raises SolverError.
+    Any other status raises SolverError.  Systems of at least IPM_MIN_COLUMNS
+    class-system columns go to the interior point solver, whose crossover
+    still returns a vertex, smaller ones to the dual simplex.  On 37 class
+    systems of 9,087-14,513 columns built from a 2k-center coreset, the
+    simplex took less time in total but was over 1.5x slower on 5, at worst
+    2.3x.  `faster_algorithm` at m=2 solves one such system (9,136-12,211
+    columns) on 5 of 32 balanced runs at n=1,000-1,200, k=10-30; on those
+    the switch took 7.75 s against 7.47 s for the simplex alone (faster on
+    3, up to 1.7x slower on 2), and the outputs differ.
     """
     from scipy.optimize import linprog
 

@@ -45,6 +45,23 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path, "bad.csv", "id,color,x0\n0,r,zzz\n"))
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffid,color,x0,x1\n0,r,0,0\n1,b,0,1\n".encode())
+    inst = load_csv(path)
+    assert inst.ids() == [0, 1] and inst.coords().tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+
+def test_main_undecodable_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("id,color,x0\n0,ré,0\n1,b,1\n".encode("latin-1"))
+    with pytest.raises(InputError, match="latin1.csv"):
+        load_csv(path)
+    assert main(["--input", str(path), "--k", "1", "--alpha", "1.0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "latin1.csv" in err
+
+
 def test_load_csv_balanced_ratio(tmp_path):
     inst = make_balanced_instance(n_colors=50, per_color=50, dim=3, k=25, alpha=0.1, seed=0)
     path = tmp_path / "balanced.csv"
@@ -79,6 +96,27 @@ def test_main_json_deterministic_bytes(tmp_path, capsys):
     assert payload["status"] == "ok"
     assert set(payload) >= {"cost", "delta", "centers", "assignment", "params"}
     assert "wall_ms" not in payload
+
+
+def test_main_shuffled_ids_only_relabel_the_report(tmp_path, capsys):
+    # the same rows under shuffled ids: each id stands where its position stood
+    rng = np.random.default_rng(5)
+    coords = rng.integers(0, 5, size=(20, 2)).astype(float)
+    ids = (rng.permutation(20) * 3 + 100).tolist()
+    reports = []
+    for name, given in (("plain", None), ("shuffled", ids)):
+        path = tmp_path / f"{name}.csv"
+        save_csv(make_instance(coords, ["r", "b"] * 10, k=1, alpha=0.5, ids=given), path)
+        assert main(["--input", str(path), "--k", "3", "--alpha", "0.5", "--algo", "half", "--no-wall"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    plain, shuffled = reports
+    assert plain["status"] == "ok"
+    plain.update(
+        centers=sorted(ids[p] for p in plain["centers"]),
+        assignment={str(ids[int(j)]): ids[c] for j, c in plain["assignment"].items()},
+        histograms={str(ids[int(c)]): h for c, h in plain["histograms"].items()},
+    )
+    assert shuffled == plain
 
 
 @pytest.mark.parametrize("algo", ["lp", "half", "greedy", "random"])

@@ -205,7 +205,11 @@ def _reference_caplet_decompose(nodes, colors, edges):
 
 
 def _reference_non_dominant_k_center(inst):
-    """The scan that recomputes everything at every radius: the specification."""
+    """The scan that recomputes everything at every radius: the specification.
+
+    Components, caplets and representatives are all in point positions;
+    ids appear only in the greedy subset and the returned solution.
+    """
     dm = inst.pairwise()
     colors_arr = inst.colors()
     for lam in candidate_radii(inst):
@@ -215,29 +219,28 @@ def _reference_non_dominant_k_center(inst):
             if len(comp) == 1:
                 feasible = False
                 break
-            ids = [inst.id_at(p) for p in comp]
-            colors = {inst.id_at(p): int(colors_arr[p]) for p in comp}
+            colors = {p: int(colors_arr[p]) for p in comp}
             wide_edges = [
-                (inst.id_at(a), inst.id_at(b))
+                (a, b)
                 for a, b in combinations(comp, 2)
                 if colors_arr[a] != colors_arr[b] and dm[a, b] <= 10.0 * lam
             ]
-            dec = _reference_caplet_decompose(ids, colors, wide_edges)
+            dec = _reference_caplet_decompose(comp, colors, wide_edges)
             if dec is None:
                 feasible = False
                 break
             caplets.extend(dec)
         if not feasible:
             continue
-        reps = sorted({min(c, key=inst.pos) for c in caplets}, key=inst.pos)
-        gsol, gcost = greedy_k_center(inst, subset=reps)
+        reps = sorted(min(c) for c in caplets)
+        gsol, gcost = greedy_k_center(inst, subset=[inst.id_at(p) for p in reps])
         if gcost > 2.0 * lam + ACCEPT_TOL:
             continue
         assign = {}
         for cap in caplets:
-            center = gsol.assign[min(cap, key=inst.pos)]
-            for j in cap:
-                assign[j] = center
+            center = gsol.assign[inst.id_at(min(cap))]
+            for p in cap:
+                assign[inst.id_at(p)] = center
         return ClusteringSolution(gsol.centers, assign), lam, tuple(caplets), gcost
     raise InfeasibleInstance("no radius admits a caplet decomposition with a greedy cover")
 

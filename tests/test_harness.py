@@ -590,7 +590,7 @@ PINNED_REPORTS = {
     "greedy": "f25748f70d98284550f690876ab5f6c9dcb77e8f6c68797d26159f603d970ca9",
     "random": "8a8a84845843bc4c654f0aea08cfeee7f577a9fe0bd8398f3cb0b05cc6b7ae14",
     "lp": "b4bfd441c08fa834dc11bdd780f6b4ddb54720ddad4a344309635897917568d1",
-    "half": "58dbc5b843bd58de4b80bec9f2d5e9393db5841849629acd3b8b7dd879aa0486",
+    "half": "7d3f3bab68ae610a46c11d9d396f4510f7051184c35fa52f27ae106b2bfcfff1",
 }
 
 
@@ -607,3 +607,63 @@ def test_report_json_is_pinned(algorithm):
     assert rep.status == "ok"
     text = report_to_json(rep, include_wall=False)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[algorithm], text
+
+
+def _relabel_pool() -> list[tuple[Instance, Instance, list[int]]]:
+    """Seeded rows under ids 0..n-1 and under shuffled ids: (default, shuffled, shuffled ids).
+
+    Integer grids and rounded 1-d coordinates tie everywhere; Gaussian
+    coordinates still make every two-member cluster a 1-center tie; the
+    integer matrices are metrics only now and then, so the LP route may
+    raise on them.
+    """
+    rng = np.random.default_rng(1)
+    pool = []
+    for i in range(40):
+        n = int(rng.integers(6, 40))
+        colors = rng.integers(0, 3, size=n)
+        kind = i % 4
+        if kind == 0:
+            coords, matrix = rng.integers(0, 5, size=(n, 2)).astype(float), None
+        elif kind == 1:
+            coords, matrix = rng.standard_normal((n, 2)), None
+        elif kind == 2:
+            coords, matrix = np.round(rng.standard_normal((n, 1)), 1), None
+        else:
+            upper = np.triu(rng.integers(1, 9, size=(n, n)), 1)
+            coords, matrix = np.empty((n, 0)), (upper + upper.T).astype(float)
+        ids = (rng.permutation(n) * 7 - 50).tolist()
+        pool.append(tuple(
+            Instance(coords, colors, 3, 0.5, ids=given, dist_matrix=matrix) for given in (None, ids)
+        ) + (ids,))
+    return pool
+
+
+def _outcome(inst: Instance, cfg: RunConfig):
+    """`evaluate`'s report without its wall time, or the type of the library error it raised."""
+    try:
+        return dataclasses.replace(evaluate(inst, cfg), wall_ms=0.0)
+    except (InputError, lp_feasibility.SolverError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("algorithm", ["greedy", "random", "lp", "half"])
+def test_relabeling_ids_only_relabels_the_report(algorithm):
+    # ties break by position, so the same rows under other ids give the same
+    # clustering, with each id standing where its position stood
+    cfg = RunConfig(k=3, alpha=0.5, algorithm=algorithm, seed=1)
+    outcomes = {"ok": 0, "infeasible": 0, "raised": 0}
+    for inst, relabeled, ids in _relabel_pool():
+        expected, got = _outcome(inst, cfg), _outcome(relabeled, cfg)
+        if isinstance(expected, type):
+            outcomes["raised"] += 1
+            assert got is expected
+            continue
+        outcomes[expected.status] += 1
+        assert got == dataclasses.replace(
+            expected,
+            centers=sorted(ids[p] for p in expected.centers),
+            assignment={ids[j]: ids[c] for j, c in expected.assignment.items()},
+            histograms={ids[c]: h for c, h in expected.histograms.items()},
+        )
+    assert outcomes["ok"] >= 20, outcomes
