@@ -20,7 +20,7 @@ def load_csv(path: str | Path, k: int = 1, alpha: float = 1.0) -> Instance:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise InputError(f"{path}: empty file")
     header = rows[0]
@@ -56,7 +56,7 @@ def save_csv(inst: Instance, path: str | Path):
     """Emit an instance in the load_csv format (round-trips exactly via repr floats)."""
     path = Path(path)
     labels = [inst.color_labels[c] for c in inst.colors().tolist()]
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "color"] + [f"x{d}" for d in range(inst.coords().shape[1])])
         for pid, label, vec in zip(inst.ids(), labels, inst.coords().tolist()):

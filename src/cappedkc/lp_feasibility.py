@@ -288,7 +288,7 @@ def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
     2.3x.  `faster_algorithm` at m=2 solves one such system (9,136-12,211
     columns) on 5 of 32 balanced runs at n=1,000-1,200, k=10-30; on those
     the switch took 7.75 s against 7.47 s for the simplex alone (faster on
-    3, up to 1.7x slower on 2), and the outputs differ.
+    3, up to 1.6x slower on 2), and the outputs differ.
     """
     from scipy.optimize import linprog
 

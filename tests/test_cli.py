@@ -84,6 +84,14 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.colors(), inst.colors())
 
 
+def test_csv_round_trip_writes_utf8_labels(tmp_path):
+    inst = make_instance([(0.0, 0.0), (1.0, 0.0)], ["ré", "b"], k=1, alpha=0.5)
+    path = tmp_path / "accent.csv"
+    save_csv(inst, path)
+    assert "ré".encode() in path.read_bytes()  # UTF-8 whatever the locale encoding
+    assert load_csv(path, k=1, alpha=0.5).color_labels == inst.color_labels
+
+
 def test_main_json_deterministic_bytes(tmp_path, capsys):
     path = square_csv(tmp_path)
     args = ["--input", str(path), "--k", "2", "--alpha", "0.5", "--algo", "lp", "--no-wall"]
