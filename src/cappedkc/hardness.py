@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
 from .core import CAP_TOL, ClusteringSolution, InfeasibleInstance, InputError, Instance
+from .lp_feasibility import SolverError
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,7 @@ def _capped_solution(inst: Instance, radius: float) -> ClusteringSolution | None
 
     Solved as a 0/1 integer program (HiGHS) over `_capped_system`.  The
     centers are the facilities that serve a client at the integral point.
+    A HiGHS status other than optimal or infeasible raises SolverError.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -173,7 +175,7 @@ def _capped_solution(inst: Instance, radius: float) -> ClusteringSolution | None
     if res.status == 2:
         return None
     if res.status != 0:
-        raise RuntimeError(f"milp failed with status {res.status}: {res.message}")
+        raise SolverError(f"milp failed with status {res.status}: {res.message}")
     chosen = res.x[inst.n :] > 0.5
     ids = np.array(inst.ids())
     centers = tuple(sorted(ids[np.unique(fac[chosen])].tolist()))

@@ -12,7 +12,6 @@ from .core import InputError, Instance, ceil_inv_alpha
 
 ROW_TOL = 1e-7
 RADIUS_SLACK = 1e-12  # pairs with d <= lambda*(1+slack) get a variable
-IPM_MIN_COLUMNS = 9_000  # systems this wide go to the interior point solver
 
 
 class SolverError(RuntimeError):
@@ -278,17 +277,9 @@ def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
 
 
 def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
-    """HiGHS on the system: a basic point, None when it reports infeasible.
+    """HiGHS's dual simplex on the system: a vertex, None when it reports infeasible.
 
-    Any other status raises SolverError.  Systems of at least IPM_MIN_COLUMNS
-    class-system columns go to the interior point solver, whose crossover
-    still returns a vertex, smaller ones to the dual simplex.  On 37 class
-    systems of 9,087-14,513 columns built from a 2k-center coreset, the
-    simplex took less time in total but was over 1.5x slower on 5, at worst
-    2.3x.  `faster_algorithm` at m=2 solves one such system (9,136-12,211
-    columns) on 5 of 32 balanced runs at n=1,000-1,200, k=10-30; on those
-    the switch took 7.75 s against 7.47 s for the simplex alone (faster on
-    3, up to 1.6x slower on 2), and the outputs differ.
+    Any other status raises SolverError.
     """
     from scipy.optimize import linprog
 
@@ -299,7 +290,7 @@ def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
         A_eq=sys.a_eq,
         b_eq=sys.b_eq,
         bounds=np.column_stack([np.zeros(sys.n_vars), sys.upper]),
-        method="highs-ipm" if sys.n_vars >= IPM_MIN_COLUMNS else "highs",
+        method="highs",
     )
     if res.status == 2:
         return None

@@ -1,8 +1,10 @@
 import random
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
@@ -10,6 +12,7 @@ from cappedkc import (
     BipartiteSeed,
     InfeasibleInstance,
     InputError,
+    SolverError,
     capped_opt,
     check_capped,
     fair_k_center,
@@ -300,3 +303,13 @@ def test_capped_opt_separates_distances_closer_than_1e9():
     assert cost == far
     _check_opt_solution(inst, cost, sol)
     assert fair_k_center(inst, cost) is not None
+
+
+def test_capped_opt_solver_failure_raises(monkeypatch):
+    def failing(*args, **kwargs):
+        return SimpleNamespace(status=4, message="numerical difficulties", x=None)
+
+    monkeypatch.setattr(scipy.optimize, "milp", failing)
+    inst = line_instance([0.0, 1.0, 10.0, 11.0], ["r", "b", "r", "b"], k=2, alpha=0.5)
+    with pytest.raises(SolverError):
+        capped_opt(inst)

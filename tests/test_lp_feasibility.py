@@ -24,7 +24,6 @@ from cappedkc import (
 from cappedkc.core import ceil_inv_alpha
 from cappedkc import lp_feasibility, lp_rounding
 from cappedkc.lp_feasibility import (
-    IPM_MIN_COLUMNS,
     RADIUS_SLACK,
     LinearSystem,
     _solve_highs,
@@ -581,14 +580,6 @@ def _recording_linprog(monkeypatch) -> list[tuple[str, object]]:
     return calls
 
 
-def test_small_system_uses_dual_simplex(unit_square, monkeypatch):
-    calls = _recording_linprog(monkeypatch)
-    sys = build_polytope(unit_square, 1.0)
-    assert sys.n_vars < IPM_MIN_COLUMNS
-    assert check_feasible(sys) is not None
-    assert [method for method, _ in calls] == ["highs"]
-
-
 @pytest.fixture(scope="module")
 def wide_system():
     """The LP route's instance and coreset at n=1000, d=10, 50 colors.
@@ -601,32 +592,26 @@ def wide_system():
     return inst, sorted(coreset.centers, key=inst.pos)
 
 
-def test_wide_system_uses_interior_point_deterministically(wide_system, monkeypatch):
+def test_every_solve_uses_the_dual_simplex(unit_square, wide_system, monkeypatch):
+    # one HiGHS method whatever the system's width, on feasible and empty
+    # systems alike
     inst, coreset = wide_system
     calls = _recording_linprog(monkeypatch)
+    assert check_feasible(build_polytope(unit_square, 1.0)) is not None
     sys = build_polytope(inst, 4.3446, coreset)
-    assert sys.n_vars >= IPM_MIN_COLUMNS
+    assert sys.n_vars == 9_330
     first = check_feasible(sys)
     second = check_feasible(sys)
     assert first is not None and second is not None
-    assert [method for method, _ in calls] == ["highs-ipm", "highs-ipm"]
-    assert validate_point(sys, np.asarray(calls[0][1].x)) == []
+    assert validate_point(sys, np.asarray(calls[1][1].x)) == []
     for name in ("facility", "client", "x", "y"):
         a, b = getattr(first, name), getattr(second, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_infeasible_systems_either_side_of_the_constant_are_none(wide_system, monkeypatch):
-    # at 4.2 the polytope is empty (7,456 columns); at 4.3446 a budget of 2
-    # openings cannot cover every client
-    inst, coreset = wide_system
-    calls = _recording_linprog(monkeypatch)
-    narrow = build_polytope(inst, 4.2, coreset)
-    wide = build_polytope(inst.with_params(k=2), 4.3446, coreset)
-    assert narrow.n_vars < IPM_MIN_COLUMNS <= wide.n_vars
-    assert check_feasible(narrow) is None
-    assert check_feasible(wide) is None
-    assert [method for method, _ in calls] == ["highs", "highs-ipm"]
+    # at 4.2 the polytope is empty; at 4.3446 a budget of 2 openings cannot
+    # cover every client
+    assert check_feasible(build_polytope(inst, 4.2, coreset)) is None
+    assert check_feasible(build_polytope(inst.with_params(k=2), 4.3446, coreset)) is None
+    assert [method for method, _ in calls] == ["highs"] * 5
 
 
 def _counting_solves(monkeypatch) -> list[int]:
