@@ -53,7 +53,11 @@ def load_csv(path: str | Path, k: int = 1, alpha: float = 1.0) -> Instance:
 
 
 def save_csv(inst: Instance, path: str | Path):
-    """Emit an instance in the load_csv format (round-trips exactly via repr floats)."""
+    """Emit an instance in the load_csv format (round-trips exactly via repr floats).
+
+    InputError, before writing, when its metric is not on coordinates."""
+    if inst._dist is not None or not inst.coords().shape[1]:
+        raise InputError("save_csv writes coordinates: this metric is not on coordinates")
     path = Path(path)
     labels = [inst.color_labels[c] for c in inst.colors().tolist()]
     with path.open("w", newline="", encoding="utf-8") as fh:

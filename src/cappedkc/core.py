@@ -11,9 +11,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 CAP_TOL = 1e-9
-# Instance.dist_block and Instance.one_center compute the rows of a distance
-# block in batches of as many rows as fit in ONE_CENTER_FLOATS floats, at
-# least one
+# Instance computes the rows of a distance block in batches of as many rows
+# as fit in ONE_CENTER_FLOATS floats, at least one
 ONE_CENTER_FLOATS = 1 << 14
 
 
@@ -207,13 +206,27 @@ class Instance:
     def coords(self) -> np.ndarray:
         return self._coords
 
+    def _between(self, rows: Sequence[int], cols: Sequence[int] | slice) -> np.ndarray:
+        """Distances from the points at positions `rows` to those at `cols` (an index or slice).
+
+        The one reader of an explicit matrix.  Coordinate rows come in batches
+        of as many rows as fit in ONE_CENTER_FLOATS floats of differences,
+        each distance with `_norm`'s bits.
+        """
+        if self._dist is not None:
+            return self._dist[rows][:, cols]
+        sub = self._coords[cols]
+        size = max(ONE_CENTER_FLOATS // max(sub.size, 1), 1)
+        out = np.empty((len(rows), sub.shape[0]))
+        for lo in range(0, len(rows), size):
+            out[lo : lo + size] = _norm(self._coords[rows[lo : lo + size]][:, None, :] - sub)
+        return out
+
     def dist_row(self, pos: int) -> np.ndarray:
         """Distances from the point at `pos` to every point, by position, read-only."""
-        if self._dist is not None:
-            return self._dist[pos]
         row = self._row_cache.get(pos)
         if row is None:
-            row = _norm(self._coords - self._coords[pos])
+            row = self._between([pos], slice(None))[0]
             row.flags.writeable = False
             self._row_cache[pos] = row
         return row
@@ -238,20 +251,8 @@ class Instance:
         return _norm(self._coords - self._coords[pos])
 
     def dist_block(self, pos: Sequence[int]) -> np.ndarray:
-        """Distances among the points at positions `pos`, without the full matrix.
-
-        The rows are computed in batches of as many rows as fit in
-        ONE_CENTER_FLOATS floats of coordinate differences, so the
-        |pos| x |pos| x d difference is never held at once.
-        """
-        if self._dist is not None:
-            return self._dist[np.ix_(pos, pos)]
-        sub = self._coords[pos]
-        size = max(ONE_CENTER_FLOATS // max(sub.size, 1), 1)
-        out = np.empty((sub.shape[0], sub.shape[0]))
-        for lo in range(0, sub.shape[0], size):
-            out[lo : lo + size] = _norm(sub[lo : lo + size, None, :] - sub[None, :, :])
-        return out
+        """Distances among the points at positions `pos`, without the full matrix."""
+        return self._between(pos, pos)
 
     def one_center(self, pos: Sequence[int]) -> int:
         """Index in `pos` of the point whose largest distance to the others is least.
@@ -268,17 +269,14 @@ class Instance:
         whose own row tends to raise the bounds most.
         """
         pos = np.asarray(pos, dtype=np.int64)
-        sub = None if self._dist is not None else self._coords[pos]
-        width = pos.size * (1 if sub is None else sub.shape[1])  # floats per row
-        size = max(ONE_CENTER_FLOATS // max(width, 1), 1)
+        if not pos.size:
+            raise InputError("one_center needs at least one position")
+        size = max(ONE_CENTER_FLOATS // max(pos.size * self._coords.shape[1], 1), 1)
         ecc = np.full(pos.size, np.inf)  # inf until the point's row is computed
         bound = np.zeros(pos.size)
         batch = np.arange(min(size, pos.size))
         while True:
-            if sub is None:
-                rows = self._dist[np.ix_(pos[batch], pos)]
-            else:
-                rows = _norm(sub[batch][:, None, :] - sub[None, :, :])
+            rows = self._between(pos[batch], pos)
             ecc[batch] = rows.max(axis=1)
             np.maximum(bound, rows.max(axis=0), out=bound)
             open_ = np.flatnonzero(np.isinf(ecc) & (bound <= ecc.min()))
@@ -289,11 +287,10 @@ class Instance:
             batch = np.union1d(lowest, far[np.isinf(ecc[far])])
 
     def pairwise(self) -> np.ndarray:
-        """Full distance matrix by position (cached, read-only)."""
-        if self._dist is None:
-            self._dist = self.dist_block(np.arange(self.n))
-            self._dist.flags.writeable = False
-        return self._dist
+        """Full distance matrix by position, read-only; computed at each call, never kept."""
+        out = self._between(np.arange(self.n), slice(None))
+        out.flags.writeable = False
+        return out
 
     def with_params(self, k: int | None = None, alpha: float | None = None) -> "Instance":
         """Same points and metric under different k / alpha; self when neither changes.
@@ -394,14 +391,24 @@ def check_capped(inst: Instance, sol: ClusteringSolution, alpha: float | None = 
     return bool((peaks <= alpha * sizes + CAP_TOL).all())
 
 
+def sorted_pairs(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, dist, radii): every position pair a < b and its distance, stably
+    sorted by distance, and the radii `candidate_radii` returns, as an array."""
+    a, b = np.triu_indices(inst.n, k=1)
+    dist = inst.dist_block(np.arange(inst.n))[a, b]
+    order = np.argsort(dist, kind="stable")
+    a, b, dist = a[order], b[order], dist[order]
+    keep = np.ones(dist.size, dtype=bool)
+    keep[1:] = dist[1:] != dist[:-1]
+    radii = dist[keep]
+    if radii.size == 0 or radii[0] > 0.0:
+        radii = np.concatenate(([0.0], radii))  # 0 is always a candidate
+    return a, b, dist, radii
+
+
 def candidate_radii(inst: Instance) -> list[float]:
     """All distinct pairwise distances in increasing order, with 0 always included."""
-    dm = inst.pairwise()
-    iu = np.triu_indices(inst.n, k=1)
-    vals = np.unique(dm[iu]) if iu[0].size else np.array([])
-    if vals.size == 0 or vals[0] > 0.0:
-        vals = np.concatenate(([0.0], vals))
-    return vals.tolist()
+    return sorted_pairs(inst)[3].tolist()
 
 
 def nearest_positions(

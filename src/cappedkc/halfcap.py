@@ -11,21 +11,12 @@ from .core import (
     InfeasibleInstance,
     InputError,
     Instance,
-    candidate_radii,
+    sorted_pairs,
 )
 from .greedy import greedy_k_center
 from .matching import max_matching, sorted_adjacency
 
 ACCEPT_TOL = 1e-9
-
-
-def _colored_pairs(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Position pairs a < b of differently-colored points, with their distances."""
-    a, b = np.triu_indices(inst.n, k=1)
-    colors = inst.colors()
-    keep = colors[a] != colors[b]
-    a, b = a[keep], b[keep]
-    return a, b, inst.pairwise()[a, b]
 
 
 def _triangles(adj: list[list[int]]) -> Iterator[tuple[int, int, int]]:
@@ -47,8 +38,8 @@ def caplet_decompose(
     `nodes` are the component's labels in ascending order (any labels; the
     route passes point positions), and the edges join nodes[u[e]] and
     nodes[v[e]]; each pair appears once.  Every edge must join two different
-    colors, as the pairs of `_colored_pairs` do, so the caplets need no
-    color check.  Even components are one perfect-matching attempt.  Odd
+    colors, as the route's pairs do, so the caplets need no color check.
+    Even components are one perfect-matching attempt.  Odd
     components try each triangle in lexicographic node order, then a perfect
     matching on the rest; the first success wins.  Returns the caplets as
     ascending tuples of labels, in ascending order, or None when no
@@ -138,11 +129,12 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
     stays within 12 times the accepted radius, which comes back with the
     solution.
 
-    The scan is one pass over the differently-colored pairs, sorted once by
-    distance: each radius takes the <= 2*lam and <= 10*lam prefixes of that
-    order, found for all radii by one `searchsorted` each.  Radii at which
-    some point has no partner within 2*lam are skipped, since that point is
-    a singleton component no caplet can cover.
+    The scan is one pass over the differently-colored pairs in the order of
+    `sorted_pairs`, which sorts every pair once by distance and also gives
+    the candidate radii: each radius takes the <= 2*lam and <= 10*lam
+    prefixes of that order, found for all radii by one `searchsorted` each.
+    Radii at which some point has no partner within 2*lam are skipped,
+    since that point is a singleton component no caplet can cover.
     The 2*lam components grow by merging as the prefix grows.  Caplets are
     recomputed only when the components or the 10*lam prefix change, a
     component's decomposition only when its members or its number of 10*lam
@@ -155,9 +147,9 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
     """
     if abs(inst.alpha - 0.5) > 1e-12:
         raise InputError("algorithm 'half' requires alpha = 1/2")
-    pa, pb, pd = _colored_pairs(inst)
-    order = np.argsort(pd, kind="stable")
-    pa, pb, pd = pa[order], pb[order], pd[order]
+    pa, pb, pd, radii = sorted_pairs(inst)
+    keep = inst.colors()[pa] != inst.colors()[pb]  # a filter, so the pairs stay sorted
+    pa, pb, pd = pa[keep], pb[keep], pd[keep]
     nearest = np.full(inst.n, np.inf)
     np.minimum.at(nearest, pa, pd)
     np.minimum.at(nearest, pb, pd)
@@ -169,7 +161,6 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
     decomposed: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...] | None]] = {}
     last_reps: tuple[int, ...] | None = None
 
-    radii = np.array(candidate_radii(inst))
     radii = radii[2.0 * radii >= no_singletons]
     nears = np.searchsorted(pd, 2.0 * radii, side="right")
     wides = np.searchsorted(pd, 10.0 * radii, side="right")

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
-from .core import CAP_TOL, ClusteringSolution, InfeasibleInstance, InputError, Instance
+from .core import CAP_TOL, ClusteringSolution, InfeasibleInstance, InputError, Instance, solution_at
 from .lp_feasibility import SolverError
 
 
@@ -108,12 +108,13 @@ def hardness_instance(seed: BipartiteSeed) -> Instance:
     )
 
 
-def _capped_system(inst: Instance, radius: float):
+def _capped_system(inst: Instance, dm: np.ndarray, radius: float):
     """The 0/1 program behind capped_opt as (A, lb, ub, fac, client), A in CSC form.
 
     Columns are one opening y_i per point, then one assignment x_ij per pair
-    with d(i, j) <= radius, in (facility, client) position order.  Rows are
-    unit coverage per client, x_ij <= y_i per pair, one cap row per
+    with dm[i, j] <= radius (`dm` is `inst.pairwise()`, computed once by the
+    caller for every radius), in (facility, client) position order.  Rows
+    are unit coverage per client, x_ij <= y_i per pair, one cap row per
     (facility with a pair, color) listing every pair of the facility, then
     the budget row sum_i y_i <= k.  The cap rows are scaled to integer
     coefficients when 1/alpha is an integer.  `fac` and `client` are the
@@ -121,7 +122,7 @@ def _capped_system(inst: Instance, radius: float):
     facility in radius.
     """
     n, nc = inst.n, inst.n_colors
-    near = inst.pairwise() <= radius
+    near = dm <= radius
     if not near.any(axis=0).all():
         return None
     fac, client = np.nonzero(near)
@@ -153,7 +154,7 @@ def _capped_system(inst: Instance, radius: float):
     return A, lb, ub, fac, client
 
 
-def _capped_solution(inst: Instance, radius: float) -> ClusteringSolution | None:
+def _capped_solution(inst: Instance, dm: np.ndarray, radius: float) -> ClusteringSolution | None:
     """A capped clustering with at most k clusters and cost <= radius, or None.
 
     Solved as a 0/1 integer program (HiGHS) over `_capped_system`.  The
@@ -162,7 +163,7 @@ def _capped_solution(inst: Instance, radius: float) -> ClusteringSolution | None
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    system = _capped_system(inst, radius)
+    system = _capped_system(inst, dm, radius)
     if system is None:
         return None
     A, lb, ub, fac, client = system
@@ -177,10 +178,7 @@ def _capped_solution(inst: Instance, radius: float) -> ClusteringSolution | None
     if res.status != 0:
         raise SolverError(f"milp failed with status {res.status}: {res.message}")
     chosen = res.x[inst.n :] > 0.5
-    ids = np.array(inst.ids())
-    centers = tuple(sorted(ids[np.unique(fac[chosen])].tolist()))
-    assign = dict(zip(ids[client[chosen]].tolist(), ids[fac[chosen]].tolist()))
-    return ClusteringSolution(centers, assign)
+    return solution_at(inst, np.unique(fac[chosen]), fac[chosen], client[chosen])
 
 
 def capped_opt(inst: Instance) -> tuple[float, ClusteringSolution]:
@@ -195,11 +193,12 @@ def capped_opt(inst: Instance) -> tuple[float, ClusteringSolution]:
     """
     if np.bincount(inst.colors()).max() > inst.alpha * inst.n + CAP_TOL:
         raise InfeasibleInstance("a color holds more than an alpha share of the points")
-    radii = np.unique(inst.pairwise())
+    dm = inst.pairwise()
+    radii = np.unique(dm)
     lo, hi, best = 0, radii.size, None
     while lo < hi:
         mid = (lo + hi) // 2
-        sol = _capped_solution(inst, float(radii[mid]))
+        sol = _capped_solution(inst, dm, float(radii[mid]))
         if sol is None:
             lo = mid + 1
         else:

@@ -18,6 +18,7 @@ from .core import (
     InfeasibleInstance,
     InputError,
     Instance,
+    candidate_radii,
     center_positions,
     color_counts,
     make_instance,
@@ -115,11 +116,8 @@ def lambda_grid(inst: Instance, lam_greedy: float, lam_anchor: float, epsilon: f
         return _grid(lam_greedy / 2.0, hi, epsilon)
     # degenerate greedy (enough centers for every distinct location): any
     # positive optimum is still a pairwise distance, so anchor the ladder there
-    dm = inst.pairwise()
-    positive = dm[dm > 0.0]
-    if positive.size == 0:
-        return [0.0]
-    return [0.0] + _grid(float(positive.min()), hi, epsilon)
+    positive = [r for r in candidate_radii(inst) if r > 0.0]
+    return [0.0] + (_grid(positive[0], hi, epsilon) if positive else [])
 
 
 def faster_algorithm(inst: Instance, cfg: RunConfig) -> tuple[ClusteringSolution, float]:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from cappedkc import InputError, make_balanced_instance, make_instance
+from cappedkc import BipartiteSeed, InputError, hardness_instance
+from cappedkc import make_balanced_instance, make_instance
 from cappedkc import cli
 from cappedkc.cli import load_csv, main, save_csv
 
@@ -90,6 +91,14 @@ def test_csv_round_trip_writes_utf8_labels(tmp_path):
     save_csv(inst, path)
     assert "ré".encode() in path.read_bytes()  # UTF-8 whatever the locale encoding
     assert load_csv(path, k=1, alpha=0.5).color_labels == inst.color_labels
+
+
+def test_save_csv_rejects_a_distance_matrix_instance(tmp_path):
+    # a gadget's metric is its matrix: the CSV would hold no distances at all
+    path = tmp_path / "gadget.csv"
+    with pytest.raises(InputError, match="not on coordinates"):
+        save_csv(hardness_instance(BipartiteSeed(2, 2, ((0, 0), (1, 1)))), path)
+    assert not path.exists()
 
 
 def test_main_json_deterministic_bytes(tmp_path, capsys):

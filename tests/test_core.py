@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,10 @@ from cappedkc import (
     check_capped,
     fair_k_center,
     greedy_k_center,
+    make_balanced_instance,
     make_instance,
     max_additive_violation,
+    non_dominant_k_center,
     solution_cost,
 )
 from cappedkc import core
@@ -219,6 +222,11 @@ def test_one_center_equals_the_block_argmin(monkeypatch, floats):
             assert inst.one_center(pos) == reference_one_center(inst, pos)
 
 
+def test_one_center_of_no_points_is_an_input_error():
+    with pytest.raises(InputError, match="at least one"):
+        line_instance([0, 1, 3]).one_center([])
+
+
 def _unbatched_block(inst, pos):
     """dist_block's distances from one n x n x d difference, the formula it batches."""
     sub = inst.coords()[pos]
@@ -264,6 +272,24 @@ def test_pairwise_peak_memory_stays_near_the_matrix():
     )
     grown_mb = int(out.stdout) / 1024
     assert grown_mb < 3 * n * n * 8 / 2**20
+
+
+def test_instance_keeps_no_pairwise_matrix():
+    # the full matrix and the half route's sorted pairs belong to the caller:
+    # once they are dropped, less than one n x n block is still held
+    n = 400
+    inst = make_balanced_instance(4, n // 4, dim=3, k=4, alpha=0.5, seed=5)
+    row = make_instance(inst.coords(), [0] * n, k=1, alpha=1.0).dist_row(0).tobytes()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        matrix, (sol, lam) = inst.pairwise(), non_dominant_k_center(inst)
+        del matrix, sol, lam
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < n * n * 8
+    assert inst.dist_row(0).tobytes() == row
 
 
 def test_check_capped_examples():

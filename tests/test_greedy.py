@@ -96,8 +96,8 @@ def test_lloyd_round_works_without_the_distance_matrix(monkeypatch):
             [(rng.random(), rng.random(), rng.random()) for _ in range(n)], [0] * n, k=3, alpha=1.0
         )
         start = _nearest(inst, rng.sample(range(n), 3))
-        full = make_instance(inst.coords(), [0] * n, k=3, alpha=1.0)
-        full.pairwise()
+        # the same metric as a supplied matrix: the reference reads no coordinates
+        full = Instance(inst.coords(), [0] * n, k=3, alpha=1.0, dist_matrix=inst.pairwise())
         cases.append((inst, start, lloyd_round(full, *start)))
 
     def no_matrix(self):

@@ -21,6 +21,7 @@ from cappedkc import (
     solution_cost,
 )
 from cappedkc import halfcap
+from cappedkc.core import sorted_pairs
 from cappedkc.halfcap import ACCEPT_TOL
 from conftest import _reference_max_matching, edge_adjacency, random_capped_instance
 
@@ -31,17 +32,17 @@ from conftest import _reference_max_matching, edge_adjacency, random_capped_inst
 
 def test_threshold_zero_distinct_points():
     inst = make_instance([(0.0,), (1.0,)], ["r", "b"], k=1, alpha=0.5)
-    assert _reference_threshold_edges(inst, 0.0) == []
+    assert _reference_threshold_edges(inst, inst.pairwise(), 0.0) == []
 
 
 def test_threshold_same_color_never_joined():
     inst = make_instance([(0.0,), (0.0,)], ["r", "r"], k=1, alpha=0.5)
-    assert _reference_threshold_edges(inst, 1.0) == []
+    assert _reference_threshold_edges(inst, inst.pairwise(), 1.0) == []
 
 
 def test_threshold_boundary_inclusive():
     inst = make_instance([(0.0,), (1.0,)], ["r", "b"], k=1, alpha=0.5)
-    assert _reference_threshold_edges(inst, 1.0) == [(0, 1)]
+    assert _reference_threshold_edges(inst, inst.pairwise(), 1.0) == [(0, 1)]
     # the scan too: the r-b pairs at distance 2 join at lam = 1, where 2*lam == 2
     dm = np.array([[0, 2, 1, 3], [2, 0, 3, 1], [1, 3, 0, 2], [3, 1, 2, 0]], dtype=float)
     inst = Instance(np.empty((4, 0)), [0, 1, 0, 1], k=2, alpha=0.5, dist_matrix=dm)
@@ -52,7 +53,8 @@ def test_threshold_boundary_inclusive():
 
 def test_components():
     inst = make_instance([(0.0,), (0.5,), (9.0,)], ["r", "b", "g"], k=1, alpha=0.5)
-    assert _reference_components(inst.n, _reference_threshold_edges(inst, 1.0)) == [[0, 1], [2]]
+    edges = _reference_threshold_edges(inst, inst.pairwise(), 1.0)
+    assert _reference_components(inst.n, edges) == [[0, 1], [2]]
 
 
 def _local(nodes, edges):
@@ -141,8 +143,8 @@ def test_random_instances_exact_caps_and_structure():
     assert solved >= 10
 
 
-def _reference_threshold_edges(inst, tau):
-    dm = inst.pairwise()
+def _reference_threshold_edges(inst, dm, tau):
+    """Differently-colored position pairs a < b within tau; `dm` is `inst.pairwise()`."""
     colors = inst.colors()
     return [
         (a, b)
@@ -215,7 +217,7 @@ def _reference_non_dominant_k_center(inst):
     for lam in candidate_radii(inst):
         caplets = []
         feasible = True
-        for comp in _reference_components(inst.n, _reference_threshold_edges(inst, 2.0 * lam)):
+        for comp in _reference_components(inst.n, _reference_threshold_edges(inst, dm, 2.0 * lam)):
             if len(comp) == 1:
                 feasible = False
                 break
@@ -372,11 +374,17 @@ def test_scan_matches_reference_on_random_instances():
         expected = _scan_outcome(_reference_non_dominant_k_center, inst)
         assert _scan_outcome(_recorded_scan, inst) == expected
         solved += expected is not None
-        # the scan's differently-colored pairs within tau are the reference edges
-        tau = rng.choice(candidate_radii(inst))
-        a, b, d = halfcap._colored_pairs(inst)
-        near = d <= tau
-        assert sorted(zip(a[near].tolist(), b[near].tolist())) == _reference_threshold_edges(inst, tau)
+        # the scan's radii are candidate_radii's: 0 and every pair's distance;
+        # its differently-colored pairs within tau are the reference edges
+        dm = inst.pairwise()
+        a, b, d, radii = sorted_pairs(inst)
+        radii = radii.tolist()
+        assert radii == candidate_radii(inst) == sorted({0.0, *dm[np.triu_indices(inst.n, 1)]})
+        tau = rng.choice(radii)
+        colors = inst.colors()
+        near = (colors[a] != colors[b]) & (d <= tau)
+        edges = sorted(zip(a[near].tolist(), b[near].tolist()))
+        assert edges == _reference_threshold_edges(inst, dm, tau)
     assert 100 <= solved <= 300
 
 

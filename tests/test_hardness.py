@@ -86,7 +86,7 @@ def test_full_star_seed_costs_one():
     seed = seed_21([(0, 0), (1, 0)], t=0)
     assert t_star_decomposition_exists(seed, 3)
     inst = hardness_instance(seed)
-    assert _capped_solution(inst, 1) is not None
+    assert _capped_solution(inst, inst.pairwise(), 1) is not None
     assert capped_opt(inst)[0] == 1.0
 
 
@@ -96,7 +96,7 @@ def test_single_edge_seed_cost_is_exactly_two():
     seed = seed_21([(0, 0)], t=0)
     assert not t_star_decomposition_exists(seed, 3)
     inst = hardness_instance(seed)
-    assert _capped_solution(inst, 1) is None
+    assert _capped_solution(inst, inst.pairwise(), 1) is None
     assert capped_opt(inst)[0] == 2.0
 
 
@@ -104,7 +104,7 @@ def test_full_star_seed_with_extra_color_costs_one():
     seed = seed_21([(0, 0), (1, 0)], t=1)
     inst = hardness_instance(seed)
     assert inst.alpha == pytest.approx(1 / 3)
-    assert _capped_solution(inst, 1) is not None
+    assert _capped_solution(inst, inst.pairwise(), 1) is not None
 
 
 def test_single_edge_seed_with_extra_color_stays_hard():
@@ -117,7 +117,7 @@ def test_milp_oracle_agrees_with_exhaustive_search():
     for edges in ([(0, 0), (1, 0)], [(0, 0)], []):
         inst = hardness_instance(seed_21(edges, t=0))
         for radius in (1.0, 2.0):
-            found = _capped_solution(inst, radius) is not None
+            found = _capped_solution(inst, inst.pairwise(), radius) is not None
             assert found == capped_partition_exists_bruteforce(inst, radius)
 
 
@@ -126,7 +126,7 @@ def test_mirrored_seed_costs_one():
     assert t_star_decomposition_exists(seed, 3)
     inst = hardness_instance(seed)
     assert inst.n == 12
-    assert _capped_solution(inst, 1) is not None
+    assert _capped_solution(inst, inst.pairwise(), 1) is not None
 
 
 def _reference_distances(n: int, edges) -> np.ndarray:
@@ -234,14 +234,14 @@ def test_capped_system_matches_loop_reference():
     compared = 0
     for seed in tiny_seeds():
         inst = hardness_instance(seed)
-        radii = np.unique(inst.pairwise()).tolist()
-        for radius in [-1.0] + radii:
-            got, ref = _capped_system(inst, radius), _reference_capped_system(inst, radius)
+        dm = inst.pairwise()
+        for radius in [-1.0] + np.unique(dm).tolist():
+            got, ref = _capped_system(inst, dm, radius), _reference_capped_system(inst, radius)
             assert (got is None) == (ref is None)
             if got is None:
                 continue
             (A, lb, ub, fac, client), (ref_A, ref_lb, ref_ub) = got, ref
-            ref_fac, ref_client = np.nonzero(inst.pairwise() <= radius)
+            ref_fac, ref_client = np.nonzero(dm <= radius)
             assert np.array_equal(fac, ref_fac) and np.array_equal(client, ref_client)
             assert A.format == "csc" and A.shape == ref_A.shape
             for name in ("indptr", "indices", "data"):
@@ -298,7 +298,7 @@ def test_capped_opt_separates_distances_closer_than_1e9():
     inst = line_instance([0.0, 1.0, 10.0, 11.0 + 5e-10], ["r", "b", "r", "b"], k=2, alpha=0.5)
     near, far = inst.dist_row(0)[1], inst.dist_row(2)[3]
     assert 0 < far - near < 1e-9
-    assert _capped_solution(inst, near) is None
+    assert _capped_solution(inst, inst.pairwise(), near) is None
     cost, sol = capped_opt(inst)
     assert cost == far
     _check_opt_solution(inst, cost, sol)
