@@ -210,8 +210,8 @@ class Instance:
         """Distances from the points at positions `rows` to those at `cols` (an index or slice).
 
         The one reader of an explicit matrix.  Coordinate rows come in batches
-        of as many rows as fit in ONE_CENTER_FLOATS floats of differences,
-        each distance with `_norm`'s bits.
+        of as many rows as fit in ONE_CENTER_FLOATS floats of differences, so
+        the whole difference is never held, each distance with `_norm`'s bits.
         """
         if self._dist is not None:
             return self._dist[rows][:, cols]
