@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
 from .core import CAP_TOL, ClusteringSolution, InfeasibleInstance, InputError, Instance, solution_at
-from .lp_feasibility import SolverError
+from .lp_feasibility import _solve_highs
 
 
 @dataclass(frozen=True)
@@ -157,27 +157,19 @@ def _capped_system(inst: Instance, dm: np.ndarray, radius: float):
 def _capped_solution(inst: Instance, dm: np.ndarray, radius: float) -> ClusteringSolution | None:
     """A capped clustering with at most k clusters and cost <= radius, or None.
 
-    Solved as a 0/1 integer program (HiGHS) over `_capped_system`.  The
-    centers are the facilities that serve a client at the integral point.
-    A HiGHS status other than optimal or infeasible raises SolverError.
+    Solved as a 0/1 integer program by `_solve_highs`.  The centers are the
+    facilities that serve a client at the integral point.  A HiGHS status
+    other than optimal or infeasible raises SolverError.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     system = _capped_system(inst, dm, radius)
     if system is None:
         return None
     A, lb, ub, fac, client = system
-    res = milp(
-        c=np.zeros(A.shape[1]),
-        constraints=LinearConstraint(A, lb, ub),
-        integrality=np.ones(A.shape[1]),
-        bounds=Bounds(0, 1),
-    )
-    if res.status == 2:
+    ones = np.ones(A.shape[1])
+    x = _solve_highs(A, lb, ub, ones, integrality=ones)
+    if x is None:
         return None
-    if res.status != 0:
-        raise SolverError(f"milp failed with status {res.status}: {res.message}")
-    chosen = res.x[inst.n :] > 0.5
+    chosen = x[inst.n :] > 0.5
     return solution_at(inst, np.unique(fac[chosen]), fac[chosen], client[chosen])
 
 

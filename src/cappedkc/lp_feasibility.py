@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,18 +52,18 @@ class LinearSystem(RadiusPairs):
     class's lowest client.  When every class is a single client, the x
     columns are the pairs, in pair order.
 
-    The rows are the CSR matrices HiGHS reads, `a_eq @ v == b_eq` and
-    `a_ub @ v <= b_ub`.  `families` maps each constraint family, in the
-    order cover, open, load, colorcap, minload, budget, to its rows of the
-    stacked matrix [a_eq; a_ub]: cover and load are the equality rows.
+    The rows are the CSC matrix HiGHS reads, `row_lower <= a @ v <=
+    row_upper`: first the `<=` families open, colorcap, minload and budget
+    (lower bound -inf), then the equality families cover and load.
+    `families` maps each family, in the order cover, open, load, colorcap,
+    minload, budget, to its rows of `a`.
     """
 
     pair_column: np.ndarray
     column_pair: np.ndarray
-    a_eq: sp.csr_matrix
-    b_eq: np.ndarray
-    a_ub: sp.csr_matrix
-    b_ub: np.ndarray
+    a: sp.csc_matrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     families: dict[str, slice]
     upper: np.ndarray
 
@@ -168,19 +169,13 @@ def polytope_on(inst: Instance, pairs: RadiusPairs) -> LinearSystem:
     keys, cap_rows = np.unique(cf * inst.n_colors + pc[column_pair], return_inverse=True)
     n_cap = keys.size
     cap_fac = keys // inst.n_colors
-    # the first inequality row of colorcap, minload and budget
+    # the first row of colorcap, minload, budget, cover and load
     cap0, min0, budget = n_cols, n_cols + n_cap, n_cols + n_cap + nf
+    cover0, load0 = budget + 1, budget + 1 + n_cls
 
-    a_eq = _csr(
-        (n_cls + nf, n_vars),
-        # cover: each class receives its weight in assignment mass
-        (cc, xcols, ones),
-        # load: L_i - sum_C X_iC = 0
-        (n_cls + fac, lcols, np.ones(nf)),
-        (n_cls + cf, xcols, -ones),
-    )
-    a_ub = _csr(
-        (budget + 1, n_vars),
+    # (rows, cols, data) per family, as one sparse construction: building a
+    # matrix per family and stacking them costs more than the solve on small systems
+    triplets = (
         # open: X_iC - w_C * y_i <= 0
         (col, xcols, ones),
         (col, cf, -weight[cc]),
@@ -193,8 +188,14 @@ def polytope_on(inst: Instance, pairs: RadiusPairs) -> LinearSystem:
         (min0 + fac, fac, np.full(nf, float(ceil_inv_alpha(inst.alpha)))),
         # budget: sum_i y_i <= k
         (np.full(nf, budget), fac, np.ones(nf)),
+        # cover: each class receives its weight in assignment mass
+        (cover0 + cc, xcols, ones),
+        # load: L_i - sum_C X_iC = 0
+        (load0 + fac, lcols, np.ones(nf)),
+        (load0 + cf, xcols, -ones),
     )
-    n_eq = n_cls + nf
+    rows, cols, data = (np.concatenate(part) for part in zip(*triplets))
+    n_rows = load0 + nf
     return LinearSystem(
         lam=pairs.lam,
         alpha=pairs.alpha,
@@ -205,17 +206,16 @@ def polytope_on(inst: Instance, pairs: RadiusPairs) -> LinearSystem:
         pair_color=pc,
         pair_column=pair_column,
         column_pair=column_pair,
-        a_eq=a_eq,
-        b_eq=np.concatenate([weight, np.zeros(nf)]),
-        a_ub=a_ub,
-        b_ub=np.concatenate([np.zeros(budget), [float(inst.k)]]),
+        a=sp.csc_matrix((data, (rows, cols)), shape=(n_rows, n_vars)),
+        row_lower=np.concatenate([np.full(cover0, -np.inf), weight, np.zeros(nf)]),
+        row_upper=np.concatenate([np.zeros(budget), [float(inst.k)], weight, np.zeros(nf)]),
         families={
-            "cover": slice(0, n_cls),
-            "open": slice(n_eq, n_eq + cap0),
-            "load": slice(n_cls, n_eq),
-            "colorcap": slice(n_eq + cap0, n_eq + min0),
-            "minload": slice(n_eq + min0, n_eq + budget),
-            "budget": slice(n_eq + budget, n_eq + budget + 1),
+            "cover": slice(cover0, load0),
+            "open": slice(0, cap0),
+            "load": slice(load0, n_rows),
+            "colorcap": slice(cap0, min0),
+            "minload": slice(min0, budget),
+            "budget": slice(budget, cover0),
         },
         upper=np.concatenate([np.ones(nf), weight[cc], np.full(nf, np.inf)]),
     )
@@ -235,16 +235,6 @@ def _client_classes(inst: Instance, pf: np.ndarray, pj: np.ndarray, nf: int) -> 
     return rank[inverse.reshape(-1)]
 
 
-def _csr(shape: tuple[int, int], *triplets: tuple[np.ndarray, ...]) -> sp.csr_matrix:
-    """The (rows, cols, data) triplets as one CSR matrix, in one sparse construction.
-
-    Building a matrix per family and stacking them costs more than the
-    solve on small systems.
-    """
-    rows, cols, data = (np.concatenate(part) for part in zip(*triplets))
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
-
-
 def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
     """Re-check every row and column bound against a raw variable vector, within ROW_TOL.
 
@@ -255,7 +245,8 @@ def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
     bad: list[str] = []
     if (vec < -ROW_TOL).any() or (vec > sys.upper + ROW_TOL).any():
         bad.append("variable bound violated")
-    gap = np.concatenate([np.abs(sys.a_eq @ vec - sys.b_eq), sys.a_ub @ vec - sys.b_ub])
+    av = sys.a @ vec
+    gap = np.maximum(sys.row_lower - av, av - sys.row_upper)
     for family, rows in sys.families.items():
         worst = gap[rows].max(initial=0.0)
         if worst > ROW_TOL:
@@ -276,27 +267,38 @@ def validate_point(sys: LinearSystem, vec: np.ndarray) -> list[str]:
     return bad
 
 
-def _solve_highs(sys: LinearSystem) -> np.ndarray | None:
-    """HiGHS's dual simplex on the system: a vertex, None when it reports infeasible.
+def _solve_highs(
+    a: sp.csc_matrix,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    upper: np.ndarray,
+    integrality: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """HiGHS on row_lower <= a @ v <= row_upper, 0 <= v <= upper: a point, None when infeasible.
 
-    Any other status raises SolverError.
+    The one HiGHS call of the package, for the radius LP (the dual simplex)
+    and, with `integrality`, `capped_opt`'s 0/1 program.  `output_flag`
+    off makes `milp` return the vertex `linprog(method="highs")` returns;
+    `milp` warns that it passes the option to HiGHS verbatim, and only that
+    warning is silenced.  Any status but optimal or infeasible raises
+    SolverError.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
-    res = linprog(
-        c=np.zeros(sys.n_vars),
-        A_ub=sys.a_ub,
-        b_ub=sys.b_ub,
-        A_eq=sys.a_eq,
-        b_eq=sys.b_eq,
-        bounds=np.column_stack([np.zeros(sys.n_vars), sys.upper]),
-        method="highs",
-    )
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(
+            np.zeros(a.shape[1]),
+            integrality=integrality,
+            bounds=Bounds(0.0, upper),
+            constraints=LinearConstraint(a, row_lower, row_upper),
+            options={"output_flag": False},
+        )
     if res.status == 2:
         return None
     if res.status != 0:
-        raise SolverError(f"linprog status {res.status}: {res.message}")
-    return np.asarray(res.x)
+        raise SolverError(f"HiGHS status {res.status}: {res.message}")
+    return res.x
 
 
 def passes_prechecks(pairs: RadiusPairs) -> bool:
@@ -333,7 +335,7 @@ def check_feasible(sys: LinearSystem) -> FractionalSolution | None:
     solve-free `passes_prechecks` is the caller's to run first;
     `fair_k_center` runs it before it builds any row.
     """
-    vec = _solve_highs(sys)
+    vec = _solve_highs(sys.a, sys.row_lower, sys.row_upper, sys.upper)
     if vec is None:
         return None
     bad = validate_point(sys, vec)

@@ -20,7 +20,13 @@ from cappedkc import (
     make_instance,
 )
 from cappedkc.core import ceil_inv_alpha
-from cappedkc.lp_feasibility import RADIUS_SLACK, passes_prechecks, polytope_on, radius_pairs
+from cappedkc.lp_feasibility import (
+    RADIUS_SLACK,
+    _solve_highs,
+    passes_prechecks,
+    polytope_on,
+    radius_pairs,
+)
 
 
 def random_capped_instance(
@@ -59,8 +65,13 @@ def fractional_point(inst: Instance, x: dict, y: dict) -> FractionalSolution:
 
 
 def family_rows(sys, family: str) -> sp.csr_matrix:
-    """One constraint family of a LinearSystem: its row range of a_eq or a_ub."""
-    return sp.vstack([sys.a_eq, sys.a_ub], format="csr")[sys.families[family]]
+    """One constraint family of a LinearSystem: its row range of `a`."""
+    return sys.a.tocsr()[sys.families[family]]
+
+
+def solve_system(sys) -> np.ndarray | None:
+    """`_solve_highs` on a LinearSystem's rows and column bounds."""
+    return _solve_highs(sys.a, sys.row_lower, sys.row_upper, sys.upper)
 
 
 def _reference_sorted_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> list[list[int]]:

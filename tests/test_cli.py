@@ -265,7 +265,7 @@ def test_main_solver_failure_is_error(tmp_path, capsys, monkeypatch):
         calls.append(1)
         return SimpleNamespace(status=4, message="numerical difficulties", x=None)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    monkeypatch.setattr(scipy.optimize, "milp", failing)
     # two unit squares 10 apart: the ladder needs an LP before one center could serve
     # both, whereas a lone square stops at its one-center rung without a solve
     rows = [(0, 0, "r"), (1, 1, "r"), (0, 1, "b"), (1, 0, "b")]
@@ -277,7 +277,7 @@ def test_main_solver_failure_is_error(tmp_path, capsys, monkeypatch):
     assert calls
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "linprog status 4" in captured.err
+    assert captured.err.startswith("error: ") and "HiGHS status 4" in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -231,7 +231,8 @@ def _one_center_point_in(inst, lam, coreset) -> bool:
     vec = np.zeros(sys.n_vars)
     vec[[0, nf + n_cols]] = [1.0, inst.n]
     vec[mine] = np.bincount(sys.pair_column)[mine - nf]
-    return bool((sys.a_eq @ vec == sys.b_eq).all() and (sys.a_ub @ vec <= sys.b_ub).all())
+    av = sys.a @ vec
+    return bool(((sys.row_lower <= av) & (av <= sys.row_upper)).all())
 
 
 def _stop_pool():
@@ -280,11 +281,11 @@ def _stop_pool():
 
 def test_one_center_stop_matches_ladder_walk(monkeypatch):
     accepted, solves = [], []
-    real_linprog = scipy.optimize.linprog
+    real_milp = scipy.optimize.milp
 
-    def counting_linprog(*args, **kwargs):
+    def counting_milp(*args, **kwargs):
         solves.append(1)
-        return real_linprog(*args, **kwargs)
+        return real_milp(*args, **kwargs)
 
     def recording_fair_k_center(*args, **kwargs):
         sol = fair_k_center(*args, **kwargs)
@@ -303,7 +304,7 @@ def test_one_center_stop_matches_ladder_walk(monkeypatch):
         accepted.clear()
         solves.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(scipy.optimize, "linprog", counting_linprog)
+            patch.setattr(scipy.optimize, "milp", counting_milp)
             patch.setattr(harness, "fair_k_center", recording_fair_k_center)
             try:
                 sol, lam = faster_algorithm(inst, cfg)

@@ -31,7 +31,7 @@ from cappedkc.lp_feasibility import (
     polytope_on,
     radius_pairs,
 )
-from conftest import family_rows, min_feasible_radius, random_capped_instance
+from conftest import family_rows, min_feasible_radius, random_capped_instance, solve_system
 
 
 def test_ceil_inv_alpha():
@@ -133,7 +133,7 @@ def test_returned_points_satisfy_every_row():
 
 def test_validate_point_flags_corruption(unit_square):
     sys = build_polytope(unit_square, 1.0)
-    vec = _solve_highs(sys)
+    vec = solve_system(sys)
     assert vec is not None
     assert validate_point(sys, vec) == []
     vec[0] = 2.0  # push an opening variable past its unit bound
@@ -148,7 +148,7 @@ def test_check_feasible_slices_the_solver_point():
         [(0.0,), (0.0,), (1.0,), (1.0,)], ["r", "b", "r", "b"], k=2, alpha=0.5, ids=[7, 3, 9, 1]
     )
     sys = build_polytope(inst, 1.0, [9, 3])
-    vec = _solve_highs(sys)
+    vec = solve_system(sys)
     frac = check_feasible(sys)
     assert vec is not None and frac is not None
     assert sys.facility_pos.tolist() == [1, 2]
@@ -207,15 +207,19 @@ def test_polytope_row_counts():
         sys = build_polytope(inst, lam)
         classes = _reference_classes(inst, sys)
         assert list(sys.families) == ["cover", "open", "load", "colorcap", "minload", "budget"]
-        # the families tile the stacked rows; cover and load are the equality rows
-        spans = sorted((rows.start, rows.stop) for rows in sys.families.values())
+        # the families tile the rows of `a`: the <= families in the order
+        # open, colorcap, minload, budget, then the equality rows cover and load
+        spans = [(sys.families[f].start, sys.families[f].stop) for f in
+                 ("open", "colorcap", "minload", "budget", "cover", "load")]
         assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
-        assert spans[-1][1] == sys.a_eq.shape[0] + sys.a_ub.shape[0]
+        assert spans[-1][1] == sys.a.shape[0] == sys.row_lower.size == sys.row_upper.size
         cover, load = sys.families["cover"], sys.families["load"]
-        assert (cover.start, cover.stop, load.stop) == (0, len(classes), sys.a_eq.shape[0])
+        assert np.isneginf(sys.row_lower[: cover.start]).all()
+        assert np.array_equal(sys.row_lower[cover.start :], sys.row_upper[cover.start :])
+        assert cover.stop - cover.start == len(classes)
         assert load.stop - load.start == sys.facility_pos.size
         # one cover row per class, holding its weight; one open row per x column
-        assert sys.b_eq[cover].tolist() == [float(len(members)) for _, members in classes]
+        assert sys.row_upper[cover].tolist() == [float(len(members)) for _, members in classes]
         assert sys.families["open"].stop - sys.families["open"].start == sys.column_pair.size
         got = np.flatnonzero(family_rows(sys, "cover").getnnz(axis=1))
         assert got.tolist() == [c for c, (reach, _) in enumerate(classes) if reach]
@@ -284,26 +288,26 @@ def _reference_build_polytope(inst, lam, restricted_facilities=None) -> LinearSy
         rows["minload"].append((coeffs, 0.0))
     rows["budget"].append(({f: 1.0 for f in range(nf)}, float(inst.k)))
 
-    # the cover rows are the equality rows
-    return _system_from_rows(inst, lam, fac_pos, pairs, rows, inst.n, np.ones(n_vars))
+    return _system_from_rows(inst, lam, fac_pos, pairs, rows, ("cover",), np.ones(n_vars))
 
 
-def _system_from_rows(inst, lam, fac_pos, pairs, rows, n_eq, upper) -> LinearSystem:
+def _system_from_rows(inst, lam, fac_pos, pairs, rows, equalities, upper) -> LinearSystem:
     """A per-client LinearSystem, one x column per pair, from its families' rows.
 
     `rows` maps each family to its (coefficients by column, right-hand side)
-    rows; the families stack in order and the first `n_eq` rows are the
-    equality rows.
+    rows.  As in polytope_on, the <= families stack first, then the
+    `equalities` families, each group in the order of `rows`.
     """
-    families, stacked = {}, []
-    for family, entries in rows.items():
-        families[family] = slice(len(stacked), len(stacked) + len(entries))
-        stacked += entries
+    order = [f for f in rows if f not in equalities] + [f for f in rows if f in equalities]
+    spans, stacked = {}, []
+    for family in order:
+        spans[family] = slice(len(stacked), len(stacked) + len(rows[family]))
+        stacked += rows[family]
     r, c, v = zip(
         *((idx, col, val) for idx, (coeffs, _) in enumerate(stacked) for col, val in coeffs.items())
     )
-    mat = sp.csr_matrix((v, (r, c)), shape=(len(stacked), upper.size))
     rhs = np.array([b for _, b in stacked])
+    n_ub = min(spans[f].start for f in equalities)
     return LinearSystem(
         lam=lam,
         alpha=inst.alpha,
@@ -314,11 +318,10 @@ def _system_from_rows(inst, lam, fac_pos, pairs, rows, n_eq, upper) -> LinearSys
         pair_color=np.array([inst.colors()[j] for _, j in pairs], dtype=int),
         pair_column=np.arange(len(pairs)),
         column_pair=np.arange(len(pairs)),
-        a_eq=mat[:n_eq],
-        b_eq=rhs[:n_eq],
-        a_ub=mat[n_eq:],
-        b_ub=rhs[n_eq:],
-        families=families,
+        a=sp.csc_matrix((v, (r, c)), shape=(len(stacked), upper.size)),
+        row_lower=np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]]),
+        row_upper=rhs,
+        families={family: spans[family] for family in rows},
         upper=upper,
     )
 
@@ -368,7 +371,7 @@ def _per_client_system(inst, lam, restricted_facilities=None) -> LinearSystem:
         rows["minload"].append(({load + f: -1.0, f: float(ceil_inv_alpha(inst.alpha))}, 0.0))
     rows["budget"].append(({f: 1.0 for f in range(nf)}, float(inst.k)))
     upper = np.concatenate([np.ones(nf + n_pairs), np.full(nf, np.inf)])
-    return _system_from_rows(inst, lam, fac_pos, pairs, rows, inst.n + nf, upper)
+    return _system_from_rows(inst, lam, fac_pos, pairs, rows, ("cover", "load"), upper)
 
 
 def _reference_classes(inst, sys) -> list[tuple[frozenset, list[int]]]:
@@ -435,8 +438,8 @@ def test_compact_system_matches_dense_reference():
         assert [sys.pair_client[p] for p in sys.column_pair] == [js[0] for _, js in columns]
         if not np.bincount(sys.pair_client, minlength=inst.n).all():
             continue
-        vec = _solve_highs(sys)
-        ref_vec = _solve_highs(ref)
+        vec = solve_system(sys)
+        ref_vec = solve_system(ref)
         assert (vec is None) == (ref_vec is None)
         verdicts[vec is not None] += 1
         merged += len(columns) < ref.pair_client.size
@@ -473,15 +476,13 @@ def test_singleton_classes_give_the_per_client_system():
         ref = _per_client_system(inst, lam, restricted)
         assert np.array_equal(sys.pair_column, np.arange(sys.pair_client.size))
         assert np.array_equal(sys.column_pair, sys.pair_column)
-        for name in ("a_eq", "a_ub"):
-            got, want = getattr(sys, name), getattr(ref, name)
-            assert got.shape == want.shape, name
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
-        for name in ("b_eq", "b_ub", "upper"):
+        assert sys.a.shape == ref.a.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sys.a, part), getattr(ref.a, part)), part
+        for name in ("row_lower", "row_upper", "upper"):
             assert getattr(sys, name).tobytes() == getattr(ref, name).tobytes(), name
         assert sys.families == ref.families
-        vec, ref_vec = _solve_highs(sys), _solve_highs(ref)
+        vec, ref_vec = solve_system(sys), solve_system(ref)
         assert (vec is None) == (ref_vec is None)
         if vec is not None:
             assert vec.tobytes() == ref_vec.tobytes()
@@ -505,14 +506,14 @@ def test_nonzeros_stay_linear_in_pairs():
         nf, n_cols = sys.facility_pos.size, sys.column_pair.size
         assert n_cols <= sys.pair_client.size
         n_cap = family_rows(sys, "colorcap").shape[0]
-        nnz = sys.a_eq.nnz + sys.a_ub.nnz
+        nnz = sys.a.nnz
         # linear in the x columns, of which there are at most as many as pairs
         assert nnz == 5 * n_cols + n_cap + 4 * nf
 
 
 def test_validate_point_flags_corrupted_load(unit_square):
     sys = build_polytope(unit_square, 1.0)
-    vec = _solve_highs(sys)
+    vec = solve_system(sys)
     assert vec is not None and validate_point(sys, vec) == []
     nf, n_pairs = sys.facility_pos.size, sys.pair_client.size
     opened = int(np.argmax(vec[:nf]))
@@ -536,47 +537,50 @@ def test_validate_point_rechecks_caps_on_x(unit_square):
 
 
 def test_one_solve_builds_no_rows(unit_square, monkeypatch):
-    # HiGHS reads the system's own matrices: polytope_on builds the rows once
+    # HiGHS reads the system's own matrix and row bounds: polytope_on builds
+    # the rows once, and the solve constructs no sparse matrix
     sys = build_polytope(unit_square, 1.0)
     built, given = [], []
-    csr, linprog = lp_feasibility._csr, scipy.optimize.linprog
+    csc, milp = sp.csc_matrix, scipy.optimize.milp
 
     def counting(*args, **kwargs):
         built.append(1)
-        return csr(*args, **kwargs)
+        return csc(*args, **kwargs)
 
     def recording(*args, **kwargs):
         given.append(kwargs)
-        return linprog(*args, **kwargs)
+        return milp(*args, **kwargs)
 
-    monkeypatch.setattr(lp_feasibility, "_csr", counting)
-    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    monkeypatch.setattr(sp, "csc_matrix", counting)
+    monkeypatch.setattr(scipy.optimize, "milp", recording)
     assert check_feasible(sys) is not None
     assert built == [] and len(given) == 1
-    own = {"A_eq": sys.a_eq, "b_eq": sys.b_eq, "A_ub": sys.a_ub, "b_ub": sys.b_ub}
-    assert all(given[0][key] is value for key, value in own.items())
+    rows, bounds = given[0]["constraints"], given[0]["bounds"]
+    assert rows.A is sys.a
+    assert np.array_equal(rows.lb, sys.row_lower) and np.array_equal(rows.ub, sys.row_upper)
+    assert np.array_equal(bounds.ub, sys.upper)
 
 
 def test_solver_failure_raises(unit_square, monkeypatch):
     def failing(*args, **kwargs):
         return SimpleNamespace(status=4, message="numerical difficulties", x=None)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", failing)
-    with pytest.raises(SolverError):
+    monkeypatch.setattr(scipy.optimize, "milp", failing)
+    with pytest.raises(SolverError, match="HiGHS status 4: numerical difficulties"):
         check_feasible(build_polytope(unit_square, 1.0))
 
 
-def _recording_linprog(monkeypatch) -> list[tuple[str, object]]:
-    """Record the `method` and result of every `linprog` call."""
+def _recording_milp(monkeypatch) -> list[tuple[dict, object]]:
+    """Record the keyword arguments and result of every `milp` call."""
     calls = []
-    real = scipy.optimize.linprog
+    real = scipy.optimize.milp
 
     def recording(*args, **kwargs):
         res = real(*args, **kwargs)
-        calls.append((kwargs["method"], res))
+        calls.append((kwargs, res))
         return res
 
-    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    monkeypatch.setattr(scipy.optimize, "milp", recording)
     return calls
 
 
@@ -593,10 +597,11 @@ def wide_system():
 
 
 def test_every_solve_uses_the_dual_simplex(unit_square, wide_system, monkeypatch):
-    # one HiGHS method whatever the system's width, on feasible and empty
-    # systems alike
+    # one HiGHS call whatever the system's width, on feasible and empty
+    # systems alike: a continuous program with no solver option, which HiGHS
+    # solves by its LP default, the dual simplex
     inst, coreset = wide_system
-    calls = _recording_linprog(monkeypatch)
+    calls = _recording_milp(monkeypatch)
     assert check_feasible(build_polytope(unit_square, 1.0)) is not None
     sys = build_polytope(inst, 4.3446, coreset)
     assert sys.n_vars == 9_330
@@ -611,16 +616,69 @@ def test_every_solve_uses_the_dual_simplex(unit_square, wide_system, monkeypatch
     # cover every client
     assert check_feasible(build_polytope(inst, 4.2, coreset)) is None
     assert check_feasible(build_polytope(inst.with_params(k=2), 4.3446, coreset)) is None
-    assert [method for method, _ in calls] == ["highs"] * 5
+    assert len(calls) == 5
+    for kwargs, _ in calls:
+        assert kwargs["integrality"] is None and kwargs["options"] == {"output_flag": False}
+
+
+def _linprog_reference(sys) -> np.ndarray | None:
+    """`linprog(method="highs")` on the <= and the equality rows of `a`; None when infeasible."""
+    a = sys.a.tocsr()
+    ub = np.isneginf(sys.row_lower)
+    res = scipy.optimize.linprog(
+        np.zeros(sys.n_vars),
+        A_ub=a[ub],
+        b_ub=sys.row_upper[ub],
+        A_eq=a[~ub],
+        b_eq=sys.row_upper[~ub],
+        bounds=np.column_stack([np.zeros(sys.n_vars), sys.upper]),
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return None if res.status == 2 else res.x
+
+
+def test_solve_returns_the_linprog_vertex(wide_system):
+    # the one HiGHS call returns, bit for bit, the vertex linprog's dual
+    # simplex returns on the same rows, or reports infeasible with it
+    rng = random.Random(89)
+    systems = []
+    for _ in range(310):
+        inst = random_capped_instance(
+            rng,
+            n=rng.randint(6, 40),
+            n_colors=rng.randint(2, 5),
+            k=rng.randint(1, 4),
+            alpha=rng.choice([1 / 2, 1 / 3, 1 / 4, 0.3, 0.4]),
+        )
+        radii = candidate_radii(inst)
+        lam = rng.choice(radii[len(radii) // 2 :] if rng.random() < 0.7 else radii)
+        # most systems on a coreset-sized facility set, as the route solves them
+        restricted = None
+        if rng.random() < 0.7:
+            restricted = rng.sample(inst.ids(), rng.randint(1, min(inst.n, 12)))
+        systems.append(build_polytope(inst, lam, restricted))
+    inst, coreset = wide_system
+    systems += [build_polytope(inst, 4.3446, coreset), build_polytope(inst, 4.2, coreset)]
+    found = []
+    for sys in systems:
+        got, want = solve_system(sys), _linprog_reference(sys)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+        found.append(got is not None)
+    assert min(found.count(True), found.count(False)) >= 100
+    # the wide system is feasible at 4.3446 and empty at 4.2
+    assert found[-2:] == [True, False]
 
 
 def _counting_solves(monkeypatch) -> list[int]:
     """Count `_solve_highs` calls made through `check_feasible`."""
     calls = [0]
 
-    def counting(sys):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return _solve_highs(sys)
+        return _solve_highs(*args, **kwargs)
 
     monkeypatch.setattr(lp_feasibility, "_solve_highs", counting)
     return calls
@@ -684,7 +742,7 @@ def test_color_precheck_rejects_only_empty_polytopes(monkeypatch):
                 before = calls[0]
                 assert fair_k_center(inst, lam, restricted) is None
                 assert calls[0] == before
-                assert _solve_highs(polytope_on(inst, pairs)) is None
+                assert solve_system(polytope_on(inst, pairs)) is None
                 rejected += 1
     assert rejected >= 300
 

@@ -22,7 +22,6 @@ from cappedkc import (
 )
 from cappedkc import lp_rounding
 from cappedkc.flow import build_assignment_network
-from cappedkc.lp_feasibility import _solve_highs
 from cappedkc.lp_rounding import validate_rerouted
 from conftest import (
     fractional_point,
@@ -30,6 +29,7 @@ from conftest import (
     min_feasible_radius,
     pair_masses,
     random_capped_instance,
+    solve_system,
 )
 
 
@@ -269,7 +269,7 @@ def test_reroute_matches_dict_reference():
         if frac is None:
             continue
         fmap = select_separated_facilities(inst, lam, sys.facility_pos)
-        point = _reference_point(inst, sys, _solve_highs(sys))
+        point = _reference_point(inst, sys, solve_system(sys))
         expected = _reference_reroute(inst, point, fmap)
         merged = reroute_fractional(inst, frac, fmap)
         # same pairs in the same order, and the same bits in every mass
