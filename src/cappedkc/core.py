@@ -411,6 +411,20 @@ def candidate_radii(inst: Instance) -> list[float]:
     return sorted_pairs(inst)[3].tolist()
 
 
+def min_positive_distance(inst: Instance) -> float:
+    """`candidate_radii`'s first positive radius (inf if none), with no pair sorted.
+
+    Row batches of about ONE_CENTER_FLOATS distances, each row from its own
+    position on: both orders of a pair have the same bits.
+    """
+    size = max(ONE_CENTER_FLOATS // inst.n, 1)
+    best = np.inf
+    for lo in range(0, inst.n, size):
+        rows = inst._between(np.arange(lo, min(lo + size, inst.n)), slice(lo, None))
+        best = min(best, rows.min(initial=np.inf, where=rows > 0.0))
+    return float(best)
+
+
 def nearest_positions(
     inst: Instance, centers: np.ndarray, clients: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

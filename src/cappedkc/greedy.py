@@ -8,17 +8,10 @@ to it.  Only `greedy_k_center` builds a ClusteringSolution from them.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    ClusteringSolution,
-    InputError,
-    Instance,
-    nearest_positions,
-    solution_at,
-)
+from .core import ClusteringSolution, Instance, nearest_positions, solution_at
 
 
 def farthest_first(
@@ -26,47 +19,42 @@ def farthest_first(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Farthest-first traversal over the points at ascending positions `pos` (all by default).
 
-    Returns the min(k, |pos|) center positions in ascending order, and each
-    point of `pos`'s distance to its nearest center.  The first center is
-    the lowest position; ties in the farthest-client argmax break to the
-    lowest position, and points already chosen are skipped.
+    Returns the min(k, |pos|) center positions in ascending order, and the
+    radius after each pick: radii[t-1], the largest distance from a point of
+    `pos` to its nearest of the first t centers, ends a t-pick traversal.
+    The first center is the lowest position; ties in the farthest-client
+    argmax break to the lowest position, and points already chosen are skipped.
     """
     if pos is None:
         pos = np.arange(inst.n)
     target_k = min(k, pos.size)
     centers = [0]
+    radii = []
     min_dist = inst.dist_row(int(pos[0]))[pos]
     chosen = np.zeros(pos.size, dtype=bool)
     chosen[0] = True
     while len(centers) < target_k:
         masked = np.where(chosen, -np.inf, min_dist)
         nxt = int(masked.argmax())  # argmax takes the lowest position on ties
+        # chosen points sit at distance 0, so this is min_dist.max()
+        radii.append(masked[nxt])
         chosen[nxt] = True
         centers.append(nxt)
         min_dist = np.minimum(min_dist, inst.dist_row(int(pos[nxt]))[pos])
-    return np.sort(pos[centers]), min_dist
+    radii.append(min_dist.max())
+    return np.sort(pos[centers]), np.array(radii)
 
 
-def greedy_k_center(
-    inst: Instance, subset: Sequence[int] | None = None
-) -> tuple[ClusteringSolution, float]:
+def greedy_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
     """Farthest-first traversal: repeatedly open the client farthest from the open set.
 
-    `subset` restricts both clients and candidate centers to the given point
-    ids (used for coresets and caplet representatives).  Exactly
-    min(inst.k, n) distinct centers come back (see `farthest_first`), each
-    client assigned to its nearest one.
+    Exactly min(inst.k, n) distinct centers come back (see `farthest_first`),
+    each client assigned to its nearest one, with the traversal's radius.
     """
-    pos = None
-    if subset is not None:
-        pos = np.unique(inst.require_positions(subset))
-        if not pos.size:
-            raise InputError("subset must be non-empty")
-    centers, min_dist = farthest_first(inst, inst.k, pos)
-    # min_dist holds each client's distance to its nearest center, which is
-    # the center nearest_positions assigns it to
-    cpos, _ = nearest_positions(inst, centers, pos)
-    return solution_at(inst, centers, cpos, pos), float(min_dist.max())
+    centers, radii = farthest_first(inst, inst.k)
+    # the last radius is the largest distance to the center nearest_positions picks
+    cpos, _ = nearest_positions(inst, centers)
+    return solution_at(inst, centers, cpos), float(radii[-1])
 
 
 def lloyd_round(

@@ -11,9 +11,11 @@ from .core import (
     InfeasibleInstance,
     InputError,
     Instance,
+    nearest_positions,
+    solution_at,
     sorted_pairs,
 )
-from .greedy import greedy_k_center
+from .greedy import farthest_first
 from .matching import max_matching, sorted_adjacency
 
 ACCEPT_TOL = 1e-9
@@ -183,16 +185,17 @@ def non_dominant_k_center(inst: Instance) -> tuple[ClusteringSolution, float]:
             if caplets is not None:
                 # each caplet's representative is its first, lowest-position member
                 rep_pos = [cap[0] for cap in caplets]
-                reps = tuple(inst.ids_at(sorted(rep_pos)).tolist())
+                reps = tuple(sorted(rep_pos))  # caplets need not ascend across components
 
         if caplets is not None:
             if reps != last_reps:
                 last_reps = reps
-                gsol, gcost = greedy_k_center(inst, subset=reps)
+                centers, reach = farthest_first(inst, inst.k, np.array(reps))
+                gcost = float(reach[-1])
             if not gcost > 2.0 * lam + ACCEPT_TOL:
-                centers = [gsol.assign[rep] for rep in inst.ids_at(rep_pos).tolist()]
-                assign = {inst.id_at(j): c for cap, c in zip(caplets, centers) for j in cap}
-                return ClusteringSolution(gsol.centers, assign), lam
+                rep_center, _ = nearest_positions(inst, centers, np.array(rep_pos))
+                cpos = np.repeat(rep_center, [len(cap) for cap in caplets])
+                return solution_at(inst, centers, cpos, np.concatenate(caplets)), lam
 
         # rejected: the verdict repeats until the 10*lam prefix grows, greedy's
         # cost fits within 2*lam, or a pair within 2*lam joins two components

@@ -18,10 +18,10 @@ from .core import (
     InfeasibleInstance,
     InputError,
     Instance,
-    candidate_radii,
     center_positions,
     color_counts,
     make_instance,
+    min_positive_distance,
     nearest_positions,
     solution_at,
 )
@@ -115,9 +115,8 @@ def lambda_grid(inst: Instance, lam_greedy: float, lam_anchor: float, epsilon: f
     if lam_greedy > 0.0:
         return _grid(lam_greedy / 2.0, hi, epsilon)
     # degenerate greedy (enough centers for every distinct location): any
-    # positive optimum is still a pairwise distance, so anchor the ladder there
-    positive = [r for r in candidate_radii(inst) if r > 0.0]
-    return [0.0] + (_grid(positive[0], hi, epsilon) if positive else [])
+    # positive optimum is still a pairwise distance, at least the smallest one
+    return [0.0] + _grid(min_positive_distance(inst), hi, epsilon)
 
 
 def faster_algorithm(inst: Instance, cfg: RunConfig) -> tuple[ClusteringSolution, float]:
@@ -147,14 +146,16 @@ def faster_algorithm(inst: Instance, cfg: RunConfig) -> tuple[ClusteringSolution
             "alpha is below the largest color fraction"
         )
     lam_anchor = float(work.dist_row(0).max())
-    lam_greedy = float(farthest_first(work, cfg.k)[1].max())
-    coreset = work.ids_at(farthest_first(work, cfg.m * cfg.k)[0]).tolist()
+    # the first k picks of the m*k traversal are the k-pick traversal
+    centers, radii = farthest_first(work, cfg.m * cfg.k)
+    lam_greedy = float(radii[min(cfg.k, radii.size) - 1])
+    coreset = work.ids_at(centers).tolist()
     grid = lambda_grid(work, lam_greedy, lam_anchor, cfg.epsilon)
 
     for lam in grid:
         o = one_center_stop(work, coreset, lam, grid[-1])
         if o is not None:
-            sol = ClusteringSolution((work.id_at(o),), dict.fromkeys(work.ids(), work.id_at(o)))
+            sol = solution_at(work, np.array([o]), np.full(work.n, o))
         else:
             sol = fair_k_center(work, lam, restricted=coreset)
         if sol is not None:

@@ -20,7 +20,6 @@ from cappedkc import (
     candidate_radii,
     check_capped,
     fair_k_center,
-    greedy_k_center,
     make_balanced_instance,
     make_instance,
     max_additive_violation,
@@ -168,7 +167,6 @@ UNKNOWN_ID_CALLS = {
     "build_polytope": lambda inst, ids: build_polytope(inst, 1.0, ids),
     "radius_pairs": lambda inst, ids: radius_pairs(inst, 1.0, ids),
     "one_center_stop": lambda inst, ids: one_center_stop(inst, ids, 1.0, 2.0),
-    "greedy_k_center": lambda inst, ids: greedy_k_center(inst, subset=ids),
     "pos": lambda inst, ids: [inst.pos(i) for i in ids],
 }
 
@@ -340,6 +338,17 @@ def test_candidate_radii_count_bound():
         assert grid[0] == 0.0
         assert all(type(r) is float for r in grid)
         assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def test_min_positive_distance_is_the_first_positive_radius(monkeypatch):
+    # batches of a few rows each, so every pool instance spans several
+    monkeypatch.setattr(core, "ONE_CENTER_FLOATS", 64)
+    x = np.array([0.0, 2.0, 2.0, 5.0, 0.0])  # a line metric with zeros off the diagonal
+    line = Instance(np.empty((5, 0)), [0] * 5, 1, 1.0, dist_matrix=np.abs(x[:, None] - x))
+    pool = exactness_pool(3) + [line, line_instance([4.2]), line_instance([1, 1, 1])]
+    for inst in pool:
+        positive = [r for r in candidate_radii(inst) if r > 0.0]
+        assert core.min_positive_distance(inst) == (positive[0] if positive else np.inf)
 
 
 def test_cost_never_improves_when_center_removed():

@@ -4,8 +4,8 @@ import numpy as np
 
 from cappedkc import Instance, greedy_k_center, make_instance, solution_cost
 from cappedkc.core import nearest_positions
-from cappedkc.greedy import lloyd_round, random_centers
-from conftest import line_instance, reference_one_center
+from cappedkc.greedy import farthest_first, lloyd_round, random_centers
+from conftest import exactness_pool, line_instance, reference_one_center
 
 
 def test_greedy_line_k2():
@@ -46,6 +46,22 @@ def test_greedy_centers_spread_beyond_cost():
         for a in range(len(centers)):
             for b in range(a + 1, len(centers)):
                 assert inst.dist_row(centers[a])[centers[b]] >= cost - 1e-9
+
+
+def test_traversal_radii_are_the_prefix_radii():
+    # radii[t-1] of one traversal is the last radius of a t-pick traversal,
+    # bit for bit, and the radius of that traversal's centers; duplicates and
+    # matrix metrics included, over every point and over a subset
+    for inst in exactness_pool():
+        for pos in (None, np.arange(0, inst.n, 2)):
+            clients = np.arange(inst.n) if pos is None else pos
+            centers, radii = farthest_first(inst, 25, pos)
+            assert radii.size == centers.size == min(25, clients.size)
+            for t in range(1, radii.size + 1):
+                prefix, prefix_radii = farthest_first(inst, t, pos)
+                assert np.isin(prefix, centers).all()
+                assert prefix_radii.tobytes() == radii[:t].tobytes()
+                assert prefix_radii[-1] == nearest_positions(inst, prefix, clients)[1].max()
 
 
 def _nearest(inst: Instance, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ from cappedkc import (
     candidate_radii,
     caplet_decompose,
     check_capped,
-    greedy_k_center,
     make_balanced_instance,
     make_instance,
     non_dominant_k_center,
@@ -22,6 +21,7 @@ from cappedkc import (
 )
 from cappedkc import halfcap
 from cappedkc.core import sorted_pairs
+from cappedkc.greedy import farthest_first
 from cappedkc.halfcap import ACCEPT_TOL
 from conftest import _reference_max_matching, edge_adjacency, random_capped_instance
 
@@ -209,8 +209,10 @@ def _reference_caplet_decompose(nodes, colors, edges):
 def _reference_non_dominant_k_center(inst):
     """The scan that recomputes everything at every radius: the specification.
 
-    Components, caplets and representatives are all in point positions;
-    ids appear only in the greedy subset and the returned solution.
+    Components, caplets, representatives and greedy's centers are all in
+    point positions; ids appear only in the returned solution.  Greedy runs
+    on the sorted representative positions, and each caplet follows its
+    representative's nearest center, the first of ties in ascending order.
     """
     dm = inst.pairwise()
     colors_arr = inst.colors()
@@ -235,15 +237,17 @@ def _reference_non_dominant_k_center(inst):
         if not feasible:
             continue
         reps = sorted(min(c) for c in caplets)
-        gsol, gcost = greedy_k_center(inst, subset=[inst.id_at(p) for p in reps])
+        centers = farthest_first(inst, inst.k, np.array(reps))[0].tolist()
+        nearest = {r: min(centers, key=lambda c: dm[r, c]) for r in reps}
+        gcost = max(float(dm[r, nearest[r]]) for r in reps)
         if gcost > 2.0 * lam + ACCEPT_TOL:
             continue
         assign = {}
         for cap in caplets:
-            center = gsol.assign[inst.id_at(min(cap))]
             for p in cap:
-                assign[inst.id_at(p)] = center
-        return ClusteringSolution(gsol.centers, assign), lam, tuple(caplets), gcost
+                assign[inst.id_at(p)] = inst.id_at(nearest[min(cap)])
+        centers = tuple(sorted(inst.id_at(c) for c in centers))
+        return ClusteringSolution(centers, assign), lam, tuple(caplets), gcost
     raise InfeasibleInstance("no radius admits a caplet decomposition with a greedy cover")
 
 
@@ -311,23 +315,24 @@ def _scan_outcome(fn, inst):
 def _recorded_scan(inst):
     """non_dominant_k_center's (solution, radius), plus the caplets and greedy cost it accepted.
 
-    Both are the last values the scan computed: it reuses them until they change.
+    Both are the last values the scan computed: it reuses them until they
+    change.  The greedy cost is the last radius of the last traversal.
     """
     caplets, gcosts = [], []
-    decompose, greedy = halfcap._decompose_components, halfcap.greedy_k_center
+    decompose, traverse = halfcap._decompose_components, halfcap.farthest_first
 
     def recording_decompose(*args):
         caplets.append(decompose(*args))
         return caplets[-1]
 
-    def recording_greedy(*args, **kwargs):
-        out = greedy(*args, **kwargs)
-        gcosts.append(out[1])
+    def recording_traverse(*args):
+        out = traverse(*args)
+        gcosts.append(float(out[1][-1]))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(halfcap, "_decompose_components", recording_decompose)
-        patch.setattr(halfcap, "greedy_k_center", recording_greedy)
+        patch.setattr(halfcap, "farthest_first", recording_traverse)
         sol, lam = non_dominant_k_center(inst)
     return sol, lam, tuple(caplets[-1]), gcosts[-1]
 

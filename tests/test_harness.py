@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cappedkc import (
     Instance,
     RunConfig,
     build_polytope,
+    candidate_radii,
     capped_opt,
     check_capped,
     evaluate,
@@ -140,6 +142,92 @@ def test_lambda_grid_degenerate_greedy_cost():
     assert gcost == 0.0
     grid = lambda_grid(inst, 0.0, 5.0, 0.5)
     assert grid[0] == 0.0 and grid[1] == 5.0 and grid[-1] == 10.0
+
+
+def _reference_lambda_grid(inst, lam_greedy, lam_anchor, epsilon):
+    """lambda_grid with its degenerate ladder anchored on the sorted candidate radii."""
+    hi = 2.0 * lam_anchor
+    if hi <= 0.0 or lam_greedy > 0.0:
+        return lambda_grid(inst, lam_greedy, lam_anchor, epsilon)
+    positive = [r for r in candidate_radii(inst) if r > 0.0]
+    return [0.0] + (harness._grid(positive[0], hi, epsilon) if positive else [])
+
+
+def _degenerate_pool():
+    """Instances with at most k distinct locations, so greedy's cost is 0.
+
+    Coincident Gaussian points, and line metrics over the same location
+    slots given as matrices, with zero entries off the diagonal.
+    """
+    rng = np.random.default_rng(31)
+    pool = []
+    for n in (4, 9, 16, 30):
+        for locations in (1, 2, 3, 4):
+            slot = rng.integers(0, locations, n)
+            colors = rng.permutation(np.arange(n) % 2)
+            where = rng.standard_normal((locations, 2))
+            pool.append(make_instance(where[slot], colors.tolist(), k=locations, alpha=0.5))
+            x = rng.integers(0, 6, locations)[slot].astype(float)
+            matrix = np.abs(x[:, None] - x[None, :])
+            pool.append(Instance(np.empty((n, 0)), colors, locations, 0.5, dist_matrix=matrix))
+    return pool
+
+
+def _outcome(inst, cfg):
+    try:
+        sol, lam = faster_algorithm(inst, cfg)
+    except InfeasibleInstance:
+        return None
+    return sol.centers, list(sol.assign.items()), lam
+
+
+def test_degenerate_ladder_matches_the_sorted_radii(monkeypatch):
+    # the ladder's first positive rung is the smallest positive distance,
+    # found without sorting the pairs: the same (solution, rung) either way
+    degenerate = 0
+    for inst in _degenerate_pool():
+        for cfg in (RunConfig(k=inst.k, alpha=0.5), RunConfig(k=inst.k, alpha=0.5, m=1, epsilon=0.5)):
+            assert greedy_k_center(inst)[1] == 0.0
+            degenerate += inst.dist_row(0).max() > 0.0
+            got = _outcome(inst, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "lambda_grid", _reference_lambda_grid)
+                assert got == _outcome(inst, cfg)
+    assert degenerate >= 40
+
+
+def test_degenerate_ladder_sorts_no_pairs():
+    # 3,000 points at 10 locations, k = 25: sorting all 4.5M pairs for the
+    # ladder's first positive rung peaked above 240 MB
+    rng = np.random.default_rng(0)
+    coords = rng.standard_normal((10, 2))[rng.integers(0, 10, 3000)]
+    inst = make_instance(coords, [i % 20 for i in range(3000)], k=25, alpha=0.5)
+    tracemalloc.start()
+    try:
+        sol, lam = faster_algorithm(inst, RunConfig(k=25, alpha=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lam == 0.0 and solution_cost(inst, sol) == 0.0
+    assert peak < 24e6
+
+
+def test_faster_algorithm_traverses_once(monkeypatch):
+    # the k-pick traversal is the first k picks of the m*k one
+    picks = []
+    traverse = harness.farthest_first
+
+    def recording(inst, k, *args):
+        picks.append(k)
+        return traverse(inst, k, *args)
+
+    monkeypatch.setattr(harness, "farthest_first", recording)
+    rng = random.Random(41)
+    for n, k, m in ((12, 3, 2), (12, 5, 3), (6, 4, 2), (6, 7, 1)):  # k * m up to and past n
+        inst = random_capped_instance(rng, n=n, n_colors=2, k=k, alpha=0.5)
+        picks.clear()
+        faster_algorithm(inst, RunConfig(k=k, alpha=0.5, m=m))
+        assert picks == [m * k]
 
 
 def _recorded_walk(monkeypatch, inst, cfg):
