@@ -54,18 +54,13 @@ def _check_params(k: int, alpha: float) -> None:
         raise InputError("alpha must lie in (0, 1]")
 
 
-def _require_int64(given: np.ndarray) -> None:
-    """InputError unless the array `given` holds integers that fit in 64 signed bits."""
-    if given.size and not (
-        given.dtype.kind == "i" or (given.dtype.kind == "u" and given.max() < 1 << 63)
-    ):
-        raise InputError(f"point ids must be 64-bit integers, got dtype {given.dtype}")
-
-
 def _id_array(ids, n: int) -> np.ndarray:
     """n int64 point ids from an integer array, or from a sequence converted as int() would."""
     if isinstance(ids, np.ndarray):
-        _require_int64(ids)
+        if ids.size and not (
+            ids.dtype.kind == "i" or (ids.dtype.kind == "u" and ids.max() < 1 << 63)
+        ):
+            raise InputError(f"point ids must be 64-bit integers, got dtype {ids.dtype}")
         out = ids.astype(np.int64)
     else:
         try:
@@ -183,15 +178,6 @@ class Instance:
         point_ids = np.asarray(point_ids, dtype=np.int64)
         at = self._id_order.take(np.searchsorted(self._id_sorted, point_ids), mode="clip")
         return np.where(self._ids[at] == point_ids, at, -1)
-
-    def require_positions(self, point_ids) -> np.ndarray:
-        """Position of each of `point_ids`; InputError for an id that names no point."""
-        given = np.asarray(point_ids)
-        _require_int64(given)
-        pos = self.positions(given)
-        if (pos < 0).any():
-            raise InputError(f"point id {given.flat[np.argmin(pos)]} names no point")
-        return pos
 
     def id_at(self, pos: int) -> int:
         return self._ids.item(pos)

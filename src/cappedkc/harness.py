@@ -133,9 +133,9 @@ def faster_algorithm(inst: Instance, cfg: RunConfig) -> tuple[ClusteringSolution
     Two certificates stand in for solves.  A color with more than alpha*n
     points empties every rung's polytope (summing the cap rows gives
     |c| <= alpha*n at any of its points), so it raises InfeasibleInstance
-    before the ladder.  And the ladder stops at the first rung where
-    `one_center_stop` shows that the rounding can only give one cluster from
-    there on.
+    before the ladder.  And `one_center_stop`, read once before the walk,
+    names the first rung from which the rounding can only give one cluster;
+    the walk ends there with that cluster.
     """
     if cfg.algorithm != "lp":
         raise InputError("faster_algorithm drives the lp route")
@@ -149,17 +149,15 @@ def faster_algorithm(inst: Instance, cfg: RunConfig) -> tuple[ClusteringSolution
     # the first k picks of the m*k traversal are the k-pick traversal
     centers, radii = farthest_first(work, cfg.m * cfg.k)
     lam_greedy = float(radii[min(cfg.k, radii.size) - 1])
-    coreset = work.ids_at(centers).tolist()
     grid = lambda_grid(work, lam_greedy, lam_anchor, cfg.epsilon)
+    stop = one_center_stop(work, centers, grid)
 
-    for lam in grid:
-        o = one_center_stop(work, coreset, lam, grid[-1])
-        if o is not None:
-            sol = solution_at(work, np.array([o]), np.full(work.n, o))
-        else:
-            sol = fair_k_center(work, lam, restricted=coreset)
+    for lam in grid[:stop]:
+        sol = fair_k_center(work, lam, restricted=centers)
         if sol is not None:
             return sol, lam
+    if stop < len(grid):
+        return solution_at(work, centers[:1], np.full(work.n, centers[0])), grid[stop]
     raise InfeasibleInstance("no radius in the grid admits a capped assignment")
 
 

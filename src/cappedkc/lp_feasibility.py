@@ -92,9 +92,10 @@ def radius_pairs(
 ) -> RadiusPairs:
     """The in-radius pairs of the radius-lam polytope, without its constraint rows.
 
-    `restricted_facilities` are point ids; the facility set is their
-    positions, or every point.  A pair is in radius when its distance is at
-    most lam * (1 + RADIUS_SLACK).  The facility rows come from
+    `restricted_facilities` are point positions in any order, every point by
+    default; an empty set, non-integer entries or a position outside [0, n)
+    raise InputError.  A pair is in radius when its distance is at most
+    lam * (1 + RADIUS_SLACK).  The facility rows come from
     `Instance.dist_rows`, so a ladder over one set stacks them once.
     """
     if lam < 0:
@@ -102,9 +103,14 @@ def radius_pairs(
     if restricted_facilities is None:
         fac_pos = np.arange(inst.n)
     else:
-        fac_pos = np.unique(inst.require_positions(restricted_facilities))
+        fac_pos = np.unique(restricted_facilities)
         if not fac_pos.size:
             raise InputError("restricted facility set must be non-empty")
+        if fac_pos.dtype.kind not in "iu":
+            raise InputError(f"facility positions must be integers, got dtype {fac_pos.dtype}")
+        if fac_pos[0] < 0 or fac_pos[-1] >= inst.n:
+            raise InputError(f"facility positions must lie in [0, {inst.n})")
+        fac_pos = fac_pos.astype(np.int64)
     rows = inst.dist_rows(fac_pos)
     # row-major: the pairs come out in (facility, client) order
     pf, pj = np.divmod(np.flatnonzero(rows <= lam * (1.0 + RADIUS_SLACK)), inst.n)
@@ -116,7 +122,8 @@ def build_polytope(
 ) -> LinearSystem:
     """Assemble the radius-lam system, optionally restricting facilities to a coreset.
 
-    The pairs come from `radius_pairs`, the rows from `polytope_on`.
+    `restricted_facilities` are point positions, as in `radius_pairs`,
+    which gives the pairs; the rows come from `polytope_on`.
     """
     return polytope_on(inst, radius_pairs(inst, lam, restricted_facilities))
 

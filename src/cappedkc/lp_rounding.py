@@ -142,9 +142,10 @@ def fair_k_center(
 ) -> ClusteringSolution | None:
     """LP-guess-and-round at radius lam: None when the polytope is empty.
 
-    The facilities are the ids in `restricted`, or every point.  The
-    polytope's point is merged onto a maximal >2*lam-separated subset of
-    them, scanned in ascending position, and the merged point is checked
+    The facilities are the point positions in `restricted`, in any order,
+    or every point; `radius_pairs` rejects a bad set.  The polytope's point
+    is merged onto a maximal >2*lam-separated subset of them, scanned in
+    ascending position, and the merged point is checked
     against the radius-3*lam families (`validate_rerouted`) before a
     max-flow rounds it.  On success every point lands within 3*lam of its
     center and each cluster's color counts exceed the cap by at most two
@@ -181,37 +182,38 @@ def fair_k_center(
     return ClusteringSolution(centers, assign)
 
 
-def one_center_stop(inst: Instance, restricted: Sequence[int], lam: float, top: float) -> int | None:
-    """The position o all clients round onto from lam on, or None.
+def one_center_stop(inst: Instance, fac: np.ndarray, grid: Sequence[float]) -> int:
+    """Index of the first rung of `grid` from which every client rounds onto o, or len(grid).
 
-    `restricted` are the facility ids of every rung, o the lowest of their
-    positions.  From lam on the ascending walk over `fair_k_center` rungs up
-    to `top` can only merge every client onto o, and accepts some rung, when:
+    `fac` are the ascending facility positions of every rung, o = fac[0], and
+    `grid` the ascending ladder up to top = grid[-1].  From rung lam on the
+    walk over `fair_k_center` rungs can only merge every client onto o, and
+    accepts some rung, when:
     - the >2*lam-separated set is {o}: max d(o, facilities) <= 2*lam, the
       predicate of `select_separated_facilities`;
     - the one-center point (y_o = 1, x_oj = 1 for every client, L_o = n)
       lies in the radius-top polytope: every color count <= alpha*n,
       n >= ceil(1/alpha), and every d(o, j) within the radius top;
     - every d(o, j) <= 3*lam, as the merged point's check demands.
-    These only get easier as the radius grows, so they hold at every later
-    rung.  There, `fair_k_center` rejects a rung that fails its pre-checks,
-    and the top rung passes them, as its polytope holds the one-center
-    point.  So the walk accepts a rung, the top one at the latest, and the
-    merged point there is x_oj = 1 for every client: one cluster at o,
-    within 3*lam.
+    The second does not depend on lam and is read once; the other two only
+    get easier as the radius grows, so all three hold at every later rung.
+    There, `fair_k_center` rejects a rung that fails its pre-checks, and the
+    top rung passes them, as its polytope holds the one-center point.  So the
+    walk accepts a rung, the top one at the latest, and the merged point
+    there is x_oj = 1 for every client: one cluster at o, within 3*lam.
     """
-    fac = inst.require_positions(restricted)
-    if not fac.size:
-        raise InputError("restricted facility set must be non-empty")
-    o = int(fac.min())
-    row = inst.dist_row(o)
+    row = inst.dist_row(int(fac[0]))
     reach = float(row.max())
+    # the color share is tested exactly, without CAP_TOL: a color an ulp over
+    # alpha*n breaks the one-center point's cap row, so the top polytope need
+    # not hold it, and the walk's own verdict must decide
     if not (
-        row[fac].max() <= 2.0 * lam
-        and reach <= 3.0 * lam
-        and reach <= top * (1.0 + RADIUS_SLACK)
+        reach <= grid[-1] * (1.0 + RADIUS_SLACK)
         and inst.n >= ceil_inv_alpha(inst.alpha)
         and np.bincount(inst.colors()).max() <= inst.alpha * inst.n
     ):
-        return None
-    return o
+        return len(grid)
+    far = float(row[fac].max())
+    return next(
+        (i for i, lam in enumerate(grid) if far <= 2.0 * lam and reach <= 3.0 * lam), len(grid)
+    )

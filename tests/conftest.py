@@ -415,9 +415,12 @@ def reference_one_center(inst: Instance, pos) -> int:
     return int(inst.dist_block(pos).max(axis=1).argmin())
 
 
-def reference_one_center_stop(inst: Instance, restricted, lam: float, top: float):
-    """`one_center_stop` with the separation test over one row per facility."""
-    fac = [inst.pos(i) for i in restricted]
+def reference_one_center_stop(inst: Instance, fac, lam: float, top: float):
+    """The stop's verdict at the one rung lam of a ladder up to top: o, or None.
+
+    `fac` are facility positions and o the lowest; the separation test reads
+    one row per facility.
+    """
     o = min(fac)
     reach = float(inst.dist_row(o).max())
     if not (

@@ -30,7 +30,6 @@ from cappedkc import core
 from cappedkc.core import center_positions, cluster_color_peaks, nearest_positions, solution_at
 from cappedkc.greedy import random_centers
 from cappedkc.lp_feasibility import radius_pairs
-from cappedkc.lp_rounding import one_center_stop
 from conftest import (
     exactness_pool,
     line_instance,
@@ -163,10 +162,6 @@ def test_positions_map_ids_and_flag_unknown_ones():
 
 
 UNKNOWN_ID_CALLS = {
-    "fair_k_center": lambda inst, ids: fair_k_center(inst, 1.0, restricted=ids),
-    "build_polytope": lambda inst, ids: build_polytope(inst, 1.0, ids),
-    "radius_pairs": lambda inst, ids: radius_pairs(inst, 1.0, ids),
-    "one_center_stop": lambda inst, ids: one_center_stop(inst, ids, 1.0, 2.0),
     "pos": lambda inst, ids: [inst.pos(i) for i in ids],
 }
 
@@ -181,6 +176,24 @@ def test_unknown_ids_are_input_errors(entry):
             call(inst, ids)
 
 
+FACILITY_SET_CALLS = {
+    "fair_k_center": lambda inst, fac: fair_k_center(inst, 1.0, restricted=fac),
+    "build_polytope": lambda inst, fac: build_polytope(inst, 1.0, fac),
+    "radius_pairs": lambda inst, fac: radius_pairs(inst, 1.0, fac),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FACILITY_SET_CALLS))
+def test_bad_facility_positions_are_input_errors(entry):
+    # facility sets are positions: the ids 4 and -1 name no position here
+    inst = make_instance([(0.0,), (1.0,), (2.0,)], ["r", "b", "r"], k=2, alpha=0.5, ids=[4, -1, 9])
+    call = FACILITY_SET_CALLS[entry]
+    call(inst, [2, 0])  # positions in any order pass
+    for fac in ([7], [-1], [1.5], [], [2**63]):
+        with pytest.raises(InputError):
+            call(inst, fac)
+
+
 def _center_sets(inst: Instance, rng: np.random.Generator):
     """Random center id sets of a few sizes, plus the random baseline's."""
     ids = inst.ids()
@@ -192,7 +205,7 @@ def test_array_metrics_equal_the_loop_references():
     rng = np.random.default_rng(5)
     for inst in exactness_pool():
         for centers in _center_sets(inst, rng):
-            pos = np.sort(inst.require_positions(centers))
+            pos = np.sort(inst.positions(centers))
             cpos, dist = nearest_positions(inst, pos)
             sol = solution_at(inst, pos, cpos)
             ref = reference_nearest_assignment(inst, centers)

@@ -231,19 +231,33 @@ def test_faster_algorithm_traverses_once(monkeypatch):
 
 
 def _recorded_walk(monkeypatch, inst, cfg):
-    """faster_algorithm's (solution, lambda), plus the coreset and the rungs of its walk."""
-    calls = []
+    """faster_algorithm's (solution, lambda), plus its coreset and the rungs it tried.
 
-    def recording(work, restricted, lam, top):
-        calls.append((restricted, lam))
-        return one_center_stop(work, restricted, lam, top)
+    The rungs are those `fair_k_center` ran on, then the stop's rung when the
+    walk ended at the one-center stop.
+    """
+    stops, rungs = [], []
+
+    def recording_stop(work, fac, grid):
+        stop = one_center_stop(work, fac, grid)
+        stops.append((fac, grid, stop))
+        return stop
+
+    def recording_rung(work, lam, restricted=None):
+        assert restricted is stops[0][0]  # every rung restricts to the stop's facility set
+        rungs.append(lam)
+        return fair_k_center(work, lam, restricted=restricted)
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "one_center_stop", recording)
+        patch.setattr(harness, "one_center_stop", recording_stop)
+        patch.setattr(harness, "fair_k_center", recording_rung)
         sol, lam = faster_algorithm(inst, cfg)
-    coresets = {tuple(restricted) for restricted, _ in calls}
-    assert len(coresets) == 1  # every rung restricts to the same coreset
-    return sol, lam, list(coresets.pop()), [rung for _, rung in calls]
+    ((coreset, grid, stop),) = stops
+    if rungs[-1:] != [lam]:
+        assert lam == grid[stop]
+        rungs.append(lam)
+    assert rungs == grid[: len(rungs)]
+    return sol, lam, coreset.tolist(), rungs
 
 
 def test_faster_algorithm_unit_square(unit_square, monkeypatch):
@@ -254,15 +268,36 @@ def test_faster_algorithm_unit_square(unit_square, monkeypatch):
     assert lam == rungs[-1] <= 0.5 * 1.1**8 + 1e-12
     assert solution_cost(unit_square, sol) <= 3 * lam + 1e-7
     assert max_additive_violation(unit_square, sol, 0.5) <= 1
-    # m=2, k=2 on four points: the coreset is everything
+    # m=2, k=2 on four points: the coreset is every position
     assert coreset == [0, 1, 2, 3]
+
+
+def test_faster_algorithm_reads_the_stop_once_and_maps_no_ids(unit_square, monkeypatch):
+    # the ladder stays on positions, so no id is looked up, and the one-center
+    # stop is read once for a walk over several rungs
+    calls = {"stop": 0, "rung": 0, "positions": 0}
+    positions = Instance.positions
+
+    def counting(key, func):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(harness, "one_center_stop", counting("stop", one_center_stop))
+    monkeypatch.setattr(harness, "fair_k_center", counting("rung", fair_k_center))
+    monkeypatch.setattr(Instance, "positions", counting("positions", positions))
+    faster_algorithm(unit_square, RunConfig(k=2, alpha=0.5))
+    assert calls["rung"] > 3
+    assert calls["stop"] == 1 and calls["positions"] == 0
 
 
 def test_faster_algorithm_m1_coreset_is_greedy(unit_square, monkeypatch):
     cfg = RunConfig(k=2, alpha=0.5, epsilon=0.1, m=1, algorithm="lp")
     _, _, coreset, _ = _recorded_walk(monkeypatch, unit_square, cfg)
     gsol, _ = greedy_k_center(unit_square.with_params(k=2))
-    assert tuple(coreset) == gsol.centers
+    assert tuple(unit_square.ids_at(coreset).tolist()) == gsol.centers
 
 
 def test_faster_algorithm_infeasible_alpha():
@@ -286,10 +321,14 @@ def test_faster_algorithm_accepts_first_feasible(monkeypatch):
 
 
 def _ladder(inst, cfg):
-    """faster_algorithm's ladder rebuilt from public parts: (work instance, coreset, grid)."""
+    """faster_algorithm's ladder rebuilt from public parts: (work instance, coreset, grid).
+
+    The coreset is the ascending positions of the m*k greedy centers.
+    """
     work = inst.with_params(k=cfg.k, alpha=cfg.alpha)
     _, lam_greedy = greedy_k_center(work)
-    coreset = list(greedy_k_center(work.with_params(k=cfg.m * cfg.k))[0].centers)
+    centers = greedy_k_center(work.with_params(k=cfg.m * cfg.k))[0].centers
+    coreset = sorted(work.pos(i) for i in centers)
     grid = lambda_grid(work, lam_greedy, float(work.dist_row(0).max()), cfg.epsilon)
     return work, coreset, grid
 
@@ -451,25 +490,25 @@ def test_one_center_stop_conditions_against_the_walk():
         k=2,
         alpha=0.5,
     )
-    pair = [0, 1]
+    pair = np.array([0, 1])
     # d(o, q) = 2*lam exactly: the separated set is {o}
-    assert len(select_separated_facilities(inst, 1.0, np.array([0, 1])).opened) == 1
-    assert one_center_stop(inst, pair, 1.0, 3.0) == 0
+    assert len(select_separated_facilities(inst, 1.0, pair).opened) == 1
+    assert one_center_stop(inst, pair, [1.0, 3.0]) == 0
     single = _walk_from(inst, pair, [1.0, 3.0])
     assert single.centers == (0,) and set(single.assign.values()) == {0}
     # up to radius 1.5 the one-center point is outside the top polytope and
     # the walk finds nothing, so the stop must not fire
     assert _walk_from(inst, pair, [1.0, 1.5]) is None
-    assert one_center_stop(inst, pair, 1.0, 1.5) is None
+    assert one_center_stop(inst, pair, [1.0, 1.5]) == 2
 
     # a non-metric matrix: q is 1 from o and from j, but j is 5 from o
     dm = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     far = Instance(np.empty((3, 0)), [0, 0, 0], k=1, alpha=1.0, dist_matrix=dm)
     with pytest.raises(InputError, match=r"d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
-        _walk_from(far, [0, 1], [1.0])  # merging j onto o breaks 3*lam
-    assert one_center_stop(far, [0, 1], 1.0, 5.0) is None
-    assert one_center_stop(far, [0, 1], 2.0, 5.0) == 0
-    assert _walk_from(far, [0, 1], [2.0]).centers == (0,)
+        _walk_from(far, pair, [1.0])  # merging j onto o breaks 3*lam
+    # 3*lam reaches j from o at the second rung, not at the first
+    assert one_center_stop(far, pair, [1.0, 2.0, 5.0]) == 1
+    assert _walk_from(far, pair, [2.0]).centers == (0,)
 
 
 def test_evaluate_off_a_metric_names_the_broken_triangle():
@@ -492,38 +531,37 @@ def test_one_center_stop_is_sound_for_any_facility_set():
             inst = Instance(np.empty((n, 0)), colors, 2, alpha, dist_matrix=upper + upper.T)
         else:
             inst = make_instance(np.round(rng.random((n, 2)) * 4), colors, k=2, alpha=alpha)
-        restricted = sorted(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist())
+        restricted = np.sort(rng.choice(n, size=int(rng.integers(1, 4)), replace=False))
         radii = np.unique(inst.pairwise())
         grid = sorted(rng.choice(np.concatenate([radii, radii / 2, radii / 3]), size=5).tolist())
-        for i, lam in enumerate(grid):
-            o = one_center_stop(inst, restricted, lam, grid[-1])
-            if o is None:
-                continue
-            # the walk from lam on must give the one cluster at o, within 3*lam
-            sol = _walk_from(inst, restricted, grid[i:])
-            assert sol is not None and sol.centers == (inst.id_at(o),), (t, lam)
-            assert solution_cost(inst, sol) <= 3.0 * lam * (1 + 1e-12) + 1e-7
-            fired += 1
-            break
+        i = one_center_stop(inst, restricted, grid)
+        if i == len(grid):
+            continue
+        # the walk from the stop's rung on must give the one cluster at o, within that rung's 3*lam
+        lam = grid[i]
+        sol = _walk_from(inst, restricted, grid[i:])
+        assert sol is not None and sol.centers == (inst.id_at(restricted[0]),), (t, lam)
+        assert solution_cost(inst, sol) <= 3.0 * lam * (1 + 1e-12) + 1e-7
+        fired += 1
     assert fired > 20
 
 
-def _stop_rungs(inst, cfg, stop):
-    """`stop`'s verdict on every rung of faster_algorithm's ladder for (inst, cfg)."""
-    work, coreset, grid = _ladder(inst, cfg)
-    return [stop(work, coreset, lam, grid[-1]) for lam in grid]
-
-
 def test_one_center_stop_separation_reads_the_row_of_o():
-    # max over facilities p of d(p, o), read from o's row, against one row per p
+    # max over facilities p of d(p, o), read from o's row once per ladder,
+    # against the per-rung reference that reads one row per p: the index is
+    # the first rung the reference fires on
     fired = 0
     balanced = make_balanced_instance(50, 20, dim=10, k=25, alpha=0.1, seed=0)
     cases = _stop_pool() + [(balanced, RunConfig(k=25, alpha=0.1))]
     for inst, cfg in cases:
-        got = _stop_rungs(inst, cfg, one_center_stop)
-        assert got == _stop_rungs(inst, cfg, reference_one_center_stop), (inst.n, cfg)
-        fired += any(o is not None for o in got)
-    assert any(o is not None for o in got)  # the balanced instance stops on its ladder
+        work, coreset, grid = _ladder(inst, cfg)
+        fires = [
+            reference_one_center_stop(work, coreset, lam, grid[-1]) is not None for lam in grid
+        ]
+        got = one_center_stop(work, np.array(coreset), grid)
+        assert got == (fires.index(True) if any(fires) else len(grid)), (inst.n, cfg)
+        fired += got < len(grid)
+    assert got < len(grid)  # the balanced instance stops on its ladder
     assert fired > 100
 
 

@@ -141,13 +141,13 @@ def test_validate_point_flags_corruption(unit_square):
 
 
 def test_check_feasible_slices_the_solver_point():
-    # restricted facilities and ids out of position order: the point is the
-    # solver vector's class columns spread over their pairs, its support in
-    # pair order, with y zero off the facility set
+    # restricted facility positions out of order, ids out of position order:
+    # the point is the solver vector's class columns spread over their pairs,
+    # its support in pair order, with y zero off the facility set
     inst = make_instance(
         [(0.0,), (0.0,), (1.0,), (1.0,)], ["r", "b", "r", "b"], k=2, alpha=0.5, ids=[7, 3, 9, 1]
     )
-    sys = build_polytope(inst, 1.0, [9, 3])
+    sys = build_polytope(inst, 1.0, [2, 1])
     vec = solve_system(sys)
     frac = check_feasible(sys)
     assert vec is not None and frac is not None
@@ -237,7 +237,7 @@ def test_colorcap_rows_match_loop_reference():
             rng, n=rng.randint(3, 8), n_colors=3, k=2, alpha=rng.choice([0.5, 1 / 3])
         )
         lam = rng.choice(candidate_radii(inst))
-        restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
+        restricted = rng.sample(range(inst.n), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
         columns = _reference_columns(inst, sys)
         nf, n_cols = sys.facility_pos.size, len(columns)
@@ -331,7 +331,7 @@ def _reference_pairs(inst, lam, restricted_facilities):
     if restricted_facilities is None:
         fac_pos = list(range(inst.n))
     else:
-        fac_pos = sorted(inst.pos(i) for i in restricted_facilities)
+        fac_pos = sorted(restricted_facilities)
     radius = lam * (1.0 + RADIUS_SLACK)
     pairs = [
         (f, j) for f, fp in enumerate(fac_pos) for j in range(inst.n)
@@ -428,7 +428,7 @@ def test_compact_system_matches_dense_reference():
         lam = rng.choice(radii[len(radii) // 2 :] if rng.random() < 0.5 else radii)
         restricted = None
         if rng.random() < 0.6:
-            restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
+            restricted = rng.sample(range(inst.n), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
         ref = _reference_build_polytope(inst, lam, restricted)
         for name in ("facility_pos", "pair_facility", "pair_client", "pair_color"):
@@ -471,7 +471,7 @@ def test_singleton_classes_give_the_per_client_system():
         inst = make_instance(coords, list(range(n)), k=rng.randint(1, 4), alpha=alpha)
         radii = candidate_radii(inst)
         lam = rng.choice(radii[len(radii) // 2 :])
-        restricted = rng.sample(inst.ids(), rng.randint(1, inst.n)) if i % 2 else None
+        restricted = rng.sample(range(inst.n), rng.randint(1, inst.n)) if i % 2 else None
         sys = build_polytope(inst, lam, restricted)
         ref = _per_client_system(inst, lam, restricted)
         assert np.array_equal(sys.pair_column, np.arange(sys.pair_client.size))
@@ -501,7 +501,7 @@ def test_nonzeros_stay_linear_in_pairs():
             rng, n=rng.randint(3, 12), n_colors=rng.randint(2, 4), k=2, alpha=0.3
         )
         lam = rng.choice(candidate_radii(inst))
-        restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
+        restricted = rng.sample(range(inst.n), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
         nf, n_cols = sys.facility_pos.size, sys.column_pair.size
         assert n_cols <= sys.pair_client.size
@@ -593,7 +593,7 @@ def wide_system():
     """
     inst = make_balanced_instance(50, 20, dim=10, k=25, alpha=0.1, seed=0)
     coreset, _ = greedy_k_center(inst.with_params(k=50))
-    return inst, sorted(coreset.centers, key=inst.pos)
+    return inst, inst.positions(coreset.centers)
 
 
 def test_every_solve_uses_the_dual_simplex(unit_square, wide_system, monkeypatch):
@@ -656,7 +656,7 @@ def test_solve_returns_the_linprog_vertex(wide_system):
         # most systems on a coreset-sized facility set, as the route solves them
         restricted = None
         if rng.random() < 0.7:
-            restricted = rng.sample(inst.ids(), rng.randint(1, min(inst.n, 12)))
+            restricted = rng.sample(range(inst.n), rng.randint(1, min(inst.n, 12)))
         systems.append(build_polytope(inst, lam, restricted))
     inst, coreset = wide_system
     systems += [build_polytope(inst, 4.3446, coreset), build_polytope(inst, 4.2, coreset)]
@@ -731,7 +731,7 @@ def test_color_precheck_rejects_only_empty_polytopes(monkeypatch):
     rejected = 0
     for i in range(140):
         inst = _blob_instance(rng, alphas[i % len(alphas)])
-        restricted = rng.sample(inst.ids(), rng.randint(1, inst.n)) if i % 2 else None
+        restricted = rng.sample(range(inst.n), rng.randint(1, inst.n)) if i % 2 else None
         radii = candidate_radii(inst)
         for lam in sorted(rng.sample(radii, min(4, len(radii)))):
             pairs = radius_pairs(inst, lam, restricted)
@@ -749,7 +749,7 @@ def test_color_precheck_rejects_only_empty_polytopes(monkeypatch):
 
 def _stacked_pairs(inst, lam, restricted):
     """radius_pairs' arrays from a freshly stacked facility block."""
-    fac = np.arange(inst.n) if restricted is None else np.unique([inst.pos(i) for i in restricted])
+    fac = np.arange(inst.n) if restricted is None else np.unique(restricted)
     rows = np.stack([inst.dist_row(p) for p in fac.tolist()])
     pf, pj = np.divmod(np.flatnonzero(rows <= lam * (1.0 + RADIUS_SLACK)), inst.n)
     return fac, fac[pf], pj
@@ -758,8 +758,7 @@ def _stacked_pairs(inst, lam, restricted):
 def test_radius_pairs_equal_a_fresh_stack_as_the_facility_set_changes():
     rng = np.random.default_rng(8)
     inst = make_instance(rng.standard_normal((40, 3)), rng.integers(0, 3, 40).tolist(), k=4, alpha=0.5)
-    ids = inst.ids()
-    a, b = [ids[j] for j in (3, 0, 17, 9)], [ids[j] for j in (5, 38, 21)]
+    a, b = [3, 0, 17, 9], [5, 38, 21]
     radii = (0.0, 0.5, 1.2, 3.0)
     for work in (inst, inst, inst.with_params(k=6), inst.with_params(alpha=1 / 3)):
         for restricted in (a, b, a, None, b, None, a, list(reversed(a))):
@@ -770,7 +769,7 @@ def test_radius_pairs_equal_a_fresh_stack_as_the_facility_set_changes():
                 assert np.array_equal(got.pair_facility, pf)
                 assert np.array_equal(got.pair_client, pj)
                 assert np.array_equal(got.pair_color, work.colors()[pj])
-    fac = np.unique(inst.positions(a))
+    fac = np.unique(a)
     block = inst.dist_rows(fac)
     assert inst.dist_rows(fac) is block and not block.flags.writeable
 

@@ -263,7 +263,7 @@ def test_reroute_matches_dict_reference():
         lam = rng.choice(radii[len(radii) // 2 :])
         restricted = None
         if rng.random() < 0.5:
-            restricted = rng.sample(inst.ids(), rng.randint(1, inst.n))
+            restricted = rng.sample(range(inst.n), rng.randint(1, inst.n))
         sys = build_polytope(inst, lam, restricted)
         frac = check_feasible(sys)
         if frac is None:
